@@ -1,0 +1,875 @@
+"""Certified constants for commonness of the rank-2 pair system under
+free-variable extension.
+
+The chain splits colourings into three regimes (balanced mean with flat
+spectrum, balanced mean with a large Fourier coefficient, and unbalanced
+mean) and produces exact rational constants:
+
+* c0 -- uniform lower bound on the pair density at means >= 0.45;
+* c1 -- spectral radius below which the density beats the mean-power bound;
+* c2 -- half-width of the mean window where the product bound applies;
+* c3 -- coefficient of the fourth spectral power in that product bound;
+* C4 -- certified Lipschitz-style bound tying the product to its value at
+        mean 1/2;
+* c5, c6, l0 -- decay-rate and gain constants, and a threshold l0 above
+        which every free-variable extension stays common.
+
+Every constant carries a Certificate that re-verifies from the witness
+alone; transcendental quantities (square roots, the exponential) enter
+only through rational enclosures with directed rounding.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+from decimal import Decimal
+from fractions import Fraction
+from math import comb, isqrt
+
+from .errors import NoSuchL, VerificationFailed
+from .exactpoly import (
+    Certificate,
+    ExactPoly,
+    ExactPoly2,
+    STRICTLY_NEGATIVE,
+    STRICTLY_POSITIVE,
+    isolate_positive_root,
+    poly_from_rationals,
+    rational_chain_certificate,
+    sturm_sign_on_interval,
+    subdivision_positive_on_box,
+    verify_certificate,
+)
+from .qsqrt2 import AlgebraicNumber, an_sign, format_algebraic, sqrt_lower
+
+F = Fraction
+INV_SQRT2 = AlgebraicNumber(0, F(1, 2))  # 1/sqrt(2)
+INV_2SQRT2 = AlgebraicNumber(0, F(1, 4))  # 1/(2 sqrt(2))
+
+L_SEARCH_CAP = 10**7
+BINOMIAL_TERMS = 24  # truncation order of the even binomial lower bound
+
+
+# ---------------------------------------------------------------------------
+# Named polynomials of the derivation
+
+
+def _binomial_poly(c0, c1, k: int) -> ExactPoly:
+    """(c0 + c1 x)^k with rational c0, c1."""
+    return poly_from_rationals([comb(k, j) * c0 ** (k - j) * c1**j for j in range(k + 1)])
+
+
+def low_mean_correction_poly() -> ExactPoly:
+    """x^5 - (1-x) x^4 / sqrt2 - (1-x)^5 / (2 sqrt2).
+
+    Its sign on [0, 1/2] controls the worst-case spectral correction to
+    the pair density at means below one half.
+    """
+    x5 = poly_from_rationals([0, 0, 0, 0, 0, 1])
+    x4_minus_x5 = poly_from_rationals([0, 0, 0, 0, 1, -1])
+    one_minus_x5 = _binomial_poly(F(1), F(-1), 5)
+    return x5 - x4_minus_x5.scale(INV_SQRT2) - one_minus_x5.scale(INV_2SQRT2)
+
+
+def prevalence_value_poly() -> ExactPoly:
+    """x^9 + (1/2)(1-x)^4 * low_mean_correction_poly(x).
+
+    Its value at 9/20 is the certified prevalence floor c0.
+    """
+    x9 = poly_from_rationals([0] * 9 + [1])
+    window = _binomial_poly(F(1), F(-1), 4).scale(F(1, 2))
+    return x9 + window * low_mean_correction_poly()
+
+
+def product_margin_poly() -> ExactPoly:
+    """2^-10 + 2^-8 x - 2^-3 x^2 - x^3; positive on [0, 0.07]."""
+    return poly_from_rationals([F(1, 1024), F(1, 256), -F(1, 8), -1])
+
+
+def local_margin_poly2() -> ExactPoly2:
+    """F(a, x) = a^5 - a^4 x - x^3 in (mean, spectral sup)."""
+    return ExactPoly2({(5, 0): 1, (4, 1): -1, (0, 3): -1})
+
+
+def convexity_floor_poly(k: int) -> ExactPoly:
+    """x^k + (1-x)^k - 2^(1-k); nonnegative on [0,1], vanishing at 1/2."""
+    xk = poly_from_rationals([0] * k + [1])
+    return xk + _binomial_poly(F(1), F(-1), k) - poly_from_rationals([F(2) ** (1 - k)])
+
+
+# ---------------------------------------------------------------------------
+# Sparse multivariate polynomials over Q(sqrt(2)), used for the exact
+# expansion of the pair product and its mean derivative.
+
+
+class _MPoly:
+    __slots__ = ("nvars", "terms")
+
+    def __init__(self, nvars: int, terms: dict | None = None):
+        self.nvars = nvars
+        self.terms = {}
+        for e, c in (terms or {}).items():
+            c = c if isinstance(c, AlgebraicNumber) else AlgebraicNumber(F(c), 0)
+            if c != AlgebraicNumber(0, 0):
+                self.terms[tuple(e)] = c
+
+    @classmethod
+    def const(cls, nvars, c):
+        return cls(nvars, {(0,) * nvars: c})
+
+    @classmethod
+    def variable(cls, nvars, i):
+        e = [0] * nvars
+        e[i] = 1
+        return cls(nvars, {tuple(e): 1})
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out.get(e, AlgebraicNumber(0, 0)) + c
+        return _MPoly(self.nvars, out)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def __mul__(self, other):
+        out = {}
+        for ea, ca in self.terms.items():
+            for eb, cb in other.terms.items():
+                e = tuple(x + y for x, y in zip(ea, eb))
+                out[e] = out.get(e, AlgebraicNumber(0, 0)) + ca * cb
+        return _MPoly(self.nvars, out)
+
+    def scale(self, k):
+        k = k if isinstance(k, AlgebraicNumber) else AlgebraicNumber(F(k), 0)
+        return _MPoly(self.nvars, {e: c * k for e, c in self.terms.items()})
+
+    def power(self, k: int):
+        out = _MPoly.const(self.nvars, 1)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def diff(self, var: int):
+        out = {}
+        for e, c in self.terms.items():
+            if e[var]:
+                e2 = list(e)
+                e2[var] -= 1
+                out[tuple(e2)] = out.get(tuple(e2), AlgebraicNumber(0, 0)) + c * e[var]
+        return _MPoly(self.nvars, out)
+
+    def shift(self, var: int, center: Fraction):
+        """Substitute x_var -> center + u."""
+        out = {}
+        for e, c in self.terms.items():
+            k = e[var]
+            for j in range(k + 1):
+                coeff = c * AlgebraicNumber(comb(k, j) * center ** (k - j), 0)
+                e2 = list(e)
+                e2[var] = j
+                key = tuple(e2)
+                out[key] = out.get(key, AlgebraicNumber(0, 0)) + coeff
+        return _MPoly(self.nvars, out)
+
+    def monomial_abs_bound(self, radii) -> AlgebraicNumber:
+        """sum |c| * prod radii^exponents; bounds |P| when |x_i| <= radii[i]."""
+        total = AlgebraicNumber(0, 0)
+        for e, c in self.terms.items():
+            term = abs(c)
+            for r, k in zip(radii, e):
+                term = term * r**k
+            total = total + term
+        return total
+
+    def to_list(self):
+        return [
+            [list(e), format_algebraic(c)] for e, c in sorted(self.terms.items())
+        ]
+
+
+def pair_product_trivariate() -> _MPoly:
+    """The exact product of the two pair densities as a polynomial in
+    (mean a, quad density T4, quintic density T5):
+
+        (a^9 + a^5 T4 + a^4 T5 + T4 T5)
+      * ((1-a)^9 + (1-a)^5 T4 - (1-a)^4 T5 - T4 T5).
+    """
+    a = _MPoly.variable(3, 0)
+    t4 = _MPoly.variable(3, 1)
+    t5 = _MPoly.variable(3, 2)
+    one_minus = _MPoly.const(3, 1) - a
+    u = a.power(9) + a.power(5) * t4 + a.power(4) * t5 + t4 * t5
+    v = (
+        one_minus.power(9)
+        + one_minus.power(5) * t4
+        - one_minus.power(4) * t5
+        - t4 * t5
+    )
+    return u * v
+
+
+# ---------------------------------------------------------------------------
+# Rounding helpers (all exactness-checked)
+
+
+def _rational_below(v: AlgebraicNumber, digits: int = 10) -> Fraction:
+    grid = 10**digits
+    x = F(math.floor(v.approx() * grid), grid)
+    while not AlgebraicNumber(x, 0) < v:
+        x -= F(1, grid)
+    return x
+
+
+def _rational_above(v: AlgebraicNumber, digits: int = 10) -> Fraction:
+    grid = 10**digits
+    x = F(math.ceil(v.approx() * grid), grid)
+    while not AlgebraicNumber(x, 0) > v:
+        x += F(1, grid)
+    return x
+
+
+def _fmt(x) -> str:
+    if isinstance(x, AlgebraicNumber):
+        return format_algebraic(x)
+    return format_algebraic(AlgebraicNumber(F(x), 0))
+
+
+def _cmp(lhs, op, rhs, note="") -> dict:
+    step = {"kind": "cmp", "lhs": _fmt(lhs), "op": op, "rhs": _fmt(rhs)}
+    if note:
+        step["note"] = note
+    return step
+
+
+# ---------------------------------------------------------------------------
+# Lemma suite: the seven inequality/identity claims behind the argument
+
+
+LEMMA_SUITE_NAMES = (
+    "convexity_floor_deg9",
+    "coefficient_drop_nonneg",
+    "low_mean_correction_negative",
+    "prevalence_value_positive",
+    "local_margin_box",
+    "product_margin_positive",
+    "pair_product_factorization",
+)
+
+
+def _certify_convexity_floor(k: int) -> Certificate:
+    """x^k + (1-x)^k >= 2^(1-k) on [0,1] via the exact square factor at 1/2."""
+    base = convexity_floor_poly(k)
+    lin = poly_from_rationals([-F(1, 2), 1])
+    quotient, rem = base.divmod(lin * lin)
+    if not rem.is_zero():
+        raise VerificationFailed(f"degree-{k} convexity floor: square factor does not divide")
+    verdict, cert = sturm_sign_on_interval(quotient, 0, 1)
+    if verdict != STRICTLY_POSITIVE:
+        raise VerificationFailed(f"degree-{k} convexity floor quotient not positive", cert)
+    cert.claim = (
+        f"x^{k} + (1-x)^{k} - 2^(1-{k}) is nonnegative on [0,1] "
+        f"(it is (x-1/2)^2 times a strictly positive polynomial)"
+    )
+    cert.witness["square_factor"] = {
+        "base": base.to_strings(),
+        "center": "1/2",
+    }
+    cert.verified = verify_certificate(cert)
+    if not cert.verified:
+        raise VerificationFailed("convexity floor certificate failed recheck", cert)
+    return cert
+
+
+def verify_lemma_suite(flip_sign_of: str | None = None) -> list[Certificate]:
+    """Certify the seven claims; raises VerificationFailed on the first
+    failure.  `flip_sign_of` negates one claim for self-testing."""
+    certs: list[Certificate] = []
+
+    # (i) degree-9 convexity floor
+    certs.append(_certify_convexity_floor(9))
+
+    # (ii) a^5 + a^4 (1-a) collapses to a^4, which is nonnegative
+    lhs = [[5, _fmt(1)], [4, _fmt(1)], [5, _fmt(-1)]]
+    rhs = [[4, _fmt(1)]]
+    cert = rational_chain_certificate(
+        "a^5 + a^4(1-a) equals a^4 and is nonnegative on [0, 1/2]",
+        [
+            {"kind": "poly_identity", "lhs": lhs, "rhs": rhs},
+            {"kind": "lemma", "name": "even_power_nonneg", "premises": []},
+        ],
+    )
+    if not cert.verified:
+        raise VerificationFailed("coefficient-drop identity failed", cert)
+    certs.append(cert)
+
+    # (iii) the low-mean correction polynomial is negative on [0, 1/2]
+    expected = STRICTLY_NEGATIVE
+    if flip_sign_of == "low_mean_correction_negative":
+        expected = STRICTLY_POSITIVE
+    verdict, cert = sturm_sign_on_interval(low_mean_correction_poly(), 0, F(1, 2))
+    cert.claim = "the low-mean correction polynomial is strictly negative on [0, 1/2]"
+    if verdict != expected:
+        raise VerificationFailed(
+            f"low-mean correction polynomial: expected {expected}, Sturm says {verdict}",
+            cert,
+        )
+    certs.append(cert)
+
+    # (iv) the prevalence value polynomial is positive at 9/20
+    poly = prevalence_value_poly()
+    value = poly.eval(F(9, 20))
+    cert = rational_chain_certificate(
+        "the prevalence value polynomial is positive at 9/20",
+        [
+            {
+                "kind": "poly_eval",
+                "poly": poly.to_strings(),
+                "point": "9/20",
+                "value": format_algebraic(value),
+            },
+            _cmp(value, ">", 0),
+        ],
+    )
+    if not cert.verified:
+        raise VerificationFailed("prevalence value positivity failed", cert)
+    certs.append(cert)
+
+    # (v) local margin box inequality up to the derived spectral radius c1
+    c1, c1_certs = derive_c1()
+    certs.append(c1_certs["box"])
+
+    # (vi) the product margin polynomial is positive on [0, 7/100]
+    verdict, cert = sturm_sign_on_interval(product_margin_poly(), 0, F(7, 100))
+    cert.claim = "the product margin polynomial is strictly positive on [0, 7/100]"
+    if verdict != STRICTLY_POSITIVE:
+        raise VerificationFailed(f"product margin polynomial: Sturm says {verdict}", cert)
+    certs.append(cert)
+
+    # (vii) the balanced product factorizes: uncollected distributive
+    # expansions of both sides agree term by term
+    h = F(1, 2)
+    left_a = [(0, 0, h**9), (1, 0, h**5), (0, 1, h**4), (1, 1, F(1))]
+    left_b = [(0, 0, h**9), (1, 0, h**5), (0, 1, -(h**4)), (1, 1, F(-1))]
+    lhs_terms = []
+    for i1, j1, ca in left_a:
+        for i2, j2, cb in left_b:
+            lhs_terms.append([i1 + i2, j1 + j2, _fmt(ca * cb)])
+    sq = [(0, 0, h**8), (1, 0, 2 * h**4), (2, 0, F(1))]
+    last = [(0, 0, h**10), (0, 2, F(-1))]
+    rhs_terms = []
+    for i1, j1, ca in sq:
+        for i2, j2, cb in last:
+            rhs_terms.append([i1 + i2, j1 + j2, _fmt(ca * cb)])
+    cert = rational_chain_certificate(
+        "(2^-9 + 2^-5 T4 + 2^-4 T5 + T4 T5)(2^-9 + 2^-5 T4 - 2^-4 T5 - T4 T5) "
+        "= (2^-4 + T4)^2 (2^-10 - T5^2) as polynomials in (T4, T5)",
+        [{"kind": "poly_identity", "lhs": lhs_terms, "rhs": rhs_terms}],
+    )
+    if not cert.verified:
+        raise VerificationFailed("pair product factorization failed", cert)
+    certs.append(cert)
+
+    return certs
+
+
+# ---------------------------------------------------------------------------
+# Constant derivations
+
+
+def derive_c0() -> tuple[Fraction, Certificate]:
+    """Rational lower bound on the prevalence value polynomial at 9/20."""
+    poly = prevalence_value_poly()
+    value = poly.eval(F(9, 20))
+    c0 = _rational_below(value, digits=10)
+    if c0 <= 0:
+        raise VerificationFailed("prevalence floor is not positive")
+    cert = rational_chain_certificate(
+        f"c0 = {c0} is positive and below the prevalence polynomial value at 9/20",
+        [
+            {
+                "kind": "poly_eval",
+                "poly": poly.to_strings(),
+                "point": "9/20",
+                "value": format_algebraic(value),
+            },
+            _cmp(c0, "<", value),
+            _cmp(c0, ">", 0),
+        ],
+    )
+    if not cert.verified:
+        raise VerificationFailed("c0 certificate failed", cert)
+    return c0, cert
+
+
+def spectral_radius_margin_poly() -> ExactPoly:
+    """(1/3)^5 - (1/3)^4 x - x^3: the binding slice of the local margin."""
+    return poly_from_rationals([F(1, 243), -F(1, 81), 0, -1])
+
+
+def derive_c1() -> tuple[Fraction, dict[str, Certificate]]:
+    """Spectral radius c1: a dyadic rational strictly below the unique
+    positive root of the binding slice, certified on the full box."""
+    slice_poly = spectral_radius_margin_poly()
+    (bracket_lo, bracket_hi), root_cert = isolate_positive_root(
+        slice_poly, (F(0), F(1)), F(1, 2**24)
+    )
+    c1 = F(math.floor(bracket_lo * 4096) - 1, 4096)
+    ok, box_cert = subdivision_positive_on_box(
+        local_margin_poly2(), (F(1, 3), F(2, 3), F(0), c1), max_depth=34
+    )
+    if not ok:
+        raise VerificationFailed("local margin box inequality refuted", box_cert)
+    box_cert.claim = (
+        f"a^5 - a^4 x - x^3 >= 0 for all a in [1/3, 2/3] and x in [0, {c1}]"
+    )
+    box_cert.verified = verify_certificate(box_cert)
+    below_cert = rational_chain_certificate(
+        f"c1 = {c1} lies strictly below the positive root of the binding slice",
+        [
+            _cmp(c1, "<", bracket_lo),
+            _cmp(slice_poly.eval(c1), ">", 0),
+        ],
+    )
+    certs = {"root": root_cert, "box": box_cert, "below": below_cert}
+    for name, cert in certs.items():
+        if not cert.verified:
+            raise VerificationFailed(f"c1 certificate {name} failed", cert)
+    return c1, certs
+
+
+def derive_c2_c3_C4() -> tuple[Fraction, Fraction, Fraction, dict[str, Certificate]]:
+    """Mean window c2, spectral coefficient c3, and derivative bound C4.
+
+    c2 is the largest dyadic k/2^10 with T4max = (1/2+c2)^4/2 <= 7/100;
+    c3 = 2^-3 times a certified floor of the product margin polynomial on
+    [0, T4max]; C4 bounds |d/da| of the exact pair product over the
+    admissible (mean, T4, T5) box, by strip-wise monomial bounds on the
+    expansion about the strip centers, plus the exact coefficient of the
+    pointwise T5^2 relaxation.
+    """
+    k = 0
+    while (F(1, 2) + F(k + 1, 1024)) ** 4 / 2 <= F(7, 100):
+        k += 1
+    c2 = F(k, 1024)
+    t4max = (F(1, 2) + c2) ** 4 / 2
+    window_cert = rational_chain_certificate(
+        f"c2 = {c2} is the largest dyadic with denominator 2^10 keeping "
+        f"(1/2+c2)^4/2 <= 7/100",
+        [
+            _cmp(t4max, "<=", F(7, 100)),
+            _cmp((F(1, 2) + c2 + F(1, 1024)) ** 4 / 2, ">", F(7, 100)),
+        ],
+    )
+
+    # admissible T5 range: |T5| <= ((1/2+c2)/sqrt2 + 2 c2) T4max
+    kappa = AlgebraicNumber(2 * c2, (F(1, 2) + c2) / 2)
+    t5max = kappa * AlgebraicNumber(t4max, 0)
+    admissible_cert = rational_chain_certificate(
+        f"admissible box: 0 <= T4 <= {t4max} and |T5| <= kappa*T4max with "
+        f"kappa = (1/2+c2)/sqrt2 + 2 c2",
+        [
+            _cmp(AlgebraicNumber(t4max, 0), "==", AlgebraicNumber((F(1, 2) + c2) ** 4 / 2, 0)),
+            _cmp(t5max, "==", kappa * AlgebraicNumber(t4max, 0)),
+            _cmp(kappa, ">", 0),
+        ],
+    )
+
+    # c3: certified floor of the product margin polynomial on [0, T4max],
+    # rounded to a nine-digit decimal for a readable ledger
+    margin = product_margin_poly()
+    value_at_max = margin.eval(t4max).a
+    floor_cert = None
+    mu = None
+    for attempt in range(12):
+        target = value_at_max * (1 - F(1, 64 * 2**attempt))
+        candidate = F(math.floor(target * 10**9), 10**9)
+        if candidate <= 0:
+            continue
+        verdict, cert = sturm_sign_on_interval(
+            margin - poly_from_rationals([candidate]), 0, t4max
+        )
+        if verdict == STRICTLY_POSITIVE:
+            mu, floor_cert = candidate, cert
+            break
+    if mu is None:
+        raise VerificationFailed("could not certify a floor for the product margin")
+    floor_cert.claim = (
+        f"the product margin polynomial exceeds {mu} on [0, {t4max}]"
+    )
+    c3 = mu / 8
+
+    # C4: strip-wise monomial bound on the mean derivative of the product
+    derivative = pair_product_trivariate().diff(0)
+    strips = 8
+    strip_steps = []
+    worst = AlgebraicNumber(0, 0)
+    t4max_an = AlgebraicNumber(t4max, 0)
+    for s in range(strips):
+        lo = F(1, 2) - c2 + 2 * c2 * F(s, strips)
+        hi = F(1, 2) - c2 + 2 * c2 * F(s + 1, strips)
+        center, radius = (lo + hi) / 2, (hi - lo) / 2
+        shifted = derivative.shift(0, center)
+        bound = shifted.monomial_abs_bound(
+            [AlgebraicNumber(radius, 0), t4max_an, t5max]
+        )
+        if an_sign(bound - worst) > 0:
+            worst = bound
+        strip_steps.append(
+            {
+                "kind": "monomial_abs_bound",
+                "poly": shifted.to_list(),
+                "radii": [_fmt(radius), _fmt(t4max_an), format_algebraic(t5max)],
+                "bound": None,  # patched below once the max is known
+            }
+        )
+    c4a = _rational_above(worst, digits=9)
+    for step in strip_steps:
+        step["bound"] = _fmt(c4a)
+    # pointwise T5^2 relaxation: replacing T5^2 <= T4^2/8 costs at most
+    # (2^-4 + T4max)^2 T4max^2 (1+c2)/2 per unit of |mean - 1/2|
+    c4b = (F(1, 16) + t4max) ** 2 * t4max**2 * (1 + c2) / 2
+    c4 = F(math.ceil((c4a + c4b) * 10**9), 10**9)
+    c4_cert = rational_chain_certificate(
+        f"C4 = {c4} bounds the mean-sensitivity of the pair product over the "
+        f"admissible box (derivative part {c4a} plus relaxation part {c4b})",
+        strip_steps
+        + [
+            {"kind": "lemma", "name": "mean_value_bound", "premises": []},
+            _cmp(c4, ">=", AlgebraicNumber(c4a + c4b, 0)),
+        ],
+    )
+    certs = {
+        "window": window_cert,
+        "admissible": admissible_cert,
+        "margin_floor": floor_cert,
+        "derivative_bound": c4_cert,
+    }
+    for name, cert in certs.items():
+        if not cert.verified:
+            raise VerificationFailed(f"c2/c3/C4 certificate {name} failed", cert)
+    return c2, c3, c4, certs
+
+
+def _sqrt_lower_int(l: int) -> Fraction:
+    """Monotone rational lower bound on sqrt(l)."""
+    return F(isqrt(l << 80), 1 << 40)
+
+
+def _even_binomial_lower(l: int, c5: Fraction) -> Fraction:
+    """Exact partial sum of the even binomial terms of (1 + 2 c5/sqrt(l))^l.
+
+    Even powers of 2 c5/sqrt(l) are rational, every term is nonnegative,
+    and each term is nondecreasing in l (for l >= 2j), so this is a
+    certified, monotone-in-l lower bound.
+    """
+    xsq = 4 * c5 * c5 / l
+    return sum(F(comb(l, 2 * j)) * xsq**j for j in range(BINOMIAL_TERMS + 1))
+
+
+@dataclass
+class LConditions:
+    """The four per-l conditions that close the three-regime argument."""
+
+    c0: Fraction
+    c1: Fraction
+    c2: Fraction
+    c3: Fraction
+    C4: Fraction
+    c5: Fraction
+    c6: Fraction
+
+    def margin(self) -> Fraction:
+        return self.c3 * self.c1**4 / 2
+
+    def slacks(self, l: int) -> dict[str, Fraction]:
+        s_lo = _sqrt_lower_int(l)
+        a = 4 * self.c5**2
+        gain = (1 + 256 * self.c6) ** 2
+        return {
+            # mean window: c5/sqrt(l) <= min(c2, 1/6); also caps the
+            # balanced regime inside [1/3, 2/3] so the three regimes cover
+            "window": min(self.c2, F(1, 6)) * s_lo - self.c5,
+            # derivative term: C4 c5/sqrt(l) <= half the spectral margin
+            "derivative": self.margin() * s_lo - self.C4 * self.c5,
+            # decay/gain balance via (1-a/l)^l >= 1-a
+            "decay": (1 - a) * gain - 1,
+            # prevalence growth: c0 * (1 + 2c5/sqrt(l))^l >= 2^-8
+            "growth": self.c0 * _even_binomial_lower(l, self.c5) - F(1, 256),
+        }
+
+    def all_hold(self, l: int) -> bool:
+        if l < 2 * BINOMIAL_TERMS:
+            return False
+        return all(v >= 0 for v in self.slacks(l).values())
+
+
+def derive_l0(
+    c0: Fraction, c1: Fraction, c2: Fraction, c3: Fraction, C4: Fraction
+) -> tuple[Fraction, Fraction, int, dict[str, Certificate]]:
+    """Decay rate c5, gain c6, and the certified threshold l0."""
+    margin = c3 * c1**4 / 2
+    radicand = F(1, 2**18) + margin
+    root_lower = sqrt_lower(radicand, bits=100)
+    exact_gain = 2 * root_lower - F(1, 256)
+    c6 = F(math.floor(exact_gain * 10**12), 10**12)
+    if c6 <= 0:
+        raise VerificationFailed("gain constant c6 is not positive")
+    c6_cert = rational_chain_certificate(
+        f"c6 = {c6} is positive and below 2*sqrt(2^-18 + {margin}) - 2^-8",
+        [
+            {"kind": "sqrt_lower", "x": str(radicand), "value": str(root_lower)},
+            _cmp(c6, "<=", AlgebraicNumber(2 * root_lower - F(1, 256), 0)),
+            _cmp(c6, ">", 0),
+        ],
+    )
+
+    # pick c5 near the float balance point of the two binding conditions,
+    # then certify the asymptotic feasibility via the alternating series
+    ratio = float(F(1, 256) / c0)
+    zstar = math.log(ratio + math.sqrt(ratio * ratio - 1.0))
+    k2 = float(margin / C4)
+    c5_float = math.sqrt(zstar * k2 / 2.0)
+    c5 = F(Decimal(f"{c5_float:.1e}"))
+    while True:
+        y = 2 * c5 * c5
+        series = 1 - y + y**2 / 2 - y**3 / 6
+        if y <= 1 and series * (1 + 256 * c6) > 1:
+            break
+        c5 /= 2
+    c5_cert = rational_chain_certificate(
+        f"c5 = {c5}: the limiting factor exp(-2 c5^2)(1 + 2^8 c6) exceeds 1",
+        [
+            {
+                "kind": "lemma",
+                "name": "alternating_series_exp_lower",
+                "premises": [_cmp(y, ">=", 0), _cmp(y, "<=", 1)],
+            },
+            _cmp(series * (1 + 256 * c6), ">", 1),
+        ],
+    )
+
+    conditions = LConditions(c0, c1, c2, c3, C4, c5, c6)
+    if not conditions.all_hold(L_SEARCH_CAP):
+        raise NoSuchL(
+            f"conditions do not all hold at the search cap {L_SEARCH_CAP}; "
+            "the derivation chain is inconsistent"
+        )
+    lo, hi = 2 * BINOMIAL_TERMS, L_SEARCH_CAP
+    if conditions.all_hold(lo):
+        l0 = lo
+    else:
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if conditions.all_hold(mid):
+                hi = mid
+            else:
+                lo = mid
+        l0 = hi
+    slacks = conditions.slacks(l0)
+    s_lo = _sqrt_lower_int(l0)
+    a = 4 * c5 * c5
+    growth_value = _even_binomial_lower(l0, c5)
+    cond_certs = {
+        "condition_window": rational_chain_certificate(
+            f"for all l >= l0={l0}: c5/sqrt(l) <= min(c2, 1/6) "
+            f"(so the three mean regimes cover [0,1])",
+            [
+                {"kind": "sqrt_lower", "x": str(F(l0)), "value": str(s_lo)},
+                _cmp(c5, "<=", min(c2, F(1, 6)) * s_lo),
+                {
+                    "kind": "lemma",
+                    "name": "isqrt_monotone",
+                    "premises": [],
+                    "note": "sqrt lower bounds grow with l, so the condition persists",
+                },
+            ],
+        ),
+        "condition_derivative": rational_chain_certificate(
+            f"for all l >= l0={l0}: C4 c5/sqrt(l) <= c3 c1^4 / 2",
+            [
+                {"kind": "sqrt_lower", "x": str(F(l0)), "value": str(s_lo)},
+                _cmp(C4 * c5, "<=", margin * s_lo),
+                {"kind": "lemma", "name": "isqrt_monotone", "premises": []},
+            ],
+        ),
+        "condition_decay": rational_chain_certificate(
+            f"for all l >= {l0}: (1 - 4c5^2/l)^(l/2) (1 + 2^8 c6) >= 1, "
+            f"via (1-a/l)^l >= 1-a",
+            [
+                {
+                    "kind": "lemma",
+                    "name": "bernoulli_lower",
+                    "premises": [_cmp(a, ">=", 0), _cmp(a, "<=", 1)],
+                },
+                _cmp((1 - a) * (1 + 256 * c6) ** 2, ">=", 1),
+            ],
+        ),
+        "condition_growth": rational_chain_certificate(
+            f"for all l >= l0={l0}: c0 (1 + 2c5/sqrt(l))^l >= 2^-8, via the "
+            f"even binomial lower bound with {BINOMIAL_TERMS} terms",
+            [
+                {
+                    "kind": "even_binomial_value",
+                    "l": l0,
+                    "xsq": str(4 * c5 * c5 / l0),
+                    "terms": BINOMIAL_TERMS,
+                    "value": str(growth_value),
+                },
+                {"kind": "lemma", "name": "even_binomial_lower_bound", "premises": []},
+                {
+                    "kind": "lemma",
+                    "name": "binomial_term_monotone_in_l",
+                    "premises": [_cmp(F(l0), ">=", F(2 * BINOMIAL_TERMS))],
+                },
+                _cmp(c0 * growth_value, ">=", F(1, 256)),
+            ],
+        ),
+        "case1_convexity": rational_chain_certificate(
+            f"x^(l+9) + (1-x)^(l+9) >= 2^(-l-8) on [0,1] for every l >= 0: "
+            f"odd powers of (x-1/2) cancel in the symmetric sum",
+            [
+                {
+                    "kind": "lemma",
+                    "name": "symmetric_power_sum_lower",
+                    "premises": [_cmp(F(l0 + 9), ">=", 2)],
+                }
+            ],
+        ),
+        "gain_c6": c6_cert,
+        "decay_rate_c5": c5_cert,
+    }
+    for name, cert in cond_certs.items():
+        if not cert.verified:
+            raise VerificationFailed(f"l0 certificate {name} failed", cert)
+    if not all(v >= 0 for v in slacks.values()):
+        raise VerificationFailed("conditions do not hold at the selected l0")
+    return c5, c6, l0, cond_certs
+
+
+# ---------------------------------------------------------------------------
+# Ledger
+
+
+@dataclass
+class ConstantLedger:
+    c0: Fraction
+    c1: Fraction
+    c2: Fraction
+    c3: Fraction
+    C4: Fraction
+    c5: Fraction
+    c6: Fraction
+    l0: int
+    certificates: dict[str, Certificate] = field(default_factory=dict)
+
+    def conditions(self) -> LConditions:
+        return LConditions(self.c0, self.c1, self.c2, self.c3, self.C4, self.c5, self.c6)
+
+    def replay(self, l: int) -> list[dict]:
+        """Exact per-condition slacks at a given l; all must be >= 0."""
+        rows = []
+        if l < 2 * BINOMIAL_TERMS:
+            rows.append(
+                {
+                    "condition": "domain",
+                    "satisfied": False,
+                    "slack": str(l - 2 * BINOMIAL_TERMS),
+                }
+            )
+            return rows
+        for name, slack in self.conditions().slacks(l).items():
+            rows.append(
+                {
+                    "condition": name,
+                    "satisfied": slack >= 0,
+                    "slack": str(slack),
+                    "slack_float": float(slack),
+                }
+            )
+        return rows
+
+    def verify_all(self) -> bool:
+        return all(verify_certificate(c) for c in self.certificates.values())
+
+    def to_dict(self) -> dict:
+        return {
+            "c0": str(self.c0),
+            "c1": str(self.c1),
+            "c2": str(self.c2),
+            "c3": str(self.c3),
+            "C4": str(self.C4),
+            "c5": str(self.c5),
+            "c6": str(self.c6),
+            "l0": self.l0,
+            "approx": {
+                "c0": float(self.c0),
+                "c1": float(self.c1),
+                "c2": float(self.c2),
+                "c3": float(self.c3),
+                "C4": float(self.C4),
+                "c5": float(self.c5),
+                "c6": float(self.c6),
+            },
+            "conditions_at_l0": self.replay(self.l0),
+            "certificates": {k: v.to_dict() for k, v in self.certificates.items()},
+        }
+
+    def summary(self) -> str:
+        lines = [
+            "constant  exact                    approx",
+            f"c0        {self.c0}   {float(self.c0):.6e}",
+            f"c1        {self.c1}   {float(self.c1):.6e}",
+            f"c2        {self.c2}   {float(self.c2):.6e}",
+            f"c3        {self.c3}   {float(self.c3):.6e}",
+            f"C4        {self.C4}   {float(self.C4):.6e}",
+            f"c5        {self.c5}   {float(self.c5):.6e}",
+            f"c6        {self.c6}   {float(self.c6):.6e}",
+            f"l0        {self.l0}",
+            "",
+            f"conditions at l0={self.l0}:",
+        ]
+        for row in self.replay(self.l0):
+            mark = "ok " if row["satisfied"] else "FAIL"
+            lines.append(
+                f"  {mark} {row['condition']:<12} slack {row.get('slack_float', 0.0):.3e}"
+            )
+        return "\n".join(lines)
+
+
+def derive_all() -> ConstantLedger:
+    """Run the four derivations in dependency order; fully deterministic."""
+    c0, c0_cert = derive_c0()
+    c1, c1_certs = derive_c1()
+    c2, c3, C4, mid_certs = derive_c2_c3_C4()
+    c5, c6, l0, l_certs = derive_l0(c0, c1, c2, c3, C4)
+    certificates = {"prevalence_floor_c0": c0_cert}
+    certificates.update({f"spectral_radius_c1_{k}": v for k, v in c1_certs.items()})
+    mid_names = {
+        "window": "mean_window_c2",
+        "admissible": "admissible_box_c2",
+        "margin_floor": "margin_floor_c3",
+        "derivative_bound": "derivative_bound_C4",
+    }
+    certificates.update({mid_names[k]: v for k, v in mid_certs.items()})
+    certificates.update(l_certs)
+    ledger = ConstantLedger(
+        c0=c0, c1=c1, c2=c2, c3=c3, C4=C4, c5=c5, c6=c6, l0=l0,
+        certificates=certificates,
+    )
+    invariants = (
+        ledger.c0 > 0
+        and ledger.c1 > 0
+        and 0 < ledger.c2 <= F(1, 6)
+        and ledger.c3 > 0
+        and ledger.C4 >= 0
+        and ledger.c5 > 0
+        and ledger.c6 > 0
+        and 1 <= ledger.l0 <= L_SEARCH_CAP
+    )
+    if not invariants:
+        raise VerificationFailed("ledger invariants violated")
+    if not all(row["satisfied"] for row in ledger.replay(ledger.l0)):
+        raise VerificationFailed("conditions do not replay at l0")
+    return ledger

@@ -1,0 +1,379 @@
+"""Solution-density functionals of linear systems.
+
+For a system S with kernel forms psi_1..psi_t in D parameters, the
+density of f-weighted solutions is
+
+    T(f) = E_{y in (F_p^n)^D} f(psi_1(y)) ... f(psi_t(y)).
+
+Two evaluation routes are kept deliberately independent:
+
+* `t_brute`   -- exact rational enumeration over the kernel
+                 parameterization;
+* `t_fourier` -- summation over the row space of the coefficient matrix,
+                 T(f) = sum over lambda in (F_p^n)^m of
+                 prod_i fhat(sum_r lambda_r M[r][i]).
+
+`t_gradient` gives the first variation of T, assembled on the Fourier
+side, and `defect` turns T values into the signed slack of a chosen
+colouring property (negative slack certifies a violation).
+"""
+
+from __future__ import annotations
+
+import hashlib
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+
+import numpy as np
+
+from .errors import (
+    DegenerateT,
+    LTooSmall,
+    MalformedDocument,
+    MeanConstraintViolated,
+    MissingL,
+    TooLarge,
+)
+from .harmonic import GroupFunction, Spectrum, dft, idft_complex, negation_permutation
+from .linsys import LinearSystem, factor_disjoint
+
+ENUMERATION_CAP = 10**8
+CHUNK = 1 << 16
+
+COMMON = "common"
+GEOMETRIC = "geometric"
+SIDORENKO = "sidorenko"
+ALON = "alon"
+PREVALENCE = "prevalence"
+PROPERTIES = (COMMON, GEOMETRIC, SIDORENKO, ALON, PREVALENCE)
+
+METHOD_BRUTE = "BruteExact"
+METHOD_FOURIER = "Fourier"
+
+
+def _check_compat(system: LinearSystem, f: GroupFunction) -> None:
+    if system.p != f.p:
+        raise MalformedDocument(
+            f"system has p={system.p} but function has p={f.p}"
+        )
+
+
+def _digit_matrix(indices: np.ndarray, p: int, n: int) -> np.ndarray:
+    """Base-p digits of point indices, shape (len, n)."""
+    out = np.empty((indices.size, n), dtype=np.int64)
+    v = indices.copy()
+    for i in range(n):
+        out[:, i] = v % p
+        v //= p
+    return out
+
+
+def _recompose(digits: np.ndarray, p: int) -> np.ndarray:
+    idx = np.zeros(digits.shape[0], dtype=np.int64)
+    for i in range(digits.shape[1] - 1, -1, -1):
+        idx = idx * p + digits[:, i]
+    return idx
+
+
+def _variable_indices(
+    coeff_rows: list[tuple[int, ...]],
+    flat: np.ndarray,
+    base: int,
+    p: int,
+    n: int,
+) -> list[np.ndarray]:
+    """Indices of each linear-form value over a chunk of parameter tuples.
+
+    `flat` enumerates tuples in (F_p^n)^k as base-`base` integers
+    (base = p^n); coeff_rows[i] gives the F_p coefficients of form i.
+    """
+    k = len(coeff_rows[0]) if coeff_rows else 0
+    rest = flat.copy()
+    param_digits = []
+    for _ in range(k):
+        param_digits.append(_digit_matrix(rest % base, p, n))
+        rest //= base
+    out = []
+    for coeffs in coeff_rows:
+        acc = np.zeros((flat.size, n), dtype=np.int64)
+        for c, dig in zip(coeffs, param_digits):
+            if c:
+                acc += c * dig
+        out.append(_recompose(acc % p, p))
+    return out
+
+
+def t_brute(system: LinearSystem, f: GroupFunction) -> Fraction:
+    """Exact normalized solution density, by kernel enumeration.
+
+    Function values are taken as exact rationals (decimal literals are
+    interpreted exactly); the result is an exact fraction.
+    """
+    _check_compat(system, f)
+    n = f.n
+    base = f.size
+    d = system.num_params
+    total_points = base**d
+    if total_points > ENUMERATION_CAP:
+        raise TooLarge(f"p^(nD) = {total_points} exceeds cap {ENUMERATION_CAP}")
+    exact = f.exact_values()
+    denom_lcm = 1
+    for v in exact:
+        denom_lcm = denom_lcm * v.denominator // math.gcd(denom_lcm, v.denominator)
+    numerators = [int(v * denom_lcm) for v in exact]
+    max_abs = max(abs(a) for a in numerators) if numerators else 0
+    t = system.t
+    bound = max_abs**t if max_abs else 0
+    use_int64 = 0 < bound < (1 << 62)
+    if max_abs == 0:
+        return Fraction(0)
+    numer_arr = np.array(numerators, dtype=np.int64 if use_int64 else object)
+    total = 0
+    for start in range(0, total_points, CHUNK):
+        flat = np.arange(start, min(start + CHUNK, total_points), dtype=np.int64)
+        var_idx = _variable_indices(list(system.kernel), flat, base, f.p, n)
+        prod = numer_arr[var_idx[0]].copy()
+        for vi in var_idx[1:]:
+            prod *= numer_arr[vi]
+        total += _exact_sum(prod, bound if use_int64 else None)
+    return Fraction(total, denom_lcm**t * total_points)
+
+
+def _exact_sum(prod: np.ndarray, per_item_bound) -> int:
+    if per_item_bound is None:
+        return int(sum(prod.tolist()))
+    block = max(1, (1 << 62) // per_item_bound)
+    if block >= prod.size:
+        return int(prod.sum())
+    pad = (-prod.size) % block
+    padded = np.concatenate([prod, np.zeros(pad, dtype=np.int64)])
+    partial = padded.reshape(-1, block).sum(axis=1)
+    return int(sum(int(x) for x in partial))
+
+
+def t_fourier(system: LinearSystem, f: GroupFunction) -> float:
+    """Row-space evaluation of T(f); real part of the lambda-sum."""
+    return _t_fourier_complex(system, f).real
+
+
+def _t_fourier_complex(system: LinearSystem, f: GroupFunction) -> complex:
+    _check_compat(system, f)
+    m = system.m
+    if m == 0:
+        return complex(f.mean() ** system.t)
+    base = f.size
+    total_terms = base**m
+    if total_terms > ENUMERATION_CAP:
+        raise TooLarge(f"p^(nm) = {total_terms} exceeds cap {ENUMERATION_CAP}")
+    coeffs = dft(f).coeffs
+    columns = [
+        tuple(system.matrix[r][i] for r in range(m)) for i in range(system.t)
+    ]
+    total = 0j
+    for start in range(0, total_terms, CHUNK):
+        flat = np.arange(start, min(start + CHUNK, total_terms), dtype=np.int64)
+        h_idx = _variable_indices(columns, flat, base, f.p, f.n)
+        prod = coeffs[h_idx[0]].copy()
+        for hi in h_idx[1:]:
+            prod *= coeffs[hi]
+        total += complex(prod.sum())
+    return total
+
+
+def t_product(system: LinearSystem, f: GroupFunction) -> float:
+    """Evaluate T(f) as the product over variable-disjoint factor blocks."""
+    blocks, _ = factor_disjoint(system)
+    out = 1.0
+    for block in blocks:
+        out *= t_fourier(block, f)
+    return out
+
+
+def t_gradient(system: LinearSystem, f: GroupFunction) -> GroupFunction:
+    """First variation G of T at f, as a (non-clamped) function:
+
+        T(f + eps*delta) - T(f) = (eps / p^n) * sum_x G(x) delta(x) + O(eps^2).
+    """
+    _check_compat(system, f)
+    m = system.m
+    t = system.t
+    if m == 0:
+        g = t * f.mean() ** (t - 1) if t > 1 else 1.0
+        return GroupFunction(f.p, f.n, np.full(f.size, g))
+    base = f.size
+    total_terms = base**m
+    if total_terms > ENUMERATION_CAP:
+        raise TooLarge(f"p^(nm) = {total_terms} exceeds cap {ENUMERATION_CAP}")
+    coeffs = dft(f).coeffs
+    columns = [
+        tuple(system.matrix[r][i] for r in range(m)) for i in range(system.t)
+    ]
+    acc = np.zeros(base, dtype=np.complex128)
+    for start in range(0, total_terms, CHUNK):
+        flat = np.arange(start, min(start + CHUNK, total_terms), dtype=np.int64)
+        h_idx = _variable_indices(columns, flat, base, f.p, f.n)
+        gathered = np.stack([coeffs[hi] for hi in h_idx])
+        # leave-one-out products via prefix/suffix scans
+        prefix = np.ones_like(gathered)
+        for i in range(1, t):
+            prefix[i] = prefix[i - 1] * gathered[i - 1]
+        suffix = np.ones_like(gathered)
+        for i in range(t - 2, -1, -1):
+            suffix[i] = suffix[i + 1] * gathered[i + 1]
+        loo = prefix * suffix
+        for i in range(t):
+            np.add.at(acc, h_idx[i], loo[i])
+    flipped = acc[negation_permutation(f.p, f.n)]
+    values = idft_complex(Spectrum(f.p, f.n, flipped)).real
+    return GroupFunction(f.p, f.n, values)
+
+
+# ---------------------------------------------------------------------------
+# Property defects
+
+
+@dataclass(frozen=True)
+class DefectReport:
+    """Signed slack of a colouring property at one function.
+
+    Negative `value` certifies a violation of the property at `f`.  The
+    value is recomputable from (t_f, t_1mf, alpha, l, t) via the formula
+    of the property.
+    """
+
+    system: str
+    property: str
+    alpha: object
+    value: object
+    t_f: object
+    t_1mf: object
+    method: str
+    t: int
+    l: int | None = None
+    system_digest: str = ""
+    function_digest: str = ""
+
+    def violated(self) -> bool:
+        return self.value < 0
+
+    def to_dict(self) -> dict:
+        from . import __version__
+
+        def plain(x):
+            return str(x) if isinstance(x, Fraction) else x
+
+        return {
+            "system": self.system,
+            "property": self.property,
+            "l": self.l,
+            "alpha": plain(self.alpha),
+            "value": plain(self.value),
+            "t_f": plain(self.t_f),
+            "t_1mf": plain(self.t_1mf),
+            "method": self.method,
+            "t": self.t,
+            "exact": isinstance(self.value, Fraction),
+            "tool_version": __version__,
+            "system_digest": self.system_digest,
+            "function_digest": self.function_digest,
+        }
+
+
+def function_digest(f: GroupFunction) -> str:
+    return hashlib.sha256(f.values.tobytes()).hexdigest()[:12]
+
+
+def defect(
+    system: LinearSystem,
+    f: GroupFunction,
+    property: str,
+    l: int | None = None,
+    method: str = "fourier",
+) -> DefectReport:
+    """Evaluate the chosen property's defect at f.
+
+    method "fourier" uses double precision; "brute" is exact rational.
+    The free-variable (alon) defect always goes through the closed form
+    alpha^l T(f) + (1-alpha)^l T(1-f) - 2^(1-t-l), never through an
+    enlarged system, so l may be arbitrarily large.
+    """
+    if property not in PROPERTIES:
+        raise MalformedDocument(f"unknown property {property!r}")
+    if not f.in_unit_box(tol=1e-12):
+        raise MalformedDocument("function values must lie in [0, 1]")
+    if property == ALON and l is None:
+        raise MissingL("property 'alon' requires l")
+    one_minus = f.complement()
+    t = system.t
+    if method == "brute":
+        t_f = t_brute(system, f)
+        t_1mf = t_brute(system, one_minus)
+        alpha = f.exact_mean()
+        one, two = Fraction(1), Fraction(2)
+        method_name = METHOD_BRUTE
+    elif method == "fourier":
+        t_f = t_fourier(system, f)
+        t_1mf = t_fourier(system, one_minus)
+        alpha = f.mean()
+        one, two = 1.0, 2.0
+        method_name = METHOD_FOURIER
+    else:
+        raise MalformedDocument(f"unknown method {method!r}")
+
+    if property == COMMON:
+        value = t_f + t_1mf - two ** (1 - t)
+    elif property == GEOMETRIC:
+        if abs(alpha - Fraction(1, 2)) > Fraction(1, 10**9):
+            raise MeanConstraintViolated(
+                f"geometric defect needs mean 1/2, got {float(alpha)}"
+            )
+        value = t_f * t_1mf - two ** (-2 * t)
+    elif property == ALON:
+        value = alpha**l * t_f + (one - alpha) ** l * t_1mf - two ** (1 - t - l)
+    elif property == SIDORENKO:
+        value = t_f - alpha**t
+    else:  # prevalence: the density itself, with the mean recorded
+        value = t_f
+    return DefectReport(
+        system=system.ident(),
+        property=property,
+        alpha=alpha,
+        value=value,
+        t_f=t_f,
+        t_1mf=t_1mf,
+        method=method_name,
+        t=t,
+        l=l,
+        system_digest=system.digest(),
+        function_digest=function_digest(f),
+    )
+
+
+def alon_witness(f: GroupFunction, system: LinearSystem, l: int) -> GroupFunction:
+    """Perturb a mean-1/2 function to exhibit free-variable uncommonness.
+
+    Adds mass (p^n/|S|)(c/2l) on S = {x : f(x) <= 9/10}, where
+    c = log sqrt(T(1-f)/T(f)) after swapping so T(f) <= T(1-f).  Requires
+    l >= 45c/4; the result stays in [0,1] and has mean 1/2 + c/(2l).
+    """
+    if abs(f.mean() - 0.5) > 1e-9:
+        raise MeanConstraintViolated(f"witness needs mean 1/2, got {f.mean()}")
+    if l < 1:
+        raise LTooSmall("l must be a positive integer")
+    t_f = t_fourier(system, f)
+    t_1mf = t_fourier(system, f.complement())
+    base = f if t_1mf >= t_f else f.complement()
+    small, big = min(t_f, t_1mf), max(t_f, t_1mf)
+    if small <= 0.0:
+        raise DegenerateT("T(f) = 0, the perturbation size is undefined")
+    c = 0.5 * math.log(big / small)
+    if c == 0.0:
+        return base
+    if l < 45.0 * c / 4.0:
+        raise LTooSmall(f"need l >= 45c/4 = {45.0 * c / 4.0:.6g}, got {l}")
+    mask = base.values <= 0.9
+    support = int(mask.sum())
+    bump = (f.size / support) * (c / (2.0 * l))
+    values = base.values + bump * mask
+    return GroupFunction(f.p, f.n, values)

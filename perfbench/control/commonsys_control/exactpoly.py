@@ -1,0 +1,785 @@
+"""Exact univariate/bivariate polynomials over Q(sqrt(2)) and certified
+sign claims.
+
+Three certificate methods are produced here and re-checked by
+`verify_certificate`, a separate pass that re-derives every recorded
+quantity using only exact field arithmetic and comparisons:
+
+* ``sturm``       -- sign of a polynomial on a closed rational interval,
+                     witnessed by the Sturm chain and endpoint sign counts;
+* ``subdivision`` -- nonnegativity of a bivariate polynomial on a rational
+                     box, witnessed by the subdivision tree with exact
+                     interval bounds, or refuted by an exact witness point;
+* ``rational_chain`` -- a list of exact comparisons, polynomial identities
+                     and named elementary lemmas with checked premises.
+
+Floating point never enters a witness.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from fractions import Fraction
+from math import comb
+
+from .errors import (
+    DepthExhausted,
+    NotExactlyOneRoot,
+    VerificationFailed,
+    ZeroPolynomial,
+)
+from .qsqrt2 import (
+    AlgebraicNumber,
+    ZERO,
+    an_sign,
+    format_algebraic,
+    parse_algebraic,
+)
+
+MAX_DEGREE = 64
+
+STRICTLY_POSITIVE = "StrictlyPositive"
+STRICTLY_NEGATIVE = "StrictlyNegative"
+HAS_ROOT = "HasRoot"
+INDETERMINATE = "Indeterminate"
+
+
+def _an(x) -> AlgebraicNumber:
+    if isinstance(x, AlgebraicNumber):
+        return x
+    return AlgebraicNumber(Fraction(x), 0)
+
+
+class ExactPoly:
+    """Univariate polynomial with AlgebraicNumber coefficients, low degree
+    first.  Degree is capped at MAX_DEGREE; the cap exists so certified
+    claims stay desk-checkable."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        cs = [_an(c) for c in coeffs]
+        while cs and cs[-1] == ZERO:
+            cs.pop()
+        if len(cs) - 1 > MAX_DEGREE:
+            raise ValueError(f"degree {len(cs) - 1} exceeds cap {MAX_DEGREE}")
+        object.__setattr__(self, "coeffs", tuple(cs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ExactPoly is immutable")
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1  # -1 for the zero polynomial
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ExactPoly) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"ExactPoly([{', '.join(format_algebraic(c) for c in self.coeffs)}])"
+
+    def __add__(self, other: ExactPoly) -> ExactPoly:
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] = out[i] + c
+        return ExactPoly(out)
+
+    def __neg__(self) -> ExactPoly:
+        return ExactPoly([-c for c in self.coeffs])
+
+    def __sub__(self, other: ExactPoly) -> ExactPoly:
+        return self + (-other)
+
+    def __mul__(self, other: ExactPoly) -> ExactPoly:
+        if self.is_zero() or other.is_zero():
+            return ExactPoly([])
+        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] = out[i + j] + a * b
+        return ExactPoly(out)
+
+    def scale(self, k) -> ExactPoly:
+        k = _an(k)
+        return ExactPoly([c * k for c in self.coeffs])
+
+    def derivative(self) -> ExactPoly:
+        return ExactPoly([c * i for i, c in enumerate(self.coeffs)][1:])
+
+    def eval(self, x) -> AlgebraicNumber:
+        x = _an(x)
+        acc = ZERO
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def divmod(self, divisor: ExactPoly) -> tuple[ExactPoly, ExactPoly]:
+        if divisor.is_zero():
+            raise ZeroPolynomial("division by the zero polynomial")
+        rem = list(self.coeffs)
+        dcs = divisor.coeffs
+        dlead = dcs[-1]
+        quot = [ZERO] * max(0, len(rem) - len(dcs) + 1)
+        for i in range(len(rem) - len(dcs), -1, -1):
+            c = rem[i + len(dcs) - 1]
+            if c == ZERO:
+                continue
+            q = c / dlead
+            quot[i] = q
+            for j, d in enumerate(dcs):
+                rem[i + j] = rem[i + j] - q * d
+        return ExactPoly(quot), ExactPoly(rem)
+
+    def normalized(self) -> ExactPoly:
+        """Divide by the positive rational content; signs are unchanged."""
+        nums, dens = [], []
+        for c in self.coeffs:
+            for f in (c.a, c.b):
+                if f:
+                    nums.append(abs(f.numerator))
+                    dens.append(f.denominator)
+        if not nums:
+            return self
+        g = 0
+        for x in nums:
+            g = _gcd(g, x)
+        l = 1
+        for x in dens:
+            l = l * x // _gcd(l, x)
+        return self.scale(Fraction(l, g))
+
+    def to_strings(self) -> list[str]:
+        return [format_algebraic(c) for c in self.coeffs]
+
+    @classmethod
+    def from_strings(cls, items) -> ExactPoly:
+        return cls([parse_algebraic(s) for s in items])
+
+
+def _gcd(a: int, b: int) -> int:
+    while b:
+        a, b = b, a % b
+    return a
+
+
+def poly_from_rationals(coeffs) -> ExactPoly:
+    return ExactPoly([AlgebraicNumber(Fraction(c), 0) for c in coeffs])
+
+
+def eval_exact(poly: ExactPoly, x) -> AlgebraicNumber:
+    """Horner evaluation at an exact point."""
+    return poly.eval(x)
+
+
+# ---------------------------------------------------------------------------
+# Sturm chains
+
+
+def sturm_chain(poly: ExactPoly) -> list[ExactPoly]:
+    if poly.is_zero():
+        raise ZeroPolynomial("Sturm chain of the zero polynomial")
+    chain = [poly.normalized()]
+    d = poly.derivative()
+    if not d.is_zero():
+        chain.append(d.normalized())
+        while True:
+            _, rem = chain[-2].divmod(chain[-1])
+            if rem.is_zero():
+                break
+            chain.append((-rem).normalized())
+    return chain
+
+
+def sign_sequence(chain, x) -> list[int]:
+    return [an_sign(poly.eval(x)) for poly in chain]
+
+
+def sign_variations(signs) -> int:
+    nonzero = [s for s in signs if s != 0]
+    return sum(1 for a, b in zip(nonzero, nonzero[1:]) if a * b < 0)
+
+
+def count_roots_open(chain, lo: Fraction, hi: Fraction) -> int:
+    """Distinct real roots of chain[0] in the open interval (lo, hi).
+
+    Requires nonzero values at both endpoints.
+    """
+    v_lo = sign_variations(sign_sequence(chain, lo))
+    v_hi = sign_variations(sign_sequence(chain, hi))
+    return v_lo - v_hi
+
+
+def sturm_sign_on_interval(poly: ExactPoly, lo, hi):
+    """Certified sign classification of `poly` on the closed interval [lo, hi].
+
+    Returns (verdict, Certificate).  StrictlyPositive/StrictlyNegative are
+    claimed only when the Sturm root count on the interval is zero; a root
+    anywhere on the closed interval (endpoints included) yields HasRoot.
+    """
+    lo, hi = Fraction(lo), Fraction(hi)
+    if lo >= hi:
+        raise ValueError("need lo < hi")
+    if poly.is_zero():
+        raise ZeroPolynomial("sign of the zero polynomial")
+    value_lo = poly.eval(lo)
+    value_hi = poly.eval(hi)
+    chain = sturm_chain(poly)
+    signs_lo = sign_sequence(chain, lo)
+    signs_hi = sign_sequence(chain, hi)
+    if an_sign(value_lo) == 0 or an_sign(value_hi) == 0:
+        verdict = HAS_ROOT
+        count = None
+    else:
+        count = sign_variations(signs_lo) - sign_variations(signs_hi)
+        if count > 0:
+            verdict = HAS_ROOT
+        else:
+            verdict = STRICTLY_POSITIVE if an_sign(value_lo) > 0 else STRICTLY_NEGATIVE
+    cert = Certificate(
+        claim=f"sign of polynomial on [{lo}, {hi}] is {verdict}",
+        method="sturm",
+        witness={
+            "poly": poly.to_strings(),
+            "interval": [str(lo), str(hi)],
+            "chain": [q.to_strings() for q in chain],
+            "signs_lo": signs_lo,
+            "signs_hi": signs_hi,
+            "root_count": count,
+            "value_lo": format_algebraic(value_lo),
+            "value_hi": format_algebraic(value_hi),
+            "verdict": verdict,
+        },
+    )
+    cert.verified = verify_certificate(cert)
+    return verdict, cert
+
+
+def isolate_positive_root(poly: ExactPoly, search, precision):
+    """Bisect down to the unique sign-changing root of `poly` in `search`.
+
+    The Sturm count over the search interval must be exactly one, and the
+    endpoint signs must differ.  Returns ((a, b), Certificate) with
+    b - a <= precision and a sign change across [a, b].
+    """
+    lo, hi = Fraction(search[0]), Fraction(search[1])
+    precision = Fraction(precision)
+    if poly.is_zero():
+        raise ZeroPolynomial("root isolation of the zero polynomial")
+    chain = sturm_chain(poly)
+    s_lo = an_sign(poly.eval(lo))
+    s_hi = an_sign(poly.eval(hi))
+    if s_lo == 0 or s_hi == 0:
+        raise NotExactlyOneRoot("root at a search endpoint")
+    count = count_roots_open(chain, lo, hi)
+    if count != 1:
+        raise NotExactlyOneRoot(f"Sturm count on search interval is {count}, not 1")
+    if s_lo == s_hi:
+        raise NotExactlyOneRoot("no sign change across search interval (even multiplicity)")
+    steps = []
+    while hi - lo > precision:
+        mid = None
+        for cand in ((lo + hi) / 2, (2 * lo + hi) / 3, (lo + 2 * hi) / 3):
+            if an_sign(poly.eval(cand)) != 0:
+                mid = cand
+                break
+        if mid is None:
+            raise NotExactlyOneRoot("multiple exact rational roots in bracket")
+        s_mid = an_sign(poly.eval(mid))
+        steps.append([str(mid), s_mid])
+        if s_mid == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    cert = Certificate(
+        claim=f"unique root of polynomial in [{search[0]}, {search[1]}] "
+        f"lies in [{lo}, {hi}]",
+        method="sturm",
+        witness={
+            "poly": poly.to_strings(),
+            "interval": [str(Fraction(search[0])), str(Fraction(search[1]))],
+            "chain": [q.to_strings() for q in chain],
+            "signs_lo": sign_sequence(chain, Fraction(search[0])),
+            "signs_hi": sign_sequence(chain, Fraction(search[1])),
+            "root_count": 1,
+            "value_lo": format_algebraic(poly.eval(Fraction(search[0]))),
+            "value_hi": format_algebraic(poly.eval(Fraction(search[1]))),
+            "verdict": HAS_ROOT,
+            "bracket": [str(lo), str(hi)],
+            "bracket_signs": [s_lo, s_hi],
+            "bisection": steps,
+        },
+    )
+    cert.verified = verify_certificate(cert)
+    return (lo, hi), cert
+
+
+# ---------------------------------------------------------------------------
+# Exact interval arithmetic and bivariate subdivision
+
+
+@dataclass(frozen=True)
+class ExactInterval:
+    lo: AlgebraicNumber
+    hi: AlgebraicNumber
+
+    def __add__(self, other):
+        return ExactInterval(self.lo + other.lo, self.hi + other.hi)
+
+    def __mul__(self, other):
+        products = [
+            self.lo * other.lo,
+            self.lo * other.hi,
+            self.hi * other.lo,
+            self.hi * other.hi,
+        ]
+        lo = hi = products[0]
+        for p in products[1:]:
+            if p < lo:
+                lo = p
+            if p > hi:
+                hi = p
+        return ExactInterval(lo, hi)
+
+    @classmethod
+    def point(cls, x):
+        x = _an(x)
+        return cls(x, x)
+
+    @classmethod
+    def bounds(cls, lo, hi):
+        return cls(_an(lo), _an(hi))
+
+
+class ExactPoly2:
+    """Bivariate polynomial over Q(sqrt(2)); coefficient of x^i y^j at (i, j)."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        cleaned = {}
+        for (i, j), c in dict(terms).items():
+            c = _an(c)
+            if c != ZERO:
+                cleaned[(int(i), int(j))] = c
+        object.__setattr__(self, "terms", cleaned)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ExactPoly2 is immutable")
+
+    def eval(self, x, y) -> AlgebraicNumber:
+        x, y = _an(x), _an(y)
+        acc = ZERO
+        for (i, j), c in self.terms.items():
+            acc = acc + c * x**i * y**j
+        return acc
+
+    def interval_eval(self, ix: ExactInterval, iy: ExactInterval) -> ExactInterval:
+        """Interval range bound via Horner in x with inner Horner in y."""
+        if not self.terms:
+            return ExactInterval(ZERO, ZERO)
+        deg_x = max(i for i, _ in self.terms)
+        rows = []
+        for i in range(deg_x + 1):
+            row = {j: c for (ii, j), c in self.terms.items() if ii == i}
+            rows.append(row)
+        zero_iv = ExactInterval(ZERO, ZERO)
+        acc = zero_iv
+        for i in range(deg_x, -1, -1):
+            inner = zero_iv
+            row = rows[i]
+            if row:
+                deg_y = max(row)
+                for j in range(deg_y, -1, -1):
+                    c = row.get(j, ZERO)
+                    inner = inner * iy + ExactInterval.point(c)
+            acc = acc * ix + inner
+        return acc
+
+    def to_list(self):
+        return [[i, j, format_algebraic(c)] for (i, j), c in sorted(self.terms.items())]
+
+    @classmethod
+    def from_list(cls, items):
+        return cls({(i, j): parse_algebraic(c) for i, j, c in items})
+
+
+def subdivision_positive_on_box(poly2: ExactPoly2, box, max_depth: int):
+    """Certify poly2 >= 0 on the rational box, or refute with a witness point.
+
+    Returns (True, Certificate) on success, (False, Certificate) with an
+    exact negative witness on refutation, and raises DepthExhausted when the
+    depth cap is reached with the sign still unresolved.
+    """
+    if max_depth > 40:
+        raise ValueError("max_depth capped at 40")
+    x_lo, x_hi, y_lo, y_hi = (Fraction(v) for v in box)
+    box0 = (x_lo, x_hi, y_lo, y_hi)
+
+    def probe_points(b):
+        bx_lo, bx_hi, by_lo, by_hi = b
+        mx, my = (bx_lo + bx_hi) / 2, (by_lo + by_hi) / 2
+        return [
+            (mx, my),
+            (bx_lo, by_lo),
+            (bx_lo, by_hi),
+            (bx_hi, by_lo),
+            (bx_hi, by_hi),
+        ]
+
+    def build(b, depth):
+        for pt in probe_points(b):
+            value = poly2.eval(pt[0], pt[1])
+            if an_sign(value) < 0:
+                return {"negative_at": [str(pt[0]), str(pt[1])]}
+        iv = poly2.interval_eval(
+            ExactInterval.bounds(b[0], b[1]), ExactInterval.bounds(b[2], b[3])
+        )
+        node = {"box": [str(v) for v in b]}
+        if an_sign(iv.lo) >= 0:
+            node["status"] = "accepted"
+            node["bound_lo"] = format_algebraic(iv.lo)
+            return node
+        if depth >= max_depth:
+            raise DepthExhausted(
+                f"sign of bivariate polynomial unresolved at depth {max_depth} on box {b}"
+            )
+        if b[1] - b[0] >= b[3] - b[2]:
+            axis, mid = 0, (b[0] + b[1]) / 2
+            children_boxes = [(b[0], mid, b[2], b[3]), (mid, b[1], b[2], b[3])]
+        else:
+            axis, mid = 1, (b[2] + b[3]) / 2
+            children_boxes = [(b[0], b[1], b[2], mid), (b[0], b[1], mid, b[3])]
+        node["status"] = "split"
+        node["axis"] = axis
+        children = []
+        for cb in children_boxes:
+            child = build(cb, depth + 1)
+            if "negative_at" in child:
+                return child
+            children.append(child)
+        node["children"] = children
+        return node
+
+    tree = build(box0, 0)
+    if "negative_at" in tree:
+        wx, wy = Fraction(tree["negative_at"][0]), Fraction(tree["negative_at"][1])
+        cert = Certificate(
+            claim=f"bivariate polynomial is NOT nonnegative on box {box0}",
+            method="subdivision",
+            witness={
+                "poly2": poly2.to_list(),
+                "box": [str(v) for v in box0],
+                "result": False,
+                "witness_point": [str(wx), str(wy)],
+                "witness_value": format_algebraic(poly2.eval(wx, wy)),
+            },
+        )
+        cert.verified = verify_certificate(cert)
+        return False, cert
+    cert = Certificate(
+        claim=f"bivariate polynomial is nonnegative on box {box0}",
+        method="subdivision",
+        witness={
+            "poly2": poly2.to_list(),
+            "box": [str(v) for v in box0],
+            "result": True,
+            "tree": tree,
+        },
+    )
+    cert.verified = verify_certificate(cert)
+    return True, cert
+
+
+# ---------------------------------------------------------------------------
+# Certificates and the independent checker
+
+
+@dataclass
+class Certificate:
+    claim: str
+    method: str  # sturm | subdivision | rational_chain
+    witness: dict = field(default_factory=dict)
+    verified: bool = False
+
+    def to_dict(self) -> dict:
+        return {
+            "claim": self.claim,
+            "method": self.method,
+            "witness": self.witness,
+            "verified": self.verified,
+        }
+
+    @classmethod
+    def from_dict(cls, d) -> "Certificate":
+        return cls(
+            claim=d["claim"],
+            method=d["method"],
+            witness=d["witness"],
+            verified=bool(d.get("verified", False)),
+        )
+
+
+def rational_chain_certificate(claim: str, steps: list[dict]) -> Certificate:
+    cert = Certificate(claim=claim, method="rational_chain", witness={"steps": steps})
+    cert.verified = verify_certificate(cert)
+    return cert
+
+
+def check_certificate(cert: Certificate) -> None:
+    """Re-verify a certificate from its witness alone; raises on failure."""
+    if cert.method == "sturm":
+        _check_sturm(cert)
+    elif cert.method == "subdivision":
+        _check_subdivision(cert)
+    elif cert.method == "rational_chain":
+        _check_chain(cert)
+    else:
+        raise VerificationFailed(f"unknown certificate method {cert.method!r}", cert)
+
+
+def verify_certificate(cert: Certificate) -> bool:
+    try:
+        check_certificate(cert)
+        return True
+    except VerificationFailed:
+        return False
+
+
+def _fail(cert, msg):
+    raise VerificationFailed(f"{msg} (claim: {cert.claim})", cert)
+
+
+def _is_positive_multiple(p: ExactPoly, q: ExactPoly) -> bool:
+    """True when p == r*q for some positive rational r."""
+    if p.is_zero() or q.is_zero():
+        return p.is_zero() and q.is_zero()
+    if p.degree != q.degree:
+        return False
+    # cross-multiply by leading coefficients and compare
+    lp, lq = p.coeffs[-1], q.coeffs[-1]
+    if an_sign(lp) * an_sign(lq) <= 0:
+        return False
+    return all(cp * lq == cq * lp for cp, cq in zip(p.coeffs, q.coeffs))
+
+
+def _check_sturm(cert: Certificate) -> None:
+    w = cert.witness
+    poly = ExactPoly.from_strings(w["poly"])
+    if "square_factor" in w:
+        # claim reduces a nonnegativity statement to strict positivity of
+        # the quotient by (x - center)^2; verify the exact factorization
+        base = ExactPoly.from_strings(w["square_factor"]["base"])
+        center = Fraction(w["square_factor"]["center"])
+        lin = poly_from_rationals([-center, 1])
+        if not (poly * lin * lin == base):
+            _fail(cert, "square-factor decomposition does not reproduce the base polynomial")
+    lo, hi = Fraction(w["interval"][0]), Fraction(w["interval"][1])
+    if not lo < hi:
+        _fail(cert, "empty interval")
+    chain = [ExactPoly.from_strings(cs) for cs in w["chain"]]
+    if not chain or not _is_positive_multiple(chain[0], poly):
+        _fail(cert, "chain does not start at the polynomial")
+    if len(chain) > 1:
+        if not _is_positive_multiple(chain[1], poly.derivative()):
+            _fail(cert, "second chain entry is not the derivative")
+        for k in range(2, len(chain)):
+            _, rem = chain[k - 2].divmod(chain[k - 1])
+            if rem.is_zero():
+                _fail(cert, "chain extends past a zero remainder")
+            if not _is_positive_multiple(chain[k], -rem):
+                _fail(cert, f"chain entry {k} is not the negated remainder")
+        _, final_rem = chain[-2].divmod(chain[-1])
+        if not final_rem.is_zero():
+            _fail(cert, "chain stops before the remainder sequence terminates")
+    value_lo, value_hi = poly.eval(lo), poly.eval(hi)
+    if format_algebraic(value_lo) != w["value_lo"] or format_algebraic(value_hi) != w["value_hi"]:
+        _fail(cert, "endpoint values do not match the witness")
+    signs_lo = sign_sequence(chain, lo)
+    signs_hi = sign_sequence(chain, hi)
+    if signs_lo != list(w["signs_lo"]) or signs_hi != list(w["signs_hi"]):
+        _fail(cert, "endpoint sign sequences do not match the witness")
+    verdict = w["verdict"]
+    if an_sign(value_lo) == 0 or an_sign(value_hi) == 0:
+        if verdict != HAS_ROOT:
+            _fail(cert, "endpoint root but verdict is not HasRoot")
+    else:
+        count = sign_variations(signs_lo) - sign_variations(signs_hi)
+        if w.get("root_count") is not None and count != w["root_count"]:
+            _fail(cert, "recorded root count disagrees with sign variations")
+        if count > 0:
+            if verdict != HAS_ROOT:
+                _fail(cert, "roots present but verdict is not HasRoot")
+        elif count == 0:
+            expect = STRICTLY_POSITIVE if an_sign(value_lo) > 0 else STRICTLY_NEGATIVE
+            if verdict != expect:
+                _fail(cert, f"verdict {verdict} inconsistent with root-free interval")
+        else:
+            _fail(cert, "negative Sturm count")
+    if "bracket" in w:
+        b_lo, b_hi = Fraction(w["bracket"][0]), Fraction(w["bracket"][1])
+        if not (lo <= b_lo < b_hi <= hi):
+            _fail(cert, "bracket not inside the search interval")
+        s_a, s_b = an_sign(poly.eval(b_lo)), an_sign(poly.eval(b_hi))
+        if s_a * s_b != -1:
+            _fail(cert, "no sign change across the recorded bracket")
+
+
+def _check_subdivision(cert: Certificate) -> None:
+    w = cert.witness
+    poly2 = ExactPoly2.from_list(w["poly2"])
+    box = tuple(Fraction(v) for v in w["box"])
+    if not w["result"]:
+        wx, wy = Fraction(w["witness_point"][0]), Fraction(w["witness_point"][1])
+        if not (box[0] <= wx <= box[1] and box[2] <= wy <= box[3]):
+            _fail(cert, "witness point outside the box")
+        if an_sign(poly2.eval(wx, wy)) >= 0:
+            _fail(cert, "witness point does not evaluate negative")
+        return
+
+    def walk(node, b):
+        if [str(v) for v in b] != node["box"]:
+            _fail(cert, "tree box does not match the recorded split structure")
+        if node["status"] == "accepted":
+            iv = poly2.interval_eval(
+                ExactInterval.bounds(b[0], b[1]), ExactInterval.bounds(b[2], b[3])
+            )
+            if an_sign(iv.lo) < 0:
+                _fail(cert, f"interval bound on {b} is not nonnegative")
+            return
+        if node["status"] != "split":
+            _fail(cert, f"unknown node status {node['status']!r}")
+        axis = node["axis"]
+        if axis == 0:
+            mid = (b[0] + b[1]) / 2
+            sub = [(b[0], mid, b[2], b[3]), (mid, b[1], b[2], b[3])]
+        else:
+            mid = (b[2] + b[3]) / 2
+            sub = [(b[0], b[1], b[2], mid), (b[0], b[1], mid, b[3])]
+        children = node.get("children", [])
+        if len(children) != 2:
+            _fail(cert, "split node without two children")
+        for child, cb in zip(children, sub):
+            walk(child, cb)
+
+    walk(w["tree"], box)
+
+
+_LEMMAS = {
+    # (1-x)^l >= 1 - l*x for 0 <= x <= 1, integer l >= 1
+    "bernoulli_lower",
+    # sum over even k <= 2J of C(l,k) x^k is a lower bound for (1+x)^l, x >= 0
+    "even_binomial_lower_bound",
+    # each even-k binomial term C(l,2j) (x2/l)^j is nondecreasing in l for l >= 2j
+    "binomial_term_monotone_in_l",
+    # x^(2m) >= 0
+    "even_power_nonneg",
+    # alternating series: 1 - y + y^2/2 - y^3/6 <= exp(-y) for 0 <= y <= 1
+    "alternating_series_exp_lower",
+    # |F(a) - F(c)| <= M |a - c| when |dF/da| <= M between a and c
+    "mean_value_bound",
+    # u + v >= 2 sqrt(u v) for u, v >= 0
+    "amgm_pair",
+    # integer sqrt lower bounds are monotone in the radicand
+    "isqrt_monotone",
+    # x^k + (1-x)^k >= 2^(1-k): all odd powers of (x - 1/2) cancel in the
+    # symmetric sum and the even ones are nonnegative
+    "symmetric_power_sum_lower",
+}
+
+
+def _check_chain(cert: Certificate) -> None:
+    steps = cert.witness.get("steps", [])
+    if not steps:
+        _fail(cert, "empty chain")
+    for idx, step in enumerate(steps):
+        kind = step.get("kind")
+        if kind == "cmp":
+            _check_cmp(cert, step)
+        elif kind == "poly_identity":
+            lhs = _terms_from_list(step["lhs"])
+            rhs = _terms_from_list(step["rhs"])
+            if lhs != rhs:
+                _fail(cert, f"step {idx}: polynomial identity fails")
+        elif kind == "lemma":
+            if step.get("name") not in _LEMMAS:
+                _fail(cert, f"step {idx}: unknown lemma {step.get('name')!r}")
+            for premise in step.get("premises", []):
+                _check_cmp(cert, premise)
+        elif kind == "sqrt_lower":
+            x = Fraction(step["x"])
+            v = Fraction(step["value"])
+            if v < 0 or v * v > x:
+                _fail(cert, f"step {idx}: {v} is not a lower bound for sqrt({x})")
+        elif kind == "sqrt_upper":
+            x = Fraction(step["x"])
+            v = Fraction(step["value"])
+            if v < 0 or v * v < x:
+                _fail(cert, f"step {idx}: {v} is not an upper bound for sqrt({x})")
+        elif kind == "monomial_abs_bound":
+            bound = parse_algebraic(step["bound"])
+            radii = [parse_algebraic(r) for r in step["radii"]]
+            total = ZERO
+            for exps, coeff in step["poly"]:
+                term = abs(parse_algebraic(coeff))
+                for r, e in zip(radii, exps):
+                    term = term * r ** int(e)
+                total = total + term
+            if an_sign(bound - total) < 0:
+                _fail(cert, f"monomial bound {step['bound']} below the exact sum")
+        elif kind == "even_binomial_value":
+            l = int(step["l"])
+            xsq = Fraction(step["xsq"])
+            value = Fraction(step["value"])
+            total = sum(
+                Fraction(comb(l, 2 * j)) * xsq**j for j in range(int(step["terms"]) + 1)
+            )
+            if total != value:
+                _fail(cert, "even binomial partial sum does not match")
+        elif kind == "poly_eval":
+            poly = ExactPoly.from_strings(step["poly"])
+            point = Fraction(step["point"])
+            value = parse_algebraic(step["value"])
+            if poly.eval(point) != value:
+                _fail(cert, f"step {idx}: recorded evaluation at {point} is wrong")
+        else:
+            _fail(cert, f"step {idx}: unknown step kind {kind!r}")
+
+
+def _check_cmp(cert: Certificate, step: dict) -> None:
+    lhs = parse_algebraic(str(step["lhs"]))
+    rhs = parse_algebraic(str(step["rhs"]))
+    op = step["op"]
+    s = an_sign(lhs - rhs)
+    ok = {
+        "<": s < 0,
+        "<=": s <= 0,
+        "==": s == 0,
+        ">=": s >= 0,
+        ">": s > 0,
+    }.get(op)
+    if ok is None:
+        _fail(cert, f"unknown comparison operator {op!r}")
+    if not ok:
+        _fail(cert, f"comparison fails: {step['lhs']} {op} {step['rhs']}")
+
+
+def _terms_from_list(items) -> dict:
+    # duplicate exponent tuples accumulate, so recorded term lists may be
+    # the uncollected distributive expansion
+    out = {}
+    for entry in items:
+        *exps, coeff = entry
+        if len(exps) == 1 and isinstance(exps[0], (list, tuple)):
+            exps = exps[0]
+        key = tuple(int(e) for e in exps)
+        out[key] = out.get(key, ZERO) + parse_algebraic(coeff)
+    return {k: v for k, v in out.items() if v != ZERO}
