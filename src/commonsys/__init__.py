@@ -8,8 +8,8 @@ derive certified explicit constants.
 
 __version__ = "0.1.0"
 
-from .counting import DefectReport, alon_witness, defect, t_brute, t_fourier, t_gradient, t_product
-from .harmonic import GroupFunction, Spectrum, dft, idft, mean, spectral_sup
+from .counting import DefectReport, alon_witness, defect, t_brute, t_fourier, t_gradient
+from .harmonic import GroupFunction, Spectrum, dft, idft, spectral_sup
 from .linsys import (
     LinearSystem,
     add_free_variables,
@@ -54,7 +54,6 @@ __all__ = [
     "idft",
     "is_translation_invariant",
     "isolate_positive_root",
-    "mean",
     "minimize_defect",
     "parse_system",
     "preset",
@@ -66,7 +65,6 @@ __all__ = [
     "t_brute",
     "t_fourier",
     "t_gradient",
-    "t_product",
     "verify_certificate",
     "verify_lemma_suite",
 ]

@@ -23,42 +23,16 @@ from fractions import Fraction
 from . import __version__, certify, counting, harmonic, linsys, optimize
 from .errors import (
     CommonsysError,
-    DegenerateT,
-    InfeasibleMean,
-    LTooSmall,
     MalformedDocument,
-    MeanConstraintViolated,
-    MissingL,
-    NoFreeVariables,
     NoSuchL,
-    NotCentered,
-    NotExactlyOneRoot,
-    NotOddPrime,
-    RankDeficient,
     TooLarge,
     VerificationFailed,
-    ZeroPolynomial,
 )
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_VERIFY = 3
 EXIT_SIZE = 4
-
-_INPUT_ERRORS = (
-    MalformedDocument,
-    NotOddPrime,
-    RankDeficient,
-    NoFreeVariables,
-    MissingL,
-    InfeasibleMean,
-    MeanConstraintViolated,
-    NotCentered,
-    LTooSmall,
-    DegenerateT,
-    NotExactlyOneRoot,
-    ZeroPolynomial,
-)
 
 
 @dataclass
@@ -224,7 +198,6 @@ def cmd_scan_alpha(args) -> int:
         max_iters=args.max_iters,
         seed=args.seed,
         l=args.l,
-        threads=args.threads,
     )
     _emit_table(rows, ["alpha", "best_defect", "violation"], manifest, args.out)
     return EXIT_OK
@@ -243,7 +216,7 @@ def cmd_search(args) -> int:
         max_iters=args.max_iters,
         seed=args.seed,
     )
-    result = optimize.minimize_defect(system, cfg, threads=args.threads)
+    result = optimize.minimize_defect(system, cfg)
     if args.save_function:
         _save_function_with_digest(result.best, args.save_function, manifest)
         manifest.outputs.append(args.save_function)
@@ -334,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--out", default=None, help="write the report here as well")
 
     p_eval = sub.add_parser("eval", help="evaluate a property defect at one colouring")
@@ -392,9 +364,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SIZE

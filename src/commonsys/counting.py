@@ -8,14 +8,18 @@ density of f-weighted solutions is
 Two evaluation routes are kept deliberately independent:
 
 * `t_brute`   -- exact rational enumeration over the kernel
-                 parameterization;
+                 parameterization of the whole system, never factored;
 * `t_fourier` -- summation over the row space of the coefficient matrix,
                  T(f) = sum over lambda in (F_p^n)^m of
-                 prod_i fhat(sum_r lambda_r M[r][i]).
+                 prod_i fhat(sum_r lambda_r M[r][i]),
+                 taken per variable-disjoint block (`factor_disjoint`)
+                 and multiplied, as T of disjoint blocks factors.
 
 `t_gradient` gives the first variation of T, assembled on the Fourier
-side, and `defect` turns T values into the signed slack of a chosen
-colouring property (negative slack certifies a violation).
+side over the same blocks by the product rule, and `defect` turns T
+values into the signed slack of a chosen colouring property (negative
+slack certifies a violation) via `defect_value`, shared with the
+optimizer.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -76,47 +81,48 @@ def _recompose(digits: np.ndarray, p: int) -> np.ndarray:
     return idx
 
 
-def _variable_indices(
-    coeff_rows: list[tuple[int, ...]],
-    flat: np.ndarray,
-    base: int,
-    p: int,
-    n: int,
-) -> list[np.ndarray]:
-    """Indices of each linear-form value over a chunk of parameter tuples.
+def _form_indices(forms, f: GroupFunction, label: str):
+    """Point indices of every linear form over all parameter tuples in
+    (F_p^n)^k, k = len(forms[0]), one CHUNK of tuples at a time.
 
-    `flat` enumerates tuples in (F_p^n)^k as base-`base` integers
-    (base = p^n); coeff_rows[i] gives the F_p coefficients of form i.
+    forms[i] gives the F_p coefficients of form i; tuples are enumerated
+    as base-p^n integers.  The size cap is checked before any chunk.
     """
-    k = len(coeff_rows[0]) if coeff_rows else 0
-    rest = flat.copy()
-    param_digits = []
-    for _ in range(k):
-        param_digits.append(_digit_matrix(rest % base, p, n))
-        rest //= base
-    out = []
-    for coeffs in coeff_rows:
-        acc = np.zeros((flat.size, n), dtype=np.int64)
-        for c, dig in zip(coeffs, param_digits):
-            if c:
-                acc += c * dig
-        out.append(_recompose(acc % p, p))
-    return out
+    base, p, n = f.size, f.p, f.n
+    k = len(forms[0])
+    total = base**k
+    if total > ENUMERATION_CAP:
+        raise TooLarge(f"{label} = {total} exceeds cap {ENUMERATION_CAP}")
+
+    def chunks():
+        for start in range(0, total, CHUNK):
+            rest = np.arange(start, min(start + CHUNK, total), dtype=np.int64)
+            param_digits = []
+            for _ in range(k):
+                param_digits.append(_digit_matrix(rest % base, p, n))
+                rest //= base
+            out = []
+            for coeffs in forms:
+                acc = np.zeros((rest.size, n), dtype=np.int64)
+                for c, dig in zip(coeffs, param_digits):
+                    if c:
+                        acc += c * dig
+                out.append(_recompose(acc % p, p))
+            yield out
+
+    return chunks()
 
 
 def t_brute(system: LinearSystem, f: GroupFunction) -> Fraction:
     """Exact normalized solution density, by kernel enumeration.
 
     Function values are taken as exact rationals (decimal literals are
-    interpreted exactly); the result is an exact fraction.
+    interpreted exactly); the result is an exact fraction.  The whole
+    kernel is enumerated, never factored, so this stays an independent
+    oracle for the row-space route.
     """
     _check_compat(system, f)
-    n = f.n
-    base = f.size
-    d = system.num_params
-    total_points = base**d
-    if total_points > ENUMERATION_CAP:
-        raise TooLarge(f"p^(nD) = {total_points} exceeds cap {ENUMERATION_CAP}")
+    chunks = _form_indices(system.kernel, f, "p^(nD)")
     exact = f.exact_values()
     denom_lcm = 1
     for v in exact:
@@ -130,14 +136,12 @@ def t_brute(system: LinearSystem, f: GroupFunction) -> Fraction:
         return Fraction(0)
     numer_arr = np.array(numerators, dtype=np.int64 if use_int64 else object)
     total = 0
-    for start in range(0, total_points, CHUNK):
-        flat = np.arange(start, min(start + CHUNK, total_points), dtype=np.int64)
-        var_idx = _variable_indices(list(system.kernel), flat, base, f.p, n)
+    for var_idx in chunks:
         prod = numer_arr[var_idx[0]].copy()
         for vi in var_idx[1:]:
             prod *= numer_arr[vi]
         total += _exact_sum(prod, bound if use_int64 else None)
-    return Fraction(total, denom_lcm**t * total_points)
+    return Fraction(total, denom_lcm**t * f.size**system.num_params)
 
 
 def _exact_sum(prod: np.ndarray, per_item_bound) -> int:
@@ -152,28 +156,21 @@ def _exact_sum(prod: np.ndarray, per_item_bound) -> int:
     return int(sum(int(x) for x in partial))
 
 
-def t_fourier(system: LinearSystem, f: GroupFunction) -> float:
-    """Row-space evaluation of T(f); real part of the lambda-sum."""
-    return _t_fourier_complex(system, f).real
+@lru_cache(maxsize=None)
+def _block_columns(system: LinearSystem) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Coefficient-matrix columns of each variable-disjoint block of the
+    system; a block with no rows has empty columns (one lambda-term)."""
+    blocks, _ = factor_disjoint(system)
+    return tuple(
+        tuple(tuple(row[i] for row in block.matrix) for i in range(block.t))
+        for block in blocks
+    )
 
 
-def _t_fourier_complex(system: LinearSystem, f: GroupFunction) -> complex:
-    _check_compat(system, f)
-    m = system.m
-    if m == 0:
-        return complex(f.mean() ** system.t)
-    base = f.size
-    total_terms = base**m
-    if total_terms > ENUMERATION_CAP:
-        raise TooLarge(f"p^(nm) = {total_terms} exceeds cap {ENUMERATION_CAP}")
-    coeffs = dft(f).coeffs
-    columns = [
-        tuple(system.matrix[r][i] for r in range(m)) for i in range(system.t)
-    ]
+def _block_sum(columns, coeffs: np.ndarray, f: GroupFunction) -> complex:
+    """Row-space sum of one block: sum over lambda of prod_i fhat(lambda . column_i)."""
     total = 0j
-    for start in range(0, total_terms, CHUNK):
-        flat = np.arange(start, min(start + CHUNK, total_terms), dtype=np.int64)
-        h_idx = _variable_indices(columns, flat, base, f.p, f.n)
+    for h_idx in _form_indices(columns, f, "p^(nm)"):
         prod = coeffs[h_idx[0]].copy()
         for hi in h_idx[1:]:
             prod *= coeffs[hi]
@@ -181,49 +178,47 @@ def _t_fourier_complex(system: LinearSystem, f: GroupFunction) -> complex:
     return total
 
 
-def t_product(system: LinearSystem, f: GroupFunction) -> float:
-    """Evaluate T(f) as the product over variable-disjoint factor blocks."""
-    blocks, _ = factor_disjoint(system)
-    out = 1.0
-    for block in blocks:
-        out *= t_fourier(block, f)
-    return out
+def t_fourier(system: LinearSystem, f: GroupFunction) -> float:
+    """Row-space evaluation of T(f): the product of the block lambda-sums
+    over the variable-disjoint blocks, real part."""
+    _check_compat(system, f)
+    coeffs = dft(f).coeffs
+    total = 1 + 0j
+    for columns in _block_columns(system):
+        total *= _block_sum(columns, coeffs, f)
+    return total.real
 
 
 def t_gradient(system: LinearSystem, f: GroupFunction) -> GroupFunction:
     """First variation G of T at f, as a (non-clamped) function:
 
         T(f + eps*delta) - T(f) = (eps / p^n) * sum_x G(x) delta(x) + O(eps^2).
+
+    Assembled on the Fourier side block by block with the product rule.
     """
     _check_compat(system, f)
-    m = system.m
-    t = system.t
-    if m == 0:
-        g = t * f.mean() ** (t - 1) if t > 1 else 1.0
-        return GroupFunction(f.p, f.n, np.full(f.size, g))
-    base = f.size
-    total_terms = base**m
-    if total_terms > ENUMERATION_CAP:
-        raise TooLarge(f"p^(nm) = {total_terms} exceeds cap {ENUMERATION_CAP}")
     coeffs = dft(f).coeffs
-    columns = [
-        tuple(system.matrix[r][i] for r in range(m)) for i in range(system.t)
-    ]
-    acc = np.zeros(base, dtype=np.complex128)
-    for start in range(0, total_terms, CHUNK):
-        flat = np.arange(start, min(start + CHUNK, total_terms), dtype=np.int64)
-        h_idx = _variable_indices(columns, flat, base, f.p, f.n)
-        gathered = np.stack([coeffs[hi] for hi in h_idx])
-        # leave-one-out products via prefix/suffix scans
-        prefix = np.ones_like(gathered)
-        for i in range(1, t):
-            prefix[i] = prefix[i - 1] * gathered[i - 1]
-        suffix = np.ones_like(gathered)
-        for i in range(t - 2, -1, -1):
-            suffix[i] = suffix[i + 1] * gathered[i + 1]
-        loo = prefix * suffix
-        for i in range(t):
-            np.add.at(acc, h_idx[i], loo[i])
+    acc = np.zeros(f.size, dtype=np.complex128)
+    t_prev = 1 + 0j
+    for columns in _block_columns(system):
+        t = len(columns)
+        t_b = 0j
+        acc_b = np.zeros(f.size, dtype=np.complex128)
+        for h_idx in _form_indices(columns, f, "p^(nm)"):
+            gathered = np.stack([coeffs[hi] for hi in h_idx])
+            # leave-one-out products via prefix/suffix scans
+            prefix = np.ones_like(gathered)
+            for i in range(1, t):
+                prefix[i] = prefix[i - 1] * gathered[i - 1]
+            suffix = np.ones_like(gathered)
+            for i in range(t - 2, -1, -1):
+                suffix[i] = suffix[i + 1] * gathered[i + 1]
+            t_b += complex((prefix[-1] * gathered[-1]).sum())
+            loo = prefix * suffix
+            for i in range(t):
+                np.add.at(acc_b, h_idx[i], loo[i])
+        acc = acc * t_b + t_prev * acc_b
+        t_prev *= t_b
     flipped = acc[negation_permutation(f.p, f.n)]
     values = idft_complex(Spectrum(f.p, f.n, flipped)).real
     return GroupFunction(f.p, f.n, values)
@@ -280,6 +275,24 @@ class DefectReport:
         }
 
 
+def defect_value(property: str, t_f, t_1mf, alpha, t: int, l: int | None, one):
+    """Signed slack of `property` from the two densities and the mean.
+
+    `one` (1.0 or Fraction(1)) fixes the arithmetic, so exact inputs give
+    an exact value and float inputs a float.
+    """
+    two = 2 * one
+    if property == COMMON:
+        return t_f + t_1mf - two ** (1 - t)
+    if property == GEOMETRIC:
+        return t_f * t_1mf - two ** (-2 * t)
+    if property == ALON:
+        return alpha**l * t_f + (one - alpha) ** l * t_1mf - two ** (1 - t - l)
+    if property == SIDORENKO:
+        return t_f - alpha**t
+    return t_f  # prevalence: the density itself, with the mean recorded
+
+
 def function_digest(f: GroupFunction) -> str:
     return hashlib.sha256(f.values.tobytes()).hexdigest()[:12]
 
@@ -310,31 +323,21 @@ def defect(
         t_f = t_brute(system, f)
         t_1mf = t_brute(system, one_minus)
         alpha = f.exact_mean()
-        one, two = Fraction(1), Fraction(2)
+        one = Fraction(1)
         method_name = METHOD_BRUTE
     elif method == "fourier":
         t_f = t_fourier(system, f)
         t_1mf = t_fourier(system, one_minus)
         alpha = f.mean()
-        one, two = 1.0, 2.0
+        one = 1.0
         method_name = METHOD_FOURIER
     else:
         raise MalformedDocument(f"unknown method {method!r}")
-
-    if property == COMMON:
-        value = t_f + t_1mf - two ** (1 - t)
-    elif property == GEOMETRIC:
-        if abs(alpha - Fraction(1, 2)) > Fraction(1, 10**9):
-            raise MeanConstraintViolated(
-                f"geometric defect needs mean 1/2, got {float(alpha)}"
-            )
-        value = t_f * t_1mf - two ** (-2 * t)
-    elif property == ALON:
-        value = alpha**l * t_f + (one - alpha) ** l * t_1mf - two ** (1 - t - l)
-    elif property == SIDORENKO:
-        value = t_f - alpha**t
-    else:  # prevalence: the density itself, with the mean recorded
-        value = t_f
+    if property == GEOMETRIC and abs(alpha - Fraction(1, 2)) > Fraction(1, 10**9):
+        raise MeanConstraintViolated(
+            f"geometric defect needs mean 1/2, got {float(alpha)}"
+        )
+    value = defect_value(property, t_f, t_1mf, alpha, t, l, one)
     return DefectReport(
         system=system.ident(),
         property=property,

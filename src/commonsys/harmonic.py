@@ -28,6 +28,22 @@ MAX_POINTS = 1 << 24
 GFPN_MAGIC = b"GFPN"
 
 
+def checked_size(p: int, n: int, cap: int = MAX_POINTS) -> int:
+    """p^n, or TooLarge when it exceeds `cap`.
+
+    An n too large for any modulus >= 2 is rejected before the power is
+    formed, so a hostile dimension never builds a huge integer.
+    """
+    if n < 0:
+        raise MalformedDocument(f"dimension n={n} is negative")
+    if p >= 2 and n >= cap.bit_length():
+        raise TooLarge(f"p^n = {p}^{n} exceeds the cap {cap}")
+    size = p**n
+    if size > cap:
+        raise TooLarge(f"p^n = {size} exceeds the cap {cap}")
+    return size
+
+
 @lru_cache(maxsize=None)
 def _root_table(p: int) -> np.ndarray:
     """e(-r/p) for r in 0..p-1, from one cos/sin evaluation of 2*pi/p."""
@@ -67,13 +83,6 @@ def index_to_point(index: int, p: int, n: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def point_to_index(point, p: int) -> int:
-    idx = 0
-    for i, c in enumerate(point):
-        idx += (c % p) * p**i
-    return idx
-
-
 @dataclass(frozen=True)
 class GroupFunction:
     """Real-valued function on F_p^n stored densely.
@@ -89,9 +98,7 @@ class GroupFunction:
     exact: tuple[Fraction, ...] | None = None
 
     def __post_init__(self):
-        size = self.p**self.n
-        if size > MAX_POINTS:
-            raise TooLarge(f"p^n = {size} exceeds the dense-storage cap {MAX_POINTS}")
+        size = checked_size(self.p, self.n)
         arr = np.asarray(self.values, dtype=np.float64)
         if arr.shape != (size,):
             raise MalformedDocument(f"expected {size} values, got shape {arr.shape}")
@@ -136,7 +143,7 @@ class GroupFunction:
 
 def constant(p: int, n: int, value) -> GroupFunction:
     frac = Fraction(value) if not isinstance(value, float) else None
-    size = p**n
+    size = checked_size(p, n)
     fill = float(frac) if frac is not None else float(value)
     exact = (frac,) * size if frac is not None else None
     return GroupFunction(p, n, np.full(size, fill), exact)
@@ -159,7 +166,7 @@ def coset_indicator(p: int, n: int, coefficients, residue: int) -> GroupFunction
     if len(coefficients) != n:
         raise MalformedDocument(f"expected {n} coefficients, got {len(coefficients)}")
     members = []
-    for idx in range(p**n):
+    for idx in range(checked_size(p, n)):
         x = index_to_point(idx, p, n)
         if sum(c * xi for c, xi in zip(coefficients, x)) % p == residue % p:
             members.append(idx)
@@ -201,10 +208,6 @@ class Spectrum:
 
     def sup(self) -> float:
         return float(np.max(np.abs(self.coeffs)))
-
-
-def mean(f: GroupFunction) -> float:
-    return f.mean()
 
 
 def _axis_transform(values: np.ndarray, p: int, n: int, matrix: np.ndarray) -> np.ndarray:
@@ -291,8 +294,9 @@ def function_from_json(text: str) -> GroupFunction:
                 raise MalformedDocument(f"bad value {v!r}") from exc
         else:
             raise MalformedDocument(f"bad value {v!r}")
-    if p**n != len(exact):
-        raise MalformedDocument(f"expected p^n = {p**n} values, got {len(exact)}")
+    size = checked_size(p, n)
+    if size != len(exact):
+        raise MalformedDocument(f"expected p^n = {size} values, got {len(exact)}")
     values = np.array([float(v) for v in exact])
     return GroupFunction(p, n, values, tuple(exact))
 
@@ -306,7 +310,7 @@ def function_from_binary(blob: bytes) -> GroupFunction:
     if len(blob) < 16 or blob[:4] != GFPN_MAGIC:
         raise MalformedDocument("not a GFPN function file")
     p, n, _reserved = struct.unpack("<III", blob[4:16])
-    size = p**n
+    size = checked_size(p, n)
     body = blob[16:]
     if len(body) != 8 * size:
         raise MalformedDocument(

@@ -15,16 +15,24 @@ in (defect, restart index).
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import counting
-from .counting import ALON, COMMON, GEOMETRIC, PREVALENCE, SIDORENKO, t_fourier, t_gradient
-from .errors import InfeasibleMean, MalformedDocument, MissingL, TooLarge
-from .harmonic import GroupFunction
+from .counting import (
+    ALON,
+    COMMON,
+    GEOMETRIC,
+    PREVALENCE,
+    SIDORENKO,
+    defect_value,
+    t_fourier,
+    t_gradient,
+)
+from .errors import InfeasibleMean, MalformedDocument, MissingL
+from .harmonic import GroupFunction, checked_size
 from .linsys import LinearSystem
 
 MAX_SEARCH_POINTS = 1 << 20
@@ -51,8 +59,7 @@ class SearchConfig:
             raise MalformedDocument(f"unknown property {self.property!r}")
         if self.restarts < 1:
             raise MalformedDocument("restarts must be >= 1")
-        if self.p**self.n > MAX_SEARCH_POINTS:
-            raise TooLarge(f"p^n = {self.p ** self.n} exceeds search cap")
+        checked_size(self.p, self.n, MAX_SEARCH_POINTS)
         if self.property == ALON and self.l is None:
             raise MissingL("property 'alon' requires l")
         if self.property == PREVALENCE and self.mean is None:
@@ -157,7 +164,7 @@ class _Objective:
     def value(self, f: GroupFunction) -> float:
         t_f = t_fourier(self.system, f)
         t_1mf = t_fourier(self.system, f.complement())
-        return defect_value(self.property, t_f, t_1mf, f.mean(), self.t, self.l)
+        return defect_value(self.property, t_f, t_1mf, f.mean(), self.t, self.l, 1.0)
 
     def gradient(self, f: GroupFunction) -> np.ndarray:
         size = f.size
@@ -182,19 +189,6 @@ class _Objective:
         t_1mf = t_fourier(self.system, f.complement())
         scalar = l * alpha ** (l - 1) * t_f - l * (1.0 - alpha) ** (l - 1) * t_1mf
         return (scalar + alpha**l * g_f - (1.0 - alpha) ** l * g_c) / size
-
-
-def defect_value(property: str, t_f, t_1mf, alpha, t: int, l: int | None):
-    """The defect formulas shared by `counting.defect` and the optimizer."""
-    if property == COMMON:
-        return t_f + t_1mf - 2.0 ** (1 - t)
-    if property == GEOMETRIC:
-        return t_f * t_1mf - 2.0 ** (-2 * t)
-    if property == ALON:
-        return alpha**l * t_f + (1.0 - alpha) ** l * t_1mf - 2.0 ** (1 - t - l)
-    if property == SIDORENKO:
-        return t_f - alpha**t
-    return t_f
 
 
 def _initial_point(cfg: SearchConfig, k: int, rng) -> np.ndarray:
@@ -261,19 +255,12 @@ def _run_restart(system: LinearSystem, cfg: SearchConfig, k: int, trace: list | 
     return val, k, f, iters, converged
 
 
-def minimize_defect(
-    system: LinearSystem, cfg: SearchConfig, threads: int = 1
-) -> SearchResult:
+def minimize_defect(system: LinearSystem, cfg: SearchConfig) -> SearchResult:
     """Best colouring found over all restarts; defect re-validated by a
     fresh evaluation before reporting."""
     if system.p != cfg.p:
         raise MalformedDocument("config modulus differs from the system modulus")
-    ks = range(cfg.restarts)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(lambda k: _run_restart(system, cfg, k), ks))
-    else:
-        outcomes = [_run_restart(system, cfg, k) for k in ks]
+    outcomes = [_run_restart(system, cfg, k) for k in range(cfg.restarts)]
     best = min(outcomes, key=lambda r: (r[0], r[1]))
     val, k, f, _, converged = best
     total_iters = sum(r[3] for r in outcomes)
@@ -298,7 +285,6 @@ def scan_alpha(
     max_iters: int = 200,
     seed: int = 0,
     l: int | None = None,
-    threads: int = 1,
 ) -> list[dict]:
     """Minimize the defect with the mean pinned to each grid value."""
     rows = []
@@ -318,7 +304,7 @@ def scan_alpha(
             max_iters=max_iters,
             seed=seed + i,
         )
-        result = minimize_defect(system, cfg, threads=threads)
+        result = minimize_defect(system, cfg)
         rows.append(
             {
                 "alpha": alpha,

@@ -1,9 +1,12 @@
 import json
+import os
+import struct
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
-from commonsys import cli
+from commonsys import cli, harmonic
 
 
 def run_main(capsys, *argv):
@@ -145,6 +148,48 @@ class TestSearch:
         assert "result" in payload and save.exists()
 
 
+class TestOversizedDimension:
+    """A huge n is refused with the size-cap exit before p^n is formed."""
+
+    BIG_N = 10**6
+
+    def test_json_function_document(self, capsys, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"p": 3, "n": self.BIG_N, "values": [0.5]}))
+        code, _, err = run_main(
+            capsys, "eval", "--system", "phi", "--function", str(path), "--property", "common"
+        )
+        assert code == 4 and "exceeds" in err
+
+    def test_gfpn_header(self, capsys, tmp_path):
+        path = tmp_path / "f.gfpn"
+        path.write_bytes(harmonic.GFPN_MAGIC + struct.pack("<III", 3, self.BIG_N, 0) + bytes(8))
+        code, _, err = run_main(
+            capsys, "eval", "--system", "phi", "--function", str(path), "--property", "common"
+        )
+        assert code == 4 and "exceeds" in err
+
+    def test_constant(self, capsys):
+        code, _, err = run_main(
+            capsys, "eval", "--system", "phi", "--const", "0.5", "--n", str(self.BIG_N),
+            "--property", "common",
+        )
+        assert code == 4 and "exceeds" in err
+
+    def test_coset(self, capsys):
+        code, _, err = run_main(
+            capsys, "eval", "--system", "phi", "--coset", "x1=1", "--n", str(self.BIG_N),
+            "--property", "common",
+        )
+        assert code == 4 and "exceeds" in err
+
+    def test_search(self, capsys):
+        code, _, err = run_main(
+            capsys, "search", "--system", "phi", "--n", str(self.BIG_N), "--property", "common",
+        )
+        assert code == 4 and "exceeds" in err
+
+
 class TestVerifyAndConstants:
     def test_verify_writes_seven_certificates(self, capsys, tmp_path):
         out_path = tmp_path / "certs.json"
@@ -172,11 +217,15 @@ class TestVerifyAndConstants:
 
 
 class TestProcessLevel:
+    # the child interpreter imports the same package source as this process
+    ENV = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+
     def test_console_entry_help(self):
         proc = subprocess.run(
             [sys.executable, "-m", "commonsys.cli", "--help"],
             capture_output=True,
             text=True,
+            env=self.ENV,
         )
         assert proc.returncode == 0
         assert "eval" in proc.stdout and "constants" in proc.stdout
@@ -190,5 +239,6 @@ class TestProcessLevel:
             ],
             capture_output=True,
             text=True,
+            env=self.ENV,
         )
         assert proc.returncode == 2

@@ -11,7 +11,6 @@ from commonsys.counting import (
     t_brute,
     t_fourier,
     t_gradient,
-    t_product,
 )
 from commonsys.errors import (
     DegenerateT,
@@ -107,7 +106,8 @@ class TestFourier:
         g = f.centered()
         coeffs = harmonic.dft(g).coeffs
         want = np.sum(np.abs(coeffs) ** 4 * coeffs)
-        got = counting._t_fourier_complex(A5, g)
+        (columns,) = counting._block_columns(A5)
+        got = counting._block_sum(columns, coeffs, g)
         assert abs(got.imag) <= 1e-9
         assert got.real == pytest.approx(want.real, abs=1e-12)
 
@@ -152,9 +152,19 @@ class TestFourier:
             t_fourier(PHI, constant(5, 1, F(1, 2)))
 
 
+def pair_closed_form(f):
+    """T_phi(f) = T_a4(f) T_a5(f) = (sum |fhat|^4) * Re(sum |fhat|^4 fhat)."""
+    coeffs = harmonic.dft(f).coeffs
+    quartic = np.abs(coeffs) ** 4
+    return float(np.sum(quartic)) * float(np.sum(quartic * coeffs).real)
+
+
 class TestProduct:
+    """`t_fourier` factors over variable-disjoint blocks; these check the
+    product against closed forms and the unfactored enumeration."""
+
     def test_constant_half(self):
-        assert t_product(PHI, constant(3, 1, F(1, 2))) == pytest.approx(
+        assert t_fourier(PHI, constant(3, 1, F(1, 2))) == pytest.approx(
             (1 / 16) * (1 / 32), abs=1e-12
         )
 
@@ -162,27 +172,50 @@ class TestProduct:
         f = coset_indicator(3, 1, [1], 1)
         assert t_fourier(A5, f) == pytest.approx(0.0, abs=1e-12)
         assert t_fourier(A4, f) > 0
-        assert t_product(PHI, f) == pytest.approx(0.0, abs=1e-12)
+        assert t_fourier(PHI, f) == pytest.approx(0.0, abs=1e-12)
         assert t_brute(PHI, f) == 0
 
     def test_single_block_equals_fourier(self):
         rng = np.random.default_rng(14)
         f = GroupFunction(3, 1, rng.uniform(0, 1, 3))
-        assert t_product(A5, f) == pytest.approx(t_fourier(A5, f), abs=1e-12)
+        (columns,) = counting._block_columns(A5)
+        block = counting._block_sum(columns, harmonic.dft(f).coeffs, f)
+        assert t_fourier(A5, f) == block.real
+        assert t_fourier(PHI, f) == pytest.approx(t_fourier(A4, f) * t_fourier(A5, f), abs=1e-12)
 
-    def test_matches_full_fourier_on_pair(self):
+    def test_matches_closed_form_on_pair(self):
         rng = np.random.default_rng(16)
         for _ in range(5):
             f = GroupFunction(3, 2, rng.uniform(0, 1, 9))
-            assert t_product(PHI, f) == pytest.approx(t_fourier(PHI, f), abs=1e-9)
+            assert t_fourier(PHI, f) == pytest.approx(pair_closed_form(f), abs=1e-12)
+
+    def test_pair_at_n9_beyond_unfactored_cap(self):
+        # the unfactored row space would have 3^18 > ENUMERATION_CAP terms
+        assert 3**18 > counting.ENUMERATION_CAP
+        rng = np.random.default_rng(17)
+        f = GroupFunction(3, 9, rng.uniform(0, 1, 3**9))
+        want = pair_closed_form(f)
+        assert t_fourier(PHI, f) == pytest.approx(want, rel=1e-12, abs=1e-15)
+        # the gradient integrates to the first variation along a constant shift
+        grad = t_gradient(PHI, f).values
+        eps = 1e-6
+        plus = pair_closed_form(GroupFunction(3, 9, f.values + eps))
+        minus = pair_closed_form(GroupFunction(3, 9, f.values - eps))
+        assert grad.mean() == pytest.approx((plus - minus) / (2 * eps), rel=1e-6)
 
     def test_free_variable_blocks_contribute_mean(self):
         ext = linsys.add_free_variables(linsys.preset("schur"), 2)
         rng = np.random.default_rng(18)
         f = GroupFunction(3, 1, rng.uniform(0, 1, 3))
         expect = t_fourier(linsys.preset("schur"), f) * f.mean() ** 2
-        assert t_product(ext, f) == pytest.approx(expect, abs=1e-12)
-        assert t_product(ext, f) == pytest.approx(t_fourier(ext, f), abs=1e-12)
+        assert t_fourier(ext, f) == pytest.approx(expect, abs=1e-12)
+        assert t_fourier(ext, f) == pytest.approx(float(t_brute(ext, f)), abs=1e-12)
+
+    def test_brute_is_unfactored(self, monkeypatch):
+        # the exact oracle never goes through the block decomposition
+        monkeypatch.setattr(counting, "factor_disjoint", None)
+        f = constant(3, 1, F(1, 2))
+        assert t_brute(PHI, f) == F(1, 2**9)
 
 
 class TestGradient:
@@ -207,6 +240,33 @@ class TestGradient:
             minus = t_fourier(A4, GroupFunction(3, 2, f.values - eps * delta))
             fd = (plus - minus) / (2 * eps)
             assert fd == pytest.approx(grad[x] / size, rel=1e-6, abs=1e-12)
+
+    def test_finite_difference_pair_n2(self):
+        rng = np.random.default_rng(23)
+        f = GroupFunction(3, 2, rng.uniform(0.2, 0.8, 9))
+        grad = t_gradient(PHI, f).values
+        eps = 1e-5
+        for x in range(9):
+            delta = np.zeros(9)
+            delta[x] = 1.0
+            plus = t_fourier(PHI, GroupFunction(3, 2, f.values + eps * delta))
+            minus = t_fourier(PHI, GroupFunction(3, 2, f.values - eps * delta))
+            fd = (plus - minus) / (2 * eps)
+            assert fd == pytest.approx(grad[x] / 9, rel=1e-6, abs=1e-12)
+
+    def test_free_variable_blocks(self):
+        # a zero-row block is one lambda-term: its factor is mean^width
+        ext = linsys.add_free_variables(linsys.preset("schur"), 2)
+        rng = np.random.default_rng(25)
+        f = GroupFunction(3, 1, rng.uniform(0.2, 0.8, 3))
+        grad = t_gradient(ext, f).values
+        eps = 1e-6
+        for x in range(3):
+            delta = np.zeros(3)
+            delta[x] = 1.0
+            plus = t_fourier(ext, GroupFunction(3, 1, f.values + eps * delta))
+            minus = t_fourier(ext, GroupFunction(3, 1, f.values - eps * delta))
+            assert (plus - minus) / (2 * eps) == pytest.approx(grad[x] / 3, rel=1e-6)
 
     def test_finite_difference_rank_two(self):
         rng = np.random.default_rng(22)

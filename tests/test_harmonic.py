@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commonsys import harmonic
-from commonsys.errors import MalformedDocument, NotCentered
+from commonsys.errors import MalformedDocument, NotCentered, TooLarge
 from commonsys.harmonic import (
     GroupFunction,
     Spectrum,
@@ -194,3 +194,25 @@ class TestFiles:
         harmonic.save_function(f, str(bpath))
         assert harmonic.load_function(str(jpath)).exact == f.exact
         assert np.all(harmonic.load_function(str(bpath)).values == f.values)
+
+
+class TestCheckedSize:
+    def test_cap_boundary(self):
+        assert harmonic.checked_size(2, 24) == harmonic.MAX_POINTS
+        with pytest.raises(TooLarge):
+            harmonic.checked_size(2, 25)
+        with pytest.raises(TooLarge):
+            harmonic.checked_size(3, 16)
+        assert harmonic.checked_size(3, 2, cap=9) == 9
+        with pytest.raises(TooLarge):
+            harmonic.checked_size(3, 3, cap=9)
+
+    def test_huge_n_rejected_before_the_power(self):
+        with pytest.raises(TooLarge):
+            harmonic.checked_size(3, 10**6)
+        with pytest.raises(TooLarge):
+            GroupFunction(3, 10**6, np.zeros(1))
+
+    def test_negative_n(self):
+        with pytest.raises(MalformedDocument):
+            harmonic.checked_size(3, -1)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commonsys import counting, linsys, optimize
-from commonsys.errors import InfeasibleMean, MalformedDocument, MissingL
+from commonsys.errors import InfeasibleMean, MalformedDocument, MissingL, TooLarge
 from commonsys.optimize import (
     SearchConfig,
     SearchResult,
@@ -73,6 +73,12 @@ class TestSearchConfig:
         with pytest.raises(MalformedDocument):
             SearchConfig(property="prevalence", p=3, n=1)
 
+    def test_search_cap(self):
+        with pytest.raises(TooLarge):
+            SearchConfig(property="common", p=3, n=13)
+        with pytest.raises(TooLarge):
+            SearchConfig(property="common", p=3, n=10**6)
+
     def test_round_trip(self):
         cfg = SearchConfig(property="common", p=3, n=2, restarts=4, seed=9)
         assert SearchConfig.from_dict(cfg.to_dict()) == cfg
@@ -99,12 +105,16 @@ class TestMinimize:
         assert np.all(r1.best.values == r2.best.values)
         assert r1.to_dict() == r2.to_dict()
 
-    def test_threads_match_sequential(self):
+    def test_best_is_lexicographic_minimum_over_restarts(self):
         cfg = SearchConfig(property="common", p=3, n=1, restarts=6, max_iters=60, seed=2)
-        r1 = minimize_defect(PHI, cfg, threads=1)
-        r2 = minimize_defect(PHI, cfg, threads=4)
-        assert r1.best_defect == r2.best_defect
-        assert np.all(r1.best.values == r2.best.values)
+        res = minimize_defect(PHI, cfg)
+        outcomes = [optimize._run_restart(PHI, cfg, k) for k in range(cfg.restarts)]
+        val, k, f, _, converged = min(outcomes, key=lambda r: (r[0], r[1]))
+        assert res.restart_index == k
+        assert res.best_defect == val
+        assert np.all(res.best.values == f.values)
+        assert res.converged == converged
+        assert res.iterations == sum(r[3] for r in outcomes)
 
     def test_monotone_descent_trace(self):
         cfg = SearchConfig(property="common", p=3, n=2, restarts=1, max_iters=80, seed=13)
