@@ -20,6 +20,15 @@ side over the same blocks by the product rule, and `defect` turns T
 values into the signed slack of a chosen colouring property (negative
 slack certifies a violation) via `defect_value`, shared with the
 optimizer.
+
+Both Fourier routes run on an (R, p^n) stack of functions: one transform
+pass per stack, one gather per block, and a `np.bincount` scatter for the
+gradient.  Every defect is a function of the pair (T(f), T(1 - f)), so
+`defect`, `alon_witness` and the optimizer evaluate [f, 1 - f] as one
+stack; `t_fourier`/`t_gradient` are its one-row case.  The point-index
+tables of each chunk of lambdas (or kernel parameters) come from a small
+bounded cache of read-only arrays, so repeated evaluations on the same
+blocks build them once.
 """
 
 from __future__ import annotations
@@ -40,7 +49,7 @@ from .errors import (
     MissingL,
     TooLarge,
 )
-from .harmonic import GroupFunction, Spectrum, dft, idft_complex, negation_permutation
+from .harmonic import GroupFunction, _dft_rows, _idft_rows, negation_permutation
 from .linsys import LinearSystem, factor_disjoint
 
 ENUMERATION_CAP = 10**8
@@ -81,36 +90,46 @@ def _recompose(digits: np.ndarray, p: int) -> np.ndarray:
     return idx
 
 
-def _form_indices(forms, f: GroupFunction, label: str):
-    """Point indices of every linear form over all parameter tuples in
-    (F_p^n)^k, k = len(forms[0]), one CHUNK of tuples at a time.
+@lru_cache(maxsize=4)
+def _index_table(forms, p: int, n: int, start: int, stop: int) -> np.ndarray:
+    """Point indices of every linear form over the parameter tuples
+    start..stop-1 of (F_p^n)^k, k = len(forms[0]), as a read-only
+    (len(forms), stop - start) array.
 
     forms[i] gives the F_p coefficients of form i; tuples are enumerated
-    as base-p^n integers.  The size cap is checked before any chunk.
+    as base-p^n integers.  The cache holds the one-chunk tables of the few
+    blocks a search evaluates on every call.
     """
-    base, p, n = f.size, f.p, f.n
-    k = len(forms[0])
-    total = base**k
+    base = p**n
+    rest = np.arange(start, stop, dtype=np.int64)
+    param_digits = []
+    for _ in range(len(forms[0])):
+        param_digits.append(_digit_matrix(rest % base, p, n))
+        rest //= base
+    table = np.empty((len(forms), stop - start), dtype=np.int64)
+    for row, coeffs in zip(table, forms):
+        acc = np.zeros((stop - start, n), dtype=np.int64)
+        for c, dig in zip(coeffs, param_digits):
+            if c:
+                acc += c * dig
+        row[:] = _recompose(acc % p, p)
+    table.flags.writeable = False
+    return table
+
+
+def _form_indices(forms, p: int, n: int, label: str):
+    """The index tables of `forms` over all of (F_p^n)^k, one CHUNK of
+    parameter tuples at a time.  The size cap is checked before any chunk."""
+    total = (p**n) ** len(forms[0])
     if total > ENUMERATION_CAP:
         raise TooLarge(f"{label} = {total} exceeds cap {ENUMERATION_CAP}")
-
-    def chunks():
-        for start in range(0, total, CHUNK):
-            rest = np.arange(start, min(start + CHUNK, total), dtype=np.int64)
-            param_digits = []
-            for _ in range(k):
-                param_digits.append(_digit_matrix(rest % base, p, n))
-                rest //= base
-            out = []
-            for coeffs in forms:
-                acc = np.zeros((rest.size, n), dtype=np.int64)
-                for c, dig in zip(coeffs, param_digits):
-                    if c:
-                        acc += c * dig
-                out.append(_recompose(acc % p, p))
-            yield out
-
-    return chunks()
+    # a longer scan would miss on every chunk of the LRU cache and leave its
+    # last chunks (len(forms) * CHUNK * 8 bytes each) pinned, so it streams
+    build = _index_table if total <= CHUNK else _index_table.__wrapped__
+    return (
+        build(forms, p, n, start, min(start + CHUNK, total))
+        for start in range(0, total, CHUNK)
+    )
 
 
 def t_brute(system: LinearSystem, f: GroupFunction) -> Fraction:
@@ -122,7 +141,7 @@ def t_brute(system: LinearSystem, f: GroupFunction) -> Fraction:
     oracle for the row-space route.
     """
     _check_compat(system, f)
-    chunks = _form_indices(system.kernel, f, "p^(nD)")
+    chunks = _form_indices(system.kernel, f.p, f.n, "p^(nD)")
     exact = f.exact_values()
     denom_lcm = 1
     for v in exact:
@@ -167,26 +186,73 @@ def _block_columns(system: LinearSystem) -> tuple[tuple[tuple[int, ...], ...], .
     )
 
 
-def _block_sum(columns, coeffs: np.ndarray, f: GroupFunction) -> complex:
-    """Row-space sum of one block: sum over lambda of prod_i fhat(lambda . column_i)."""
-    total = 0j
-    for h_idx in _form_indices(columns, f, "p^(nm)"):
-        prod = coeffs[h_idx[0]].copy()
-        for hi in h_idx[1:]:
-            prod *= coeffs[hi]
-        total += complex(prod.sum())
+def _block_sums(columns, fhat: np.ndarray, p: int, n: int) -> np.ndarray:
+    """Row-space sum of one block for each row of fhat:
+    sum over lambda of prod_i fhat(lambda . column_i)."""
+    total = np.zeros(fhat.shape[0], dtype=np.complex128)
+    for table in _form_indices(columns, p, n, "p^(nm)"):
+        total += fhat[:, table].prod(axis=1).sum(axis=1)
     return total
+
+
+def _t_rows(system: LinearSystem, values: np.ndarray, n: int) -> np.ndarray:
+    """T of each row of an (R, p^n) stack of functions: the product of the
+    block lambda-sums over the variable-disjoint blocks, real part."""
+    fhat = _dft_rows(values, system.p, n)
+    total = np.ones(values.shape[0], dtype=np.complex128)
+    for columns in _block_columns(system):
+        total *= _block_sums(columns, fhat, system.p, n)
+    return total.real
+
+
+def _block_gradient(columns, fhat: np.ndarray, p: int, n: int):
+    """Block sums per row, and the Fourier-side first variation of each
+    (the sum over lambda of the leave-one-out products, scattered onto
+    the frequencies they omit)."""
+    rows, size = fhat.shape
+    offsets = (np.arange(rows) * size)[:, None, None]
+    sums = np.zeros(rows, dtype=np.complex128)
+    acc = np.zeros(rows * size, dtype=np.complex128)
+    for table in _form_indices(columns, p, n, "p^(nm)"):
+        gathered = fhat[:, table]
+        # leave-one-out products via prefix/suffix scans
+        prefix = np.ones_like(gathered)
+        np.cumprod(gathered[:, :-1], axis=1, out=prefix[:, 1:])
+        suffix = np.ones_like(gathered)
+        np.cumprod(gathered[:, :0:-1], axis=1, out=suffix[:, -2::-1])
+        sums += (prefix[:, -1] * gathered[:, -1]).sum(axis=1)
+        loo = (prefix * suffix).ravel()
+        where = (table + offsets).ravel()
+        acc += np.bincount(where, loo.real, rows * size)
+        acc += 1j * np.bincount(where, loo.imag, rows * size)
+    return sums, acc.reshape(rows, size)
+
+
+def _gradient_rows(system: LinearSystem, values: np.ndarray, n: int):
+    """(G, T) for each row of an (R, p^n) stack; G as in `t_gradient`,
+    assembled block by block with the product rule."""
+    p = system.p
+    fhat = _dft_rows(values, p, n)
+    acc = np.zeros(fhat.shape, dtype=np.complex128)
+    t_prev = np.ones(fhat.shape[0], dtype=np.complex128)
+    for columns in _block_columns(system):
+        t_b, acc_b = _block_gradient(columns, fhat, p, n)
+        acc = acc * t_b[:, None] + t_prev[:, None] * acc_b
+        t_prev = t_prev * t_b
+    flipped = acc[:, negation_permutation(p, n)]
+    return _idft_rows(flipped, p, n).real, t_prev.real
+
+
+def _pair_rows(f: GroupFunction) -> np.ndarray:
+    """The (2, p^n) stack [f, 1 - f] that every defect is a function of."""
+    return np.stack([f.values, 1.0 - f.values])
 
 
 def t_fourier(system: LinearSystem, f: GroupFunction) -> float:
     """Row-space evaluation of T(f): the product of the block lambda-sums
     over the variable-disjoint blocks, real part."""
     _check_compat(system, f)
-    coeffs = dft(f).coeffs
-    total = 1 + 0j
-    for columns in _block_columns(system):
-        total *= _block_sum(columns, coeffs, f)
-    return total.real
+    return float(_t_rows(system, f.values[None], f.n)[0])
 
 
 def t_gradient(system: LinearSystem, f: GroupFunction) -> GroupFunction:
@@ -197,31 +263,8 @@ def t_gradient(system: LinearSystem, f: GroupFunction) -> GroupFunction:
     Assembled on the Fourier side block by block with the product rule.
     """
     _check_compat(system, f)
-    coeffs = dft(f).coeffs
-    acc = np.zeros(f.size, dtype=np.complex128)
-    t_prev = 1 + 0j
-    for columns in _block_columns(system):
-        t = len(columns)
-        t_b = 0j
-        acc_b = np.zeros(f.size, dtype=np.complex128)
-        for h_idx in _form_indices(columns, f, "p^(nm)"):
-            gathered = np.stack([coeffs[hi] for hi in h_idx])
-            # leave-one-out products via prefix/suffix scans
-            prefix = np.ones_like(gathered)
-            for i in range(1, t):
-                prefix[i] = prefix[i - 1] * gathered[i - 1]
-            suffix = np.ones_like(gathered)
-            for i in range(t - 2, -1, -1):
-                suffix[i] = suffix[i + 1] * gathered[i + 1]
-            t_b += complex((prefix[-1] * gathered[-1]).sum())
-            loo = prefix * suffix
-            for i in range(t):
-                np.add.at(acc_b, h_idx[i], loo[i])
-        acc = acc * t_b + t_prev * acc_b
-        t_prev *= t_b
-    flipped = acc[negation_permutation(f.p, f.n)]
-    values = idft_complex(Spectrum(f.p, f.n, flipped)).real
-    return GroupFunction(f.p, f.n, values)
+    grads, _ = _gradient_rows(system, f.values[None], f.n)
+    return GroupFunction(f.p, f.n, grads[0])
 
 
 # ---------------------------------------------------------------------------
@@ -317,17 +360,16 @@ def defect(
         raise MalformedDocument("function values must lie in [0, 1]")
     if property == ALON and l is None:
         raise MissingL("property 'alon' requires l")
-    one_minus = f.complement()
+    _check_compat(system, f)
     t = system.t
     if method == "brute":
         t_f = t_brute(system, f)
-        t_1mf = t_brute(system, one_minus)
+        t_1mf = t_brute(system, f.complement())
         alpha = f.exact_mean()
         one = Fraction(1)
         method_name = METHOD_BRUTE
     elif method == "fourier":
-        t_f = t_fourier(system, f)
-        t_1mf = t_fourier(system, one_minus)
+        t_f, t_1mf = _t_rows(system, _pair_rows(f), f.n).tolist()
         alpha = f.mean()
         one = 1.0
         method_name = METHOD_FOURIER
@@ -364,8 +406,8 @@ def alon_witness(f: GroupFunction, system: LinearSystem, l: int) -> GroupFunctio
         raise MeanConstraintViolated(f"witness needs mean 1/2, got {f.mean()}")
     if l < 1:
         raise LTooSmall("l must be a positive integer")
-    t_f = t_fourier(system, f)
-    t_1mf = t_fourier(system, f.complement())
+    _check_compat(system, f)
+    t_f, t_1mf = _t_rows(system, _pair_rows(f), f.n).tolist()
     base = f if t_1mf >= t_f else f.complement()
     small, big = min(t_f, t_1mf), max(t_f, t_1mf)
     if small <= 0.0:

@@ -15,6 +15,7 @@ complex arithmetic throughout; the exact rational path lives in
 from __future__ import annotations
 
 import json
+import re
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,9 +24,15 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import MalformedDocument, NotCentered, TooLarge
+from .linsys import _check_modulus
 
 MAX_POINTS = 1 << 24
 GFPN_MAGIC = b"GFPN"
+# decimal literals in function documents may carry an exponent of at most
+# this magnitude; Fraction would otherwise form 10**|exponent| exactly,
+# which for an exponent in the millions takes seconds
+MAX_DECIMAL_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE]([+-]?[\d_]+)")
 
 
 def checked_size(p: int, n: int, cap: int = MAX_POINTS) -> int:
@@ -98,6 +105,7 @@ class GroupFunction:
     exact: tuple[Fraction, ...] | None = None
 
     def __post_init__(self):
+        _check_modulus(self.p)
         size = checked_size(self.p, self.n)
         arr = np.asarray(self.values, dtype=np.float64)
         if arr.shape != (size,):
@@ -211,25 +219,42 @@ class Spectrum:
 
 
 def _axis_transform(values: np.ndarray, p: int, n: int, matrix: np.ndarray) -> np.ndarray:
-    v = values.reshape((p,) * n)
-    for axis in range(n):
-        v = np.moveaxis(np.tensordot(matrix, v, axes=(1, axis)), 0, axis)
-    return v.reshape(-1)
+    """Apply the radix-p `matrix` along each of the n coordinates of the
+    last axis of `values`; leading axes are a batch of functions.
+
+    Each round transforms the least significant digit of the index and
+    rotates it to the most significant place, so after n rounds every
+    coordinate is transformed and the index order is restored.
+    """
+    v = values.reshape(-1, values.shape[-1])
+    batch = v.shape[0]
+    for _ in range(n):
+        v = (v.reshape(batch, -1, p) @ matrix.T).transpose(0, 2, 1)
+    return v.reshape(values.shape)
+
+
+def _dft_rows(values: np.ndarray, p: int, n: int) -> np.ndarray:
+    """Fourier coefficients along the last axis of `values`, as `dft`;
+    leading axes are a batch of functions."""
+    return _axis_transform(values.astype(np.complex128), p, n, _forward_matrix(p)) / p**n
+
+
+def _idft_rows(coeffs: np.ndarray, p: int, n: int) -> np.ndarray:
+    """Unnormalized complex inversion along the last axis of `coeffs`."""
+    return _axis_transform(coeffs, p, n, _inverse_matrix(p))
 
 
 def dft(f: GroupFunction) -> Spectrum:
-    v = _axis_transform(f.values.astype(np.complex128), f.p, f.n, _forward_matrix(f.p))
-    return Spectrum(f.p, f.n, v / f.size)
+    return Spectrum(f.p, f.n, _dft_rows(f.values, f.p, f.n))
 
 
 def idft(s: Spectrum) -> GroupFunction:
-    v = _axis_transform(s.coeffs, s.p, s.n, _inverse_matrix(s.p))
-    return GroupFunction(s.p, s.n, v.real)
+    return GroupFunction(s.p, s.n, _idft_rows(s.coeffs, s.p, s.n).real)
 
 
 def idft_complex(s: Spectrum) -> np.ndarray:
-    """Unnormalized inversion kept complex; used by the gradient assembly."""
-    return _axis_transform(s.coeffs, s.p, s.n, _inverse_matrix(s.p))
+    """Unnormalized inversion kept complex."""
+    return _idft_rows(s.coeffs, s.p, s.n)
 
 
 def spectral_sup(g: GroupFunction, tol: float = 1e-9) -> float:
@@ -267,10 +292,24 @@ def _fraction_is_float_exact(v: Fraction) -> bool:
         return False
 
 
+def _exact_decimal(text: str) -> Fraction:
+    """A decimal or "num/den" literal as an exact fraction; the exponent is
+    bounded before any power of ten is formed."""
+    match = _EXPONENT.search(text)
+    try:
+        if match and abs(int(match.group(1))) > MAX_DECIMAL_EXPONENT:
+            raise MalformedDocument(
+                f"bad value {text[:40]!r}: exponent beyond +-{MAX_DECIMAL_EXPONENT}"
+            )
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise MalformedDocument(f"bad value {text[:40]!r}") from exc
+
+
 def function_from_json(text: str) -> GroupFunction:
     """Parse a JSON function document; decimal literals are read exactly."""
     try:
-        data = json.loads(text, parse_float=Fraction)
+        data = json.loads(text, parse_float=_exact_decimal)
     except (json.JSONDecodeError, ValueError) as exc:
         raise MalformedDocument(f"not a valid function document: {exc}") from exc
     if not isinstance(data, dict):
@@ -288,16 +327,17 @@ def function_from_json(text: str) -> GroupFunction:
         elif isinstance(v, int) and not isinstance(v, bool):
             exact.append(Fraction(v))
         elif isinstance(v, str):
-            try:
-                exact.append(Fraction(v))
-            except ValueError as exc:
-                raise MalformedDocument(f"bad value {v!r}") from exc
+            exact.append(_exact_decimal(v))
         else:
             raise MalformedDocument(f"bad value {v!r}")
+    _check_modulus(p)
     size = checked_size(p, n)
     if size != len(exact):
         raise MalformedDocument(f"expected p^n = {size} values, got {len(exact)}")
-    values = np.array([float(v) for v in exact])
+    try:
+        values = np.array([float(v) for v in exact])
+    except OverflowError as exc:
+        raise MalformedDocument(f"a value is beyond the double range: {exc}") from exc
     return GroupFunction(p, n, values, tuple(exact))
 
 
@@ -310,6 +350,7 @@ def function_from_binary(blob: bytes) -> GroupFunction:
     if len(blob) < 16 or blob[:4] != GFPN_MAGIC:
         raise MalformedDocument("not a GFPN function file")
     p, n, _reserved = struct.unpack("<III", blob[4:16])
+    _check_modulus(p)
     size = checked_size(p, n)
     body = blob[16:]
     if len(body) != 8 * size:

@@ -21,6 +21,11 @@ from .errors import MalformedDocument, NoFreeVariables, NotOddPrime, RankDeficie
 SUPPORTED_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 
+def _check_modulus(p: int) -> None:
+    if p not in SUPPORTED_PRIMES:
+        raise NotOddPrime(f"p={p} is not an odd prime in the supported range 3..31")
+
+
 def _rref_mod_p(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form over F_p; returns (nonzero rows, pivot columns)."""
     rows = [[v % p for v in row] for row in rows]
@@ -85,8 +90,7 @@ class LinearSystem:
     def from_matrix(cls, p, rows, name: str | None = None) -> "LinearSystem":
         if not isinstance(p, int) or isinstance(p, bool):
             raise MalformedDocument("modulus p must be an integer")
-        if p not in SUPPORTED_PRIMES:
-            raise NotOddPrime(f"p={p} is not an odd prime in the supported range 3..31")
+        _check_modulus(p)
         rows = _validate_rows(rows)
         t = len(rows[0])
         m = len(rows)

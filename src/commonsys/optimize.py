@@ -27,9 +27,10 @@ from .counting import (
     GEOMETRIC,
     PREVALENCE,
     SIDORENKO,
+    _gradient_rows,
+    _pair_rows,
+    _t_rows,
     defect_value,
-    t_fourier,
-    t_gradient,
 )
 from .errors import InfeasibleMean, MalformedDocument, MissingL
 from .harmonic import GroupFunction, checked_size
@@ -162,31 +163,27 @@ class _Objective:
         self.t = system.t
 
     def value(self, f: GroupFunction) -> float:
-        t_f = t_fourier(self.system, f)
-        t_1mf = t_fourier(self.system, f.complement())
+        t_f, t_1mf = _t_rows(self.system, _pair_rows(f), f.n).tolist()
         return defect_value(self.property, t_f, t_1mf, f.mean(), self.t, self.l, 1.0)
 
     def gradient(self, f: GroupFunction) -> np.ndarray:
+        """Gradient of the defect, from one gradient pass over [f, 1 - f]
+        that also yields T(f) and T(1 - f)."""
         size = f.size
         prop = self.property
-        g_f = t_gradient(self.system, f).values
+        (g_f, g_c), (t_f, t_1mf) = _gradient_rows(self.system, _pair_rows(f), f.n)
         if prop == PREVALENCE:
             return g_f / size
-        g_c = t_gradient(self.system, f.complement()).values
         if prop == COMMON:
             return (g_f - g_c) / size
         alpha = f.mean()
         t = self.t
         if prop == GEOMETRIC:
-            t_f = t_fourier(self.system, f)
-            t_1mf = t_fourier(self.system, f.complement())
             return (t_1mf * g_f - t_f * g_c) / size
         if prop == SIDORENKO:
             return (g_f - t * alpha ** (t - 1)) / size
         # alon: alpha enters through the l-th power weights
         l = self.l
-        t_f = t_fourier(self.system, f)
-        t_1mf = t_fourier(self.system, f.complement())
         scalar = l * alpha ** (l - 1) * t_f - l * (1.0 - alpha) ** (l - 1) * t_1mf
         return (scalar + alpha**l * g_f - (1.0 - alpha) ** l * g_c) / size
 

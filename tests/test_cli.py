@@ -190,6 +190,47 @@ class TestOversizedDimension:
         assert code == 4 and "exceeds" in err
 
 
+class TestHostileDocuments:
+    """Bad values and moduli in function documents exit 2, never with a traceback."""
+
+    def _eval(self, capsys, path):
+        return run_main(
+            capsys, "eval", "--system", "phi", "--function", str(path), "--property", "common"
+        )
+
+    def test_bad_values(self, capsys, tmp_path):
+        past = f"1e{harmonic.MAX_DECIMAL_EXPONENT + 1}"
+        for values in ('0.5, 0.5, "1/0"', f"{past}, 0, 0", f'"{past}", 0, 0',
+                       f'"1e-{harmonic.MAX_DECIMAL_EXPONENT + 1}", 0, 0',
+                       "1e400, 0, 0", '"1e400", 0, 0', f"1{'0' * 400}, 0, 0"):
+            path = tmp_path / "f.json"
+            path.write_text('{"p": 3, "n": 1, "values": [%s]}' % values)
+            code, _, err = self._eval(capsys, path)
+            assert code == 2 and "error" in err, values
+
+    def test_decimal_within_the_exponent_bound_is_exact(self, capsys, tmp_path):
+        tiny = f"1e-{harmonic.MAX_DECIMAL_EXPONENT}"
+        path = tmp_path / "f.json"
+        path.write_text('{"p": 3, "n": 1, "values": [%s, 0.5, 1]}' % tiny)
+        f = harmonic.load_function(str(path))
+        assert f.exact[0] == Fraction(1, 10**harmonic.MAX_DECIMAL_EXPONENT)
+        code, _, _ = self._eval(capsys, path)
+        assert code == 0
+
+    def test_unsupported_modulus(self, capsys, tmp_path):
+        for p in (0, 1, 2, 4):
+            path = tmp_path / "f.json"
+            path.write_text(json.dumps({"p": p, "n": 1, "values": [0.5] * max(p, 1)}))
+            code, _, err = self._eval(capsys, path)
+            assert code == 2 and "supported" in err, p
+            path = tmp_path / "f.gfpn"
+            path.write_bytes(
+                harmonic.GFPN_MAGIC + struct.pack("<III", p, 1, 0) + bytes(8 * max(p, 1))
+            )
+            code, _, err = self._eval(capsys, path)
+            assert code == 2 and "supported" in err, p
+
+
 class TestVerifyAndConstants:
     def test_verify_writes_seven_certificates(self, capsys, tmp_path):
         out_path = tmp_path / "certs.json"

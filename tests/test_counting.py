@@ -107,7 +107,7 @@ class TestFourier:
         coeffs = harmonic.dft(g).coeffs
         want = np.sum(np.abs(coeffs) ** 4 * coeffs)
         (columns,) = counting._block_columns(A5)
-        got = counting._block_sum(columns, coeffs, g)
+        (got,) = counting._block_sums(columns, coeffs[None], 3, 2)
         assert abs(got.imag) <= 1e-9
         assert got.real == pytest.approx(want.real, abs=1e-12)
 
@@ -179,7 +179,7 @@ class TestProduct:
         rng = np.random.default_rng(14)
         f = GroupFunction(3, 1, rng.uniform(0, 1, 3))
         (columns,) = counting._block_columns(A5)
-        block = counting._block_sum(columns, harmonic.dft(f).coeffs, f)
+        (block,) = counting._block_sums(columns, harmonic.dft(f).coeffs[None], 3, 1)
         assert t_fourier(A5, f) == block.real
         assert t_fourier(PHI, f) == pytest.approx(t_fourier(A4, f) * t_fourier(A5, f), abs=1e-12)
 
@@ -280,6 +280,75 @@ class TestGradient:
             minus = t_fourier(PHI, GroupFunction(3, 1, f.values - eps * delta))
             fd = (plus - minus) / (2 * eps)
             assert fd == pytest.approx(grad[x] / 3, rel=1e-6, abs=1e-12)
+
+
+class TestBatchedRows:
+    """The row-batched kernel behind `t_fourier`/`t_gradient` and the defects."""
+
+    @staticmethod
+    def _systems(p):
+        return (
+            linsys.preset("a4", p),
+            linsys.preset("phi", p),
+            linsys.add_free_variables(linsys.preset("schur", p), 2),  # a block with no rows
+        )
+
+    def test_pair_batch_matches_one_row(self):
+        rng = np.random.default_rng(40)
+        for p in (3, 5):
+            for n in (1, 2, 3):
+                f = GroupFunction(p, n, rng.uniform(0, 1, p**n))
+                g = GroupFunction(p, n, rng.uniform(0, 1, p**n))
+                rows = np.stack([f.values, 1.0 - f.values, g.values])
+                singles = (f, f.complement(), g)
+                for system in self._systems(p):
+                    ts = counting._t_rows(system, rows, n)
+                    grads, gts = counting._gradient_rows(system, rows, n)
+                    for r, h in enumerate(singles):
+                        want = t_fourier(system, h)
+                        assert ts[r] == pytest.approx(want, abs=1e-12)
+                        assert gts[r] == pytest.approx(want, abs=1e-12)
+                        one = t_gradient(system, h).values
+                        assert np.max(np.abs(grads[r] - one)) <= 1e-12
+
+    def test_multi_chunk_tables_agree(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        f = GroupFunction(3, 2, rng.uniform(0, 1, 9))
+        exact = random_rational_function(rng, 3, 1)
+        rows = counting._pair_rows(f)
+        cases = [(s, counting._t_rows(s, rows, 2), counting._gradient_rows(s, rows, 2))
+                 for s in self._systems(3)]
+        brute = t_brute(PHI, exact)
+        monkeypatch.setattr(counting, "CHUNK", 4)  # 9 lambda-terms per block: 3 chunks
+        for system, ts, (grads, gts) in cases:
+            assert np.allclose(counting._t_rows(system, rows, 2), ts, rtol=0, atol=1e-15)
+            got, got_ts = counting._gradient_rows(system, rows, 2)
+            assert np.allclose(got, grads, rtol=0, atol=1e-14)
+            assert np.allclose(got_ts, gts, rtol=0, atol=1e-15)
+        assert t_brute(PHI, exact) == brute
+
+    def test_index_tables_cached_read_only_and_bounded(self, monkeypatch):
+        cache = counting._index_table
+        f = GroupFunction(3, 2, np.full(9, 0.5))
+        t_fourier(PHI, f)
+        before = cache.cache_info()
+        t_fourier(PHI, f)
+        t_gradient(PHI, f)
+        after = cache.cache_info()
+        assert after.misses == before.misses and after.hits > before.hits
+        (columns, _) = counting._block_columns(PHI)
+        for table in counting._form_indices(columns, 3, 2, "p^(nm)"):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 1
+        # a long kernel scan streams past the bounded cache and pins nothing
+        monkeypatch.setattr(counting, "CHUNK", 64)
+        t_brute(PHI, constant(3, 1, F(1, 3)))  # 3^7 tuples: 35 chunks
+        info = cache.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+        assert (info.misses, info.currsize) == (after.misses, after.currsize)
+        tables = list(counting._form_indices(PHI.kernel, 3, 1, "p^(nD)"))
+        assert len(tables) == 35 and not any(t.flags.writeable for t in tables)
 
 
 class TestDefect:
@@ -431,7 +500,7 @@ class TestAlonWitness:
     def test_degenerate_density(self, monkeypatch):
         # a mean-1/2 function with zero pair density cannot exist at these
         # sizes (half the mass forces solutions), so force the guard
-        monkeypatch.setattr(counting, "t_fourier", lambda s, f: 0.0)
+        monkeypatch.setattr(counting, "_t_rows", lambda s, rows, n: np.zeros(len(rows)))
         with pytest.raises(DegenerateT):
             alon_witness(constant(3, 1, F(1, 2)), PHI, 10)
 

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commonsys import harmonic
-from commonsys.errors import MalformedDocument, NotCentered, TooLarge
+from commonsys import harmonic, linsys
+from commonsys.errors import MalformedDocument, NotCentered, NotOddPrime, TooLarge
 from commonsys.harmonic import (
     GroupFunction,
     Spectrum,
@@ -68,6 +68,18 @@ class TestDft:
         got = dft(f).coeffs
         want = naive_dft(f)
         assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_leading_batch_axes_match_naive_oracle(self):
+        rng = np.random.default_rng(6)
+        stack = rng.uniform(0, 1, (2, 3, 27))
+        got = harmonic._dft_rows(stack, 3, 3)
+        assert got.shape == stack.shape
+        for i in range(2):
+            for j in range(3):
+                want = naive_dft(GroupFunction(3, 3, stack[i, j]))
+                assert np.max(np.abs(got[i, j] - want)) < 1e-12
+        back = harmonic._idft_rows(got, 3, 3)
+        assert np.max(np.abs(back - stack)) < 1e-12
 
     def test_parseval(self):
         rng = np.random.default_rng(7)
@@ -216,3 +228,21 @@ class TestCheckedSize:
     def test_negative_n(self):
         with pytest.raises(MalformedDocument):
             harmonic.checked_size(3, -1)
+
+
+class TestModulus:
+    def test_unsupported_modulus_rejected(self):
+        for p in (0, 1, 2, 4, 37):
+            with pytest.raises(NotOddPrime):
+                GroupFunction(p, 1, np.zeros(max(p, 1)))
+            with pytest.raises(NotOddPrime):
+                constant(p, 1, Fraction(1, 2))
+            with pytest.raises(NotOddPrime):
+                function_from_json('{"p": %d, "n": 1, "values": [0]}' % p)
+            with pytest.raises(NotOddPrime):
+                function_from_binary(b"GFPN" + bytes([p]) + bytes(11) + bytes(8))
+
+    def test_every_supported_modulus_accepted(self):
+        for p in linsys.SUPPORTED_PRIMES:
+            assert GroupFunction(p, 1, np.zeros(p)).size == p
+

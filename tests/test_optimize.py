@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from commonsys import counting, linsys, optimize
 from commonsys.errors import InfeasibleMean, MalformedDocument, MissingL, TooLarge
+from commonsys.harmonic import GroupFunction
 from commonsys.optimize import (
     SearchConfig,
     SearchResult,
@@ -82,6 +83,25 @@ class TestSearchConfig:
     def test_round_trip(self):
         cfg = SearchConfig(property="common", p=3, n=2, restarts=4, seed=9)
         assert SearchConfig.from_dict(cfg.to_dict()) == cfg
+
+
+class TestObjectiveGradient:
+    @pytest.mark.parametrize(
+        "prop, l", [("common", None), ("geometric", None), ("sidorenko", None),
+                    ("alon", 3), ("prevalence", None)],
+    )
+    def test_finite_difference(self, prop, l):
+        rng = np.random.default_rng(7)
+        values = rng.uniform(0.2, 0.8, 9)
+        obj = optimize._Objective(PHI, prop, l)
+        grad = obj.gradient(GroupFunction(3, 2, values))
+        eps = 1e-5
+        for x in range(9):
+            delta = np.zeros(9)
+            delta[x] = eps
+            plus = obj.value(GroupFunction(3, 2, values + delta))
+            minus = obj.value(GroupFunction(3, 2, values - delta))
+            assert (plus - minus) / (2 * eps) == pytest.approx(grad[x], rel=1e-6, abs=1e-12)
 
 
 class TestMinimize:
