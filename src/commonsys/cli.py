@@ -93,6 +93,7 @@ _COSET_TERM = re.compile(r"([+-]?\d*)\s*x(\d+)")
 
 def _parse_coset(expr: str, p: int, n: int) -> harmonic.GroupFunction:
     """Parse constraints like "x1=1" or "x1+2x3=2" into a coset indicator."""
+    harmonic.checked_size(p, n)  # before the n coefficients are allocated
     if "=" not in expr:
         raise MalformedDocument(f"coset expression {expr!r} needs '='")
     lhs, rhs = expr.split("=", 1)
@@ -128,15 +129,18 @@ def _resolve_function(args, p: int, manifest: RunManifest) -> harmonic.GroupFunc
             raise MalformedDocument(f"function has p={f.p}, system has p={p}")
         return f
     if args.const is not None:
-        try:
-            value = Fraction(args.const)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise MalformedDocument(f"bad constant {args.const!r}") from exc
-        f = harmonic.constant(p, args.n, value)
+        f = harmonic.constant(p, args.n, _fraction(args.const, "constant"))
     else:
         f = _parse_coset(args.coset, p, args.n)
     manifest.inputs["function"] = counting.function_digest(f)
     return f
+
+
+def _fraction(text: str, what: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise MalformedDocument(f"bad {what} {text!r}") from exc
 
 
 def _emit_json(payload: dict, manifest: RunManifest, out: str | None) -> None:
@@ -186,7 +190,7 @@ def cmd_scan_alpha(args) -> int:
     manifest = _build_manifest(args)
     system = _load_system(args, manifest)
     if args.alphas:
-        alphas = [Fraction(a) for a in args.alphas.split(",")]
+        alphas = [_fraction(a, "alpha") for a in args.alphas.split(",")]
     else:
         alphas = optimize.alpha_grid(args.grid)
     rows = optimize.scan_alpha(

@@ -53,6 +53,9 @@ from .harmonic import GroupFunction, _dft_rows, _idft_rows, negation_permutation
 from .linsys import LinearSystem, factor_disjoint
 
 ENUMERATION_CAP = 10**8
+# cap on l * bits(denominator of alpha) for the exact alon defect: its alpha^l
+# terms are exact rationals, and their arithmetic grows quadratically in size
+EXACT_POWER_BITS = 1 << 22
 CHUNK = 1 << 16
 
 COMMON = "common"
@@ -186,12 +189,19 @@ def _block_columns(system: LinearSystem) -> tuple[tuple[tuple[int, ...], ...], .
     )
 
 
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """Left-to-right sum along the last axis.  A running sum fixes the
+    order, so each row's bits do not depend on how many rows share the
+    stack; the order of `sum` follows the memory layout, which does."""
+    return np.cumsum(terms, axis=-1)[..., -1]
+
+
 def _block_sums(columns, fhat: np.ndarray, p: int, n: int) -> np.ndarray:
     """Row-space sum of one block for each row of fhat:
     sum over lambda of prod_i fhat(lambda . column_i)."""
     total = np.zeros(fhat.shape[0], dtype=np.complex128)
     for table in _form_indices(columns, p, n, "p^(nm)"):
-        total += fhat[:, table].prod(axis=1).sum(axis=1)
+        total += _row_sums(fhat[:, table].prod(axis=1))
     return total
 
 
@@ -220,7 +230,7 @@ def _block_gradient(columns, fhat: np.ndarray, p: int, n: int):
         np.cumprod(gathered[:, :-1], axis=1, out=prefix[:, 1:])
         suffix = np.ones_like(gathered)
         np.cumprod(gathered[:, :0:-1], axis=1, out=suffix[:, -2::-1])
-        sums += (prefix[:, -1] * gathered[:, -1]).sum(axis=1)
+        sums += _row_sums(prefix[:, -1] * gathered[:, -1])
         loo = (prefix * suffix).ravel()
         where = (table + offsets).ravel()
         acc += np.bincount(where, loo.real, rows * size)
@@ -299,7 +309,13 @@ class DefectReport:
         from . import __version__
 
         def plain(x):
-            return str(x) if isinstance(x, Fraction) else x
+            if not isinstance(x, Fraction):
+                return x
+            try:
+                return str(x)
+            except ValueError:  # beyond the interpreter's int-to-str digit limit
+                raise TooLarge(f"an exact value of the {self.property} defect has "
+                               "too many digits to print") from None
 
         return {
             "system": self.system,
@@ -352,7 +368,8 @@ def defect(
     method "fourier" uses double precision; "brute" is exact rational.
     The free-variable (alon) defect always goes through the closed form
     alpha^l T(f) + (1-alpha)^l T(1-f) - 2^(1-t-l), never through an
-    enlarged system, so l may be arbitrarily large.
+    enlarged system, so l may be arbitrarily large; the exact method
+    raises TooLarge once alpha^l would pass EXACT_POWER_BITS.
     """
     if property not in PROPERTIES:
         raise MalformedDocument(f"unknown property {property!r}")
@@ -360,12 +377,16 @@ def defect(
         raise MalformedDocument("function values must lie in [0, 1]")
     if property == ALON and l is None:
         raise MissingL("property 'alon' requires l")
+    if property == ALON and l < 0:
+        raise MalformedDocument("l must be >= 0")
     _check_compat(system, f)
     t = system.t
     if method == "brute":
+        alpha = f.exact_mean()
+        if property == ALON and l * alpha.denominator.bit_length() > EXACT_POWER_BITS:
+            raise TooLarge(f"exact alpha^l at l={l} exceeds {EXACT_POWER_BITS} bits")
         t_f = t_brute(system, f)
         t_1mf = t_brute(system, f.complement())
-        alpha = f.exact_mean()
         one = Fraction(1)
         method_name = METHOD_BRUTE
     elif method == "fourier":

@@ -252,11 +252,6 @@ def idft(s: Spectrum) -> GroupFunction:
     return GroupFunction(s.p, s.n, _idft_rows(s.coeffs, s.p, s.n).real)
 
 
-def idft_complex(s: Spectrum) -> np.ndarray:
-    """Unnormalized inversion kept complex."""
-    return _idft_rows(s.coeffs, s.p, s.n)
-
-
 def spectral_sup(g: GroupFunction, tol: float = 1e-9) -> float:
     """Max of |ghat(h)| over all h, for centered g."""
     if abs(g.values.mean()) > tol:
@@ -358,6 +353,8 @@ def function_from_binary(blob: bytes) -> GroupFunction:
             f"GFPN body has {len(body)} bytes, expected {8 * size}"
         )
     values = np.frombuffer(body, dtype="<f8").astype(np.float64)
+    if not np.isfinite(values).all():
+        raise MalformedDocument("GFPN values must be finite")
     # binary doubles are exact dyadic rationals
     exact = tuple(Fraction(float(v)) for v in values)
     return GroupFunction(int(p), int(n), values, exact)

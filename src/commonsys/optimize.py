@@ -7,9 +7,19 @@ uniform noise, coset indicators, character bumps); character bumps are
 the extremizers suggested by the Fourier form of the functionals, so
 they are seeded deliberately.
 
+The restarts run in lockstep as the rows of one array: each outer step
+takes one gradient pass over the rows still running, and each
+backtracking round evaluates every row still searching at once, while
+each row keeps its own step size and stop state.  A batch holds at most
+CHUNK // widest rows (widest: p^n or the widest block index table), so
+memory stays bounded at large p^n.  The projection onto a fixed-mean
+slice is exact: a breakpoint search per row (Kiwiel 2008), not a
+bisection.
+
 Everything is deterministic given the config seed: restart k draws from
-default_rng([seed, k]) and the cross-restart reduction is lexicographic
-in (defect, restart index).
+default_rng([seed, k]), a row's arithmetic does not depend on the other
+rows of its batch, and the cross-restart reduction is lexicographic in
+(defect, restart index).
 """
 
 from __future__ import annotations
@@ -23,12 +33,13 @@ import numpy as np
 from . import counting
 from .counting import (
     ALON,
+    CHUNK,
     COMMON,
     GEOMETRIC,
     PREVALENCE,
     SIDORENKO,
+    _block_columns,
     _gradient_rows,
-    _pair_rows,
     _t_rows,
     defect_value,
 )
@@ -60,9 +71,13 @@ class SearchConfig:
             raise MalformedDocument(f"unknown property {self.property!r}")
         if self.restarts < 1:
             raise MalformedDocument("restarts must be >= 1")
+        if self.seed < 0:
+            raise MalformedDocument("seed must be >= 0")
         checked_size(self.p, self.n, MAX_SEARCH_POINTS)
         if self.property == ALON and self.l is None:
             raise MissingL("property 'alon' requires l")
+        if self.l is not None and self.l < 0:
+            raise MalformedDocument("l must be >= 0")
         if self.property == PREVALENCE and self.mean is None:
             raise MalformedDocument("prevalence search requires a pinned mean")
 
@@ -129,22 +144,48 @@ class SearchResult:
 
 
 def _project_values(v: np.ndarray, alpha: float | None) -> np.ndarray:
+    """Euclidean projection of each row of `v` (or of a single 1-D vector)
+    onto [0,1]^N, intersected with {mean = alpha} when alpha is set."""
     if alpha is None:
         return np.clip(v, 0.0, 1.0)
     if not 0.0 <= alpha <= 1.0:
         raise InfeasibleMean(f"target mean {alpha} outside [0, 1]")
-    lo = float(v.min()) - 1.0
-    hi = float(v.max())
-    # mean(clip(v - mu)) is nonincreasing in mu; bisect mu to width 1e-12
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:  # float resolution floor
-            break
-        if float(np.clip(v - mid, 0.0, 1.0).mean()) > alpha:
-            lo = mid
-        else:
-            hi = mid
-    return np.clip(v - 0.5 * (lo + hi), 0.0, 1.0)
+    alpha = float(alpha)
+    if alpha in (0.0, 1.0):  # the slice is the single constant function
+        return np.full(v.shape, alpha)
+    return _breakpoint_projection(np.atleast_2d(v), alpha).reshape(v.shape)
+
+
+def _breakpoint_projection(rows: np.ndarray, alpha: float) -> np.ndarray:
+    """clip(v - mu, 0, 1) per row, with mu solving sum clip(v - mu, 0, 1) =
+    N alpha for 0 < alpha < 1 (Kiwiel 2008, breakpoint search).
+
+    The sum is continuous, nonincreasing and linear between the sorted
+    breakpoints v_i - 1 (coordinate i leaves 1) and v_i (it reaches 0).
+    The segment where it crosses N alpha holds mu, which is then solved
+    from that segment's interior coordinates.
+    """
+    r, size = rows.shape
+    points = np.concatenate([rows - 1.0, rows], axis=1)
+    order = np.argsort(points, axis=1, kind="stable")  # a tie puts v_i - 1 first
+    row = np.arange(r)[:, None]
+    points = points[row, order]
+    leaves_one = order < size
+    # right of breakpoint j: `interior` coordinates strictly inside (0, 1),
+    # and `mass` = (coordinates still at 1) + (sum of the interior v_i)
+    passed = np.cumsum(leaves_one, axis=1)
+    interior = 2 * passed - np.arange(1, 2 * size + 1)
+    mass = size - passed + np.cumsum(np.where(leaves_one, points + 1.0, -points), axis=1)
+    target = size * alpha
+    right_end = mass[:, :-1] - interior[:, :-1] * points[:, 1:]
+    # the sum is nonincreasing, so mu lies on the segment whose index counts
+    # the right ends above the target; rounding can leave every right end
+    # slightly above a tiny target, and then mu is on the last segment,
+    # never past the last breakpoint
+    seg = np.minimum(np.count_nonzero(right_end > target, axis=1), 2 * size - 2)[:, None]
+    lo, hi, count = points[row, seg], points[row, seg + 1], interior[row, seg]
+    mu = np.where(count > 0, (mass[row, seg] - target) / np.maximum(count, 1), hi)
+    return np.clip(rows - np.clip(mu, lo, hi), 0.0, 1.0)
 
 
 def project_box_mean(v, p: int, n: int, alpha: float | None = None) -> GroupFunction:
@@ -154,38 +195,66 @@ def project_box_mean(v, p: int, n: int, alpha: float | None = None) -> GroupFunc
 
 
 class _Objective:
-    """Defect value and Euclidean gradient for one property."""
+    """Defect value and Euclidean gradient for one property, for each row
+    of an (R, p^n) stack of functions."""
 
-    def __init__(self, system: LinearSystem, property: str, l: int | None):
+    def __init__(self, system: LinearSystem, property: str, l: int | None, n: int):
         self.system = system
         self.property = property
         self.l = l
+        self.n = n
         self.t = system.t
+        # sidorenko and prevalence never read T(1 - f)
+        self.pair = property not in (SIDORENKO, PREVALENCE)
 
-    def value(self, f: GroupFunction) -> float:
-        t_f, t_1mf = _t_rows(self.system, _pair_rows(f), f.n).tolist()
-        return defect_value(self.property, t_f, t_1mf, f.mean(), self.t, self.l, 1.0)
+    def _stack(self, values: np.ndarray) -> np.ndarray:
+        """[F; 1 - F] where the defect needs the complements, else F."""
+        return np.concatenate([values, 1.0 - values]) if self.pair else values
 
-    def gradient(self, f: GroupFunction) -> np.ndarray:
-        """Gradient of the defect, from one gradient pass over [f, 1 - f]
-        that also yields T(f) and T(1 - f)."""
-        size = f.size
+    def value(self, values: np.ndarray) -> np.ndarray:
+        rows = len(values)
+        t_all = _t_rows(self.system, self._stack(values), self.n).tolist()
+        t_c = t_all[rows:] if self.pair else [None] * rows
+        means = values.mean(axis=1).tolist()
+        return np.array(
+            [
+                defect_value(self.property, t_f, t_1mf, alpha, self.t, self.l, 1.0)
+                for t_f, t_1mf, alpha in zip(t_all[:rows], t_c, means)
+            ]
+        )
+
+    def gradient(self, values: np.ndarray) -> np.ndarray:
+        """Gradient of the defect per row, from one gradient pass that also
+        yields T of every row of the stack."""
+        rows, size = values.shape
         prop = self.property
-        (g_f, g_c), (t_f, t_1mf) = _gradient_rows(self.system, _pair_rows(f), f.n)
+        grads, ts = _gradient_rows(self.system, self._stack(values), self.n)
+        g_f = grads[:rows]
         if prop == PREVALENCE:
             return g_f / size
+        alphas = values.mean(axis=1).tolist()
+        t = self.t
+        if prop == SIDORENKO:
+            shift = np.array([t * alpha ** (t - 1) for alpha in alphas])
+            return (g_f - shift[:, None]) / size
+        g_c = grads[rows:]
         if prop == COMMON:
             return (g_f - g_c) / size
-        alpha = f.mean()
-        t = self.t
+        t_f, t_1mf = ts[:rows], ts[rows:]
         if prop == GEOMETRIC:
-            return (t_1mf * g_f - t_f * g_c) / size
-        if prop == SIDORENKO:
-            return (g_f - t * alpha ** (t - 1)) / size
+            return (t_1mf[:, None] * g_f - t_f[:, None] * g_c) / size
         # alon: alpha enters through the l-th power weights
         l = self.l
-        scalar = l * alpha ** (l - 1) * t_f - l * (1.0 - alpha) ** (l - 1) * t_1mf
-        return (scalar + alpha**l * g_f - (1.0 - alpha) ** l * g_c) / size
+        terms = [
+            (
+                l * alpha ** (l - 1) * a - l * (1.0 - alpha) ** (l - 1) * b,
+                alpha**l,
+                (1.0 - alpha) ** l,
+            )
+            for alpha, a, b in zip(alphas, t_f.tolist(), t_1mf.tolist())
+        ]
+        scalar, w_f, w_c = np.array(terms).T[:, :, None]
+        return (scalar + w_f * g_f - w_c * g_c) / size
 
 
 def _initial_point(cfg: SearchConfig, k: int, rng) -> np.ndarray:
@@ -215,41 +284,76 @@ def _initial_point(cfg: SearchConfig, k: int, rng) -> np.ndarray:
     return 0.5 + eps * np.cos(2.0 * np.pi * ((dot + phase) % cfg.p) / cfg.p)
 
 
-def _run_restart(system: LinearSystem, cfg: SearchConfig, k: int, trace: list | None = None):
-    rng = np.random.default_rng([cfg.seed, k])
+def _batch_rows(system: LinearSystem, n: int) -> int:
+    """Restarts per lockstep batch: at most CHUNK // widest rows, where
+    widest is the larger of p^n and the widest block index table, so a
+    batch's stacks stay within a few CHUNK-sized arrays."""
+    size = system.p**n
+    widest = max(
+        [size]
+        + [len(cols) * min(size ** len(cols[0]), CHUNK) for cols in _block_columns(system)]
+    )
+    return max(1, CHUNK // widest)
+
+
+def _run_restart(system: LinearSystem, cfg: SearchConfig, ks, trace: list | None = None):
+    """Run the restarts `ks` in lockstep, one row of one array each.
+
+    Each row keeps its own step size and stop state; one gradient pass
+    serves every row still running, and each backtracking round evaluates
+    every row still searching at once.  Returns (defect, k, colouring,
+    accepted steps, converged) per restart.  With `trace`, one list per
+    restart receives its starting and accepted defects.
+    """
+    ks = list(ks)
     alpha = cfg.pinned_mean()
-    obj = _Objective(system, cfg.property, cfg.l)
-    f = GroupFunction(cfg.p, cfg.n, _project_values(_initial_point(cfg, k, rng), alpha))
-    val = obj.value(f)
+    obj = _Objective(system, cfg.property, cfg.l, cfg.n)
+    x = _project_values(
+        np.stack([_initial_point(cfg, k, np.random.default_rng([cfg.seed, k])) for k in ks]),
+        alpha,
+    )
+    val = obj.value(x)
+    iters = np.zeros(len(ks), dtype=np.int64)
+    converged = np.zeros(len(ks), dtype=bool)
+    running = np.ones(len(ks), dtype=bool)
     if trace is not None:
-        trace.append(val)
-    iters = 0
-    converged = False
+        for row, v in zip(trace, val.tolist()):
+            row.append(v)
     for _ in range(cfg.max_iters):
-        if val < cfg.violation_tol:
+        running &= ~(val < cfg.violation_tol)
+        live = np.flatnonzero(running)
+        if not live.size:
             break
-        grad = obj.gradient(f)
-        pg = f.values - _project_values(f.values - grad, alpha)
-        if float(np.linalg.norm(pg)) < cfg.grad_tol:
-            converged = True
-            break
-        step = cfg.eta0
-        accepted = False
-        while step >= 1e-12:
-            cand = GroupFunction(cfg.p, cfg.n, _project_values(f.values - step * grad, alpha))
-            cand_val = obj.value(cand)
-            if cand_val <= val:
-                f, val = cand, cand_val
-                accepted = True
-                iters += 1
-                if trace is not None:
-                    trace.append(val)
+        grad = obj.gradient(x[live])
+        pg = x[live] - _project_values(x[live] - grad, alpha)
+        # the 1-D norm of each row, as np.linalg.norm(row) computes it
+        flat = np.sqrt([row @ row for row in pg]) < cfg.grad_tol
+        converged[live[flat]] = True
+        running[live[flat]] = False
+        live, grad = live[~flat], grad[~flat]
+        step = np.full(live.size, cfg.eta0)
+        while True:
+            stalled = step < 1e-12
+            converged[live[stalled]] = True
+            running[live[stalled]] = False
+            live, grad, step = live[~stalled], grad[~stalled], step[~stalled]
+            if not live.size:
                 break
-            step *= 0.5
-        if not accepted:
-            converged = True
-            break
-    return val, k, f, iters, converged
+            cand = _project_values(x[live] - step[:, None] * grad, alpha)
+            cand_val = obj.value(cand)
+            ok = cand_val <= val[live]
+            taken = live[ok]
+            x[taken] = cand[ok]
+            val[taken] = cand_val[ok]
+            iters[taken] += 1
+            if trace is not None:
+                for i, v in zip(taken.tolist(), cand_val[ok].tolist()):
+                    trace[i].append(v)
+            live, grad, step = live[~ok], grad[~ok], step[~ok] * 0.5
+    return [
+        (float(val[i]), k, GroupFunction(cfg.p, cfg.n, x[i]), int(iters[i]), bool(converged[i]))
+        for i, k in enumerate(ks)
+    ]
 
 
 def minimize_defect(system: LinearSystem, cfg: SearchConfig) -> SearchResult:
@@ -257,12 +361,14 @@ def minimize_defect(system: LinearSystem, cfg: SearchConfig) -> SearchResult:
     fresh evaluation before reporting."""
     if system.p != cfg.p:
         raise MalformedDocument("config modulus differs from the system modulus")
-    outcomes = [_run_restart(system, cfg, k) for k in range(cfg.restarts)]
-    best = min(outcomes, key=lambda r: (r[0], r[1]))
-    val, k, f, _, converged = best
+    rows = _batch_rows(system, cfg.n)
+    outcomes = []
+    for start in range(0, cfg.restarts, rows):
+        outcomes += _run_restart(system, cfg, range(start, min(start + rows, cfg.restarts)))
+    val, k, f, _, converged = min(outcomes, key=lambda r: (r[0], r[1]))
     total_iters = sum(r[3] for r in outcomes)
-    obj = _Objective(system, cfg.property, cfg.l)
-    revalidated = obj.value(f)
+    obj = _Objective(system, cfg.property, cfg.l, cfg.n)
+    revalidated = float(obj.value(f.values[None])[0])
     return SearchResult(
         best=f,
         best_defect=revalidated,

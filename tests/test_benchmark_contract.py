@@ -1,0 +1,46 @@
+"""The benchmark's span tracer (perfbench/spans.py) wraps private package
+names by string.  A rename must fail here, not in a traced benchmark run.
+The tracer source is only read, never imported as a package module, so
+nothing is written under perfbench/."""
+
+import sys
+import types
+from pathlib import Path
+
+from commonsys import cli, linsys, optimize  # noqa: F401  (cli loads every layer)
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _load_spans() -> types.ModuleType:
+    module = types.ModuleType("perfbench_spans")
+    module.__file__ = str(SPANS)
+    exec(compile(SPANS.read_text(encoding="utf-8"), str(SPANS), "exec"), module.__dict__)
+    return module
+
+
+def _resolve(layer: str, dotted: str):
+    owner = sys.modules[f"commonsys.{layer}"]
+    for part in dotted.split("."):
+        owner = getattr(owner, part)
+    return owner
+
+
+def test_tracer_wraps_and_restores_every_extra_name():
+    spans = _load_spans()
+    originals = {key: _resolve(*key) for key in spans.EXTRA}
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for key, original in originals.items():
+            assert _resolve(*key) is not original, key
+        cfg = optimize.SearchConfig(property="common", p=3, n=1, mean=0.5, restarts=2,
+                                    max_iters=3, seed=1)
+        optimize.minimize_defect(linsys.preset("phi"), cfg)
+    finally:
+        tracer.uninstall()
+    for key, original in originals.items():
+        assert _resolve(*key) is original, key
+    # a search reaches every wrapped name, so no per-layer metric reads 0
+    for name in list(spans.EXTRA.values()) + ["optimize.minimize_defect"]:
+        assert tracer.calls(name) > 0, name

@@ -3,10 +3,15 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
-from commonsys import cli, harmonic
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from commonsys import cli, counting, harmonic
 
 
 def run_main(capsys, *argv):
@@ -148,46 +153,68 @@ class TestSearch:
         assert "result" in payload and save.exists()
 
 
+# p^GIANT_N is a multi-megabyte integer, so a traced peak below 1 MB shows
+# that a giant n was refused before the power was formed
+GIANT_N = 10**7
+
+
+def _run_traced(argv):
+    """Exit code of cli.main(argv), counting an argparse rejection as its
+    exit code, and the peak of traced allocations during the run."""
+    tracemalloc.start()
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return code, peak
+
+
+def _refused_before_power(capsys, *argv):
+    """Assert the size-cap exit, with a traced peak far below the bytes
+    p^n itself would take."""
+    code, peak = _run_traced(argv)
+    assert code == 4 and "exceeds" in capsys.readouterr().err
+    assert peak < 1 << 20, peak
+
+
 class TestOversizedDimension:
     """A huge n is refused with the size-cap exit before p^n is formed."""
 
-    BIG_N = 10**6
+    BIG_N = GIANT_N  # n coset coefficients would take 80 MB
 
     def test_json_function_document(self, capsys, tmp_path):
         path = tmp_path / "f.json"
         path.write_text(json.dumps({"p": 3, "n": self.BIG_N, "values": [0.5]}))
-        code, _, err = run_main(
+        _refused_before_power(
             capsys, "eval", "--system", "phi", "--function", str(path), "--property", "common"
         )
-        assert code == 4 and "exceeds" in err
 
     def test_gfpn_header(self, capsys, tmp_path):
         path = tmp_path / "f.gfpn"
         path.write_bytes(harmonic.GFPN_MAGIC + struct.pack("<III", 3, self.BIG_N, 0) + bytes(8))
-        code, _, err = run_main(
+        _refused_before_power(
             capsys, "eval", "--system", "phi", "--function", str(path), "--property", "common"
         )
-        assert code == 4 and "exceeds" in err
 
     def test_constant(self, capsys):
-        code, _, err = run_main(
+        _refused_before_power(
             capsys, "eval", "--system", "phi", "--const", "0.5", "--n", str(self.BIG_N),
             "--property", "common",
         )
-        assert code == 4 and "exceeds" in err
 
     def test_coset(self, capsys):
-        code, _, err = run_main(
+        _refused_before_power(
             capsys, "eval", "--system", "phi", "--coset", "x1=1", "--n", str(self.BIG_N),
             "--property", "common",
         )
-        assert code == 4 and "exceeds" in err
 
     def test_search(self, capsys):
-        code, _, err = run_main(
+        _refused_before_power(
             capsys, "search", "--system", "phi", "--n", str(self.BIG_N), "--property", "common",
         )
-        assert code == 4 and "exceeds" in err
 
 
 class TestHostileDocuments:
@@ -229,6 +256,44 @@ class TestHostileDocuments:
             )
             code, _, err = self._eval(capsys, path)
             assert code == 2 and "supported" in err, p
+
+
+class TestHostileArguments:
+    """Argument values that used to end in a traceback (exit 1)."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["scan-alpha", "--system", "phi", "--property", "common", "--alphas", "1/0"], 2),
+            (["scan-alpha", "--system", "phi", "--property", "common", "--alphas", "x"], 2),
+            (["search", "--system", "phi", "--property", "common", "--seed", "-1"], 2),
+            (["search", "--system", "ap3", "--property", "alon", "--l", "-1"], 2),
+            (["eval", "--system", "ap3", "--const", "0", "--property", "alon", "--l", "-1",
+              "--method", "brute"], 2),
+            (["eval", "--system", "ap3", "--const", "1/3", "--property", "alon",
+              "--l", str(10**9), "--method", "brute"], 4),
+            (["eval", "--system", "ap3", "--const", "1/3", "--property", "alon",
+              "--l", "10000", "--method", "brute"], 4),
+        ],
+    )
+    def test_documented_exit(self, capsys, argv, code):
+        got, _, err = run_main(capsys, *argv)
+        assert got == code and "error" in err
+
+    def test_exact_value_beyond_the_print_limit(self, capsys, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text('{"p": 3, "n": 1, "values": [1e-1000, 0.5, 1]}')
+        code, _, err = run_main(capsys, "eval", "--system", "phi", "--function", str(path),
+                                "--property", "common", "--method", "brute")
+        assert code == 4 and "digits" in err
+
+    def test_non_finite_gfpn_values(self, capsys, tmp_path):
+        path = tmp_path / "f.gfpn"
+        for bad in (float("inf"), float("nan")):
+            path.write_bytes(harmonic.GFPN_MAGIC + struct.pack("<III3d", 3, 1, 0, 0.5, bad, 0.5))
+            code, _, err = run_main(capsys, "eval", "--system", "phi", "--function", str(path),
+                                    "--property", "common")
+            assert code == 2 and "finite" in err
 
 
 class TestVerifyAndConstants:
@@ -283,3 +348,134 @@ class TestProcessLevel:
             env=self.ENV,
         )
         assert proc.returncode == 2
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed documents and argument combinations
+
+_VALUES = st.one_of(
+    st.floats(-0.5, 1.5),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-(10**30), 10**30),
+    st.sampled_from(["1/3", "1/0", "1e400", "1e-1000", "1e-1001", "0x1", "", "nan", "2/4"]),
+    st.booleans(),
+    st.none(),
+)
+_MODULI = st.one_of(st.sampled_from([3, 5, 7]), st.integers(-3, 12))
+
+
+@st.composite
+def _function_document(draw):
+    """(document bytes, the n its header gives)"""
+    p = draw(_MODULI)
+    n = draw(st.one_of(st.integers(-2, 1), st.just(GIANT_N)))
+    size = p**n if 0 < p and 0 <= n <= 1 else 1
+    kind = draw(st.sampled_from(["json", "gfpn", "bytes"]))
+    if kind == "json":
+        values = draw(st.one_of(st.lists(_VALUES, min_size=size, max_size=size),
+                                st.lists(_VALUES, max_size=12)))
+        doc = draw(st.sampled_from([{"p": p, "n": n, "values": values},
+                                    {"p": p, "values": values}, [p, n, values]]))
+        return json.dumps(doc).encode(), n
+    if kind == "gfpn":
+        count = draw(st.sampled_from([size, 0, size + 1]))
+        body = draw(st.lists(st.floats(allow_nan=True), min_size=count, max_size=count))
+        header = struct.pack("<III", p % 2**32, n % 2**32, draw(st.integers(0, 2**32 - 1)))
+        return harmonic.GFPN_MAGIC + header + struct.pack(f"<{count}d", *body), n
+    return draw(st.binary(max_size=40)), None
+
+
+@st.composite
+def _system_argument(draw, tmp):
+    pick = draw(st.integers(0, 9))
+    if pick < 6:
+        return draw(st.sampled_from(["phi", "a4", "a5", "ap3", "schur"]))
+    if pick == 9:
+        return draw(st.sampled_from(["bogus", str(tmp)]))
+    doc = draw(st.one_of(
+        st.fixed_dictionaries({
+            "p": _MODULI,
+            "matrix": st.lists(st.lists(st.integers(-9, 9), min_size=1, max_size=6),
+                               min_size=1, max_size=3),
+        }),
+        st.fixed_dictionaries({"p": _MODULI, "matrix": st.sampled_from(["x", [], [[]], [[1, "a"]]])}),
+    ))
+    path = tmp / "system.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _flag(draw, name, valid, hostile=(), optional=True):
+    """Leave an optional flag out (1 in 5), give it a hostile value (1 in
+    10), or a valid one."""
+    pick = draw(st.integers(0, 9))
+    if pick < 2 and optional:
+        return []
+    pool = hostile if pick == 9 and hostile else valid
+    return [name, draw(st.sampled_from(pool))]
+
+
+@st.composite
+def _argv(draw, tmp):
+    """(argv, whether the dimension it runs at is GIANT_N)"""
+    sub = draw(st.sampled_from(["eval", "search", "scan-alpha"]))
+    argv = [sub, "--system", draw(_system_argument(tmp))]
+    argv += _flag(draw, "--p", ["3", "5", "7"], ["2", "4", "0", "x"])
+    argv += _flag(draw, "--n", ["1", "2"], ["-1", "0", "x", str(GIANT_N)])
+    giant = str(GIANT_N) in argv
+    argv += _flag(draw, "--property", list(counting.PROPERTIES), ["bogus"], optional=False)
+    argv += _flag(draw, "--l", ["1", "3"], ["-1", "0", str(10**9), "x"])
+    if sub == "eval":
+        source = draw(st.sampled_from(["--const", "--coset", "--function", "two"]))
+        if source in ("--const", "two"):
+            argv += _flag(draw, "--const", ["0.5", "1/3", "0", "1"], ["2", "-1", "1/0", "x"],
+                          optional=False)
+        if source in ("--coset", "two"):
+            argv += _flag(draw, "--coset", ["x1=1", "x1+2x2=2"], ["x9=0", "=1", "x1", "y"],
+                          optional=False)
+        if source == "--function":
+            path = tmp / draw(st.sampled_from(["f.json", "f.gfpn"]))
+            blob, n = draw(_function_document())
+            path.write_bytes(blob)
+            argv += ["--function", str(path)]
+            giant = n == GIANT_N
+        argv += _flag(draw, "--method", ["fourier", "brute", "both"], ["bogus"])
+    else:
+        argv += _flag(draw, "--restarts", ["1", "2"], ["-1", "0"])
+        argv += _flag(draw, "--max-iters", ["0", "1", "3"], ["-2", "x"])
+        argv += _flag(draw, "--seed", ["0", "7"], ["-1", "x"])
+        if sub == "search":
+            argv += _flag(draw, "--alpha", ["0.5", "1/3", "0", "1"], ["2", "-1", "1/0", "x"])
+        else:
+            argv += _flag(draw, "--grid", ["3"], ["2", "x"])
+            argv += _flag(draw, "--alphas", ["0.5", "1/3,1/2", "0,1"], ["2", "1/0", "x"])
+    return argv, giant
+
+
+def _affordable(argv) -> bool:
+    """Leave out valid runs that are merely slow: exact counting at n = 2
+    (phi enumerates 9^7 kernel points) and searches with default budgets."""
+    def value(name):
+        return argv[argv.index(name) + 1] if name in argv else None
+
+    if argv[0] == "eval":
+        return value("--method") in (None, "fourier", "bogus") or value("--n") != "2"
+    return value("--restarts") is not None and value("--max-iters") is not None
+
+
+class TestFuzzedInputs:
+    """Any document or argument combination ends in a documented exit code,
+    never a traceback, and a giant n is refused before p^n is formed."""
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_exit_codes(self, data, tmp_path, capsys):
+        argv, giant = data.draw(_argv(tmp_path))
+        assume(_affordable(argv))
+        code, peak = _run_traced(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4), (argv, code, err)
+        assert "Traceback" not in err
+        if giant:
+            assert peak < 1 << 20, (argv, peak)

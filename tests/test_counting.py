@@ -311,6 +311,22 @@ class TestBatchedRows:
                         one = t_gradient(system, h).values
                         assert np.max(np.abs(grads[r] - one)) <= 1e-12
 
+    def test_row_bits_independent_of_stack(self):
+        # the optimizer batches any number of restarts, so a row's T and G
+        # must be the same bits whatever else shares its stack
+        rng = np.random.default_rng(42)
+        for p in (3, 5):
+            for n in (1, 2, 3):
+                rows = rng.uniform(0, 1, (5, p**n))
+                for system in self._systems(p):
+                    ts = counting._t_rows(system, rows, n)
+                    grads, gts = counting._gradient_rows(system, rows, n)
+                    for r in (1, 2, 4):
+                        assert np.array_equal(counting._t_rows(system, rows[:r], n), ts[:r])
+                        got, got_ts = counting._gradient_rows(system, rows[:r], n)
+                        assert np.array_equal(got, grads[:r])
+                        assert np.array_equal(got_ts, gts[:r])
+
     def test_multi_chunk_tables_agree(self, monkeypatch):
         rng = np.random.default_rng(41)
         f = GroupFunction(3, 2, rng.uniform(0, 1, 9))
@@ -402,6 +418,13 @@ class TestDefect:
         rep = defect(PHI, constant(3, 1, F(1, 2)), "alon", l=10**6, method="brute")
         # exact closed form: 2 * (1/2)^l * 2^-9 - 2^(1-9-l) = 0
         assert rep.value == 0
+
+    def test_exact_power_is_capped(self):
+        third = constant(3, 1, F(1, 3))
+        with pytest.raises(TooLarge):
+            defect(PHI, third, "alon", l=10**9, method="brute")
+        # the float route has no such cap: every term underflows to 0
+        assert defect(PHI, third, "alon", l=10**9).value == 0.0
 
     def test_free_variable_formula_matches_enlarged_system(self):
         rng = np.random.default_rng(26)
