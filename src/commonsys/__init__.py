@@ -24,7 +24,7 @@ from .qsqrt2 import AlgebraicNumber, an_sign
 from .exactpoly import (
     Certificate,
     ExactPoly,
-    eval_exact,
+    SparsePoly,
     isolate_positive_root,
     sturm_sign_on_interval,
     subdivision_positive_on_box,
@@ -42,6 +42,7 @@ __all__ = [
     "LinearSystem",
     "SearchConfig",
     "SearchResult",
+    "SparsePoly",
     "Spectrum",
     "add_free_variables",
     "alon_witness",
@@ -49,7 +50,6 @@ __all__ = [
     "defect",
     "derive_all",
     "dft",
-    "eval_exact",
     "factor_disjoint",
     "idft",
     "is_translation_invariant",

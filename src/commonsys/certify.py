@@ -31,11 +31,10 @@ from .errors import NoSuchL, VerificationFailed
 from .exactpoly import (
     Certificate,
     ExactPoly,
-    ExactPoly2,
     STRICTLY_NEGATIVE,
     STRICTLY_POSITIVE,
+    SparsePoly,
     isolate_positive_root,
-    poly_from_rationals,
     rational_chain_certificate,
     sturm_sign_on_interval,
     subdivision_positive_on_box,
@@ -57,7 +56,7 @@ BINOMIAL_TERMS = 24  # truncation order of the even binomial lower bound
 
 def _binomial_poly(c0, c1, k: int) -> ExactPoly:
     """(c0 + c1 x)^k with rational c0, c1."""
-    return poly_from_rationals([comb(k, j) * c0 ** (k - j) * c1**j for j in range(k + 1)])
+    return ExactPoly([comb(k, j) * c0 ** (k - j) * c1**j for j in range(k + 1)])
 
 
 def low_mean_correction_poly() -> ExactPoly:
@@ -66,8 +65,8 @@ def low_mean_correction_poly() -> ExactPoly:
     Its sign on [0, 1/2] controls the worst-case spectral correction to
     the pair density at means below one half.
     """
-    x5 = poly_from_rationals([0, 0, 0, 0, 0, 1])
-    x4_minus_x5 = poly_from_rationals([0, 0, 0, 0, 1, -1])
+    x5 = ExactPoly([0, 0, 0, 0, 0, 1])
+    x4_minus_x5 = ExactPoly([0, 0, 0, 0, 1, -1])
     one_minus_x5 = _binomial_poly(F(1), F(-1), 5)
     return x5 - x4_minus_x5.scale(INV_SQRT2) - one_minus_x5.scale(INV_2SQRT2)
 
@@ -77,136 +76,38 @@ def prevalence_value_poly() -> ExactPoly:
 
     Its value at 9/20 is the certified prevalence floor c0.
     """
-    x9 = poly_from_rationals([0] * 9 + [1])
+    x9 = ExactPoly([0] * 9 + [1])
     window = _binomial_poly(F(1), F(-1), 4).scale(F(1, 2))
     return x9 + window * low_mean_correction_poly()
 
 
 def product_margin_poly() -> ExactPoly:
     """2^-10 + 2^-8 x - 2^-3 x^2 - x^3; positive on [0, 0.07]."""
-    return poly_from_rationals([F(1, 1024), F(1, 256), -F(1, 8), -1])
+    return ExactPoly([F(1, 1024), F(1, 256), -F(1, 8), -1])
 
 
-def local_margin_poly2() -> ExactPoly2:
+def local_margin_poly2() -> SparsePoly:
     """F(a, x) = a^5 - a^4 x - x^3 in (mean, spectral sup)."""
-    return ExactPoly2({(5, 0): 1, (4, 1): -1, (0, 3): -1})
+    return SparsePoly(2, {(5, 0): 1, (4, 1): -1, (0, 3): -1})
 
 
 def convexity_floor_poly(k: int) -> ExactPoly:
     """x^k + (1-x)^k - 2^(1-k); nonnegative on [0,1], vanishing at 1/2."""
-    xk = poly_from_rationals([0] * k + [1])
-    return xk + _binomial_poly(F(1), F(-1), k) - poly_from_rationals([F(2) ** (1 - k)])
+    xk = ExactPoly([0] * k + [1])
+    return xk + _binomial_poly(F(1), F(-1), k) - ExactPoly([F(2) ** (1 - k)])
 
 
-# ---------------------------------------------------------------------------
-# Sparse multivariate polynomials over Q(sqrt(2)), used for the exact
-# expansion of the pair product and its mean derivative.
-
-
-class _MPoly:
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms: dict | None = None):
-        self.nvars = nvars
-        self.terms = {}
-        for e, c in (terms or {}).items():
-            c = c if isinstance(c, AlgebraicNumber) else AlgebraicNumber(F(c), 0)
-            if c != AlgebraicNumber(0, 0):
-                self.terms[tuple(e)] = c
-
-    @classmethod
-    def const(cls, nvars, c):
-        return cls(nvars, {(0,) * nvars: c})
-
-    @classmethod
-    def variable(cls, nvars, i):
-        e = [0] * nvars
-        e[i] = 1
-        return cls(nvars, {tuple(e): 1})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, AlgebraicNumber(0, 0)) + c
-        return _MPoly(self.nvars, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __mul__(self, other):
-        out = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                out[e] = out.get(e, AlgebraicNumber(0, 0)) + ca * cb
-        return _MPoly(self.nvars, out)
-
-    def scale(self, k):
-        k = k if isinstance(k, AlgebraicNumber) else AlgebraicNumber(F(k), 0)
-        return _MPoly(self.nvars, {e: c * k for e, c in self.terms.items()})
-
-    def power(self, k: int):
-        out = _MPoly.const(self.nvars, 1)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def diff(self, var: int):
-        out = {}
-        for e, c in self.terms.items():
-            if e[var]:
-                e2 = list(e)
-                e2[var] -= 1
-                out[tuple(e2)] = out.get(tuple(e2), AlgebraicNumber(0, 0)) + c * e[var]
-        return _MPoly(self.nvars, out)
-
-    def shift(self, var: int, center: Fraction):
-        """Substitute x_var -> center + u."""
-        out = {}
-        for e, c in self.terms.items():
-            k = e[var]
-            for j in range(k + 1):
-                coeff = c * AlgebraicNumber(comb(k, j) * center ** (k - j), 0)
-                e2 = list(e)
-                e2[var] = j
-                key = tuple(e2)
-                out[key] = out.get(key, AlgebraicNumber(0, 0)) + coeff
-        return _MPoly(self.nvars, out)
-
-    def monomial_abs_bound(self, radii) -> AlgebraicNumber:
-        """sum |c| * prod radii^exponents; bounds |P| when |x_i| <= radii[i]."""
-        total = AlgebraicNumber(0, 0)
-        for e, c in self.terms.items():
-            term = abs(c)
-            for r, k in zip(radii, e):
-                term = term * r**k
-            total = total + term
-        return total
-
-    def to_list(self):
-        return [
-            [list(e), format_algebraic(c)] for e, c in sorted(self.terms.items())
-        ]
-
-
-def pair_product_trivariate() -> _MPoly:
+def pair_product_trivariate() -> SparsePoly:
     """The exact product of the two pair densities as a polynomial in
     (mean a, quad density T4, quintic density T5):
 
         (a^9 + a^5 T4 + a^4 T5 + T4 T5)
       * ((1-a)^9 + (1-a)^5 T4 - (1-a)^4 T5 - T4 T5).
     """
-    a = _MPoly.variable(3, 0)
-    t4 = _MPoly.variable(3, 1)
-    t5 = _MPoly.variable(3, 2)
-    one_minus = _MPoly.const(3, 1) - a
-    u = a.power(9) + a.power(5) * t4 + a.power(4) * t5 + t4 * t5
-    v = (
-        one_minus.power(9)
-        + one_minus.power(5) * t4
-        - one_minus.power(4) * t5
-        - t4 * t5
-    )
+    a, t4, t5 = (SparsePoly.variable(3, i) for i in range(3))
+    b = 1 - a
+    u = a**9 + a**5 * t4 + a**4 * t5 + t4 * t5
+    v = b**9 + b**5 * t4 - b**4 * t5 - t4 * t5
     return u * v
 
 
@@ -261,7 +162,7 @@ LEMMA_SUITE_NAMES = (
 def _certify_convexity_floor(k: int) -> Certificate:
     """x^k + (1-x)^k >= 2^(1-k) on [0,1] via the exact square factor at 1/2."""
     base = convexity_floor_poly(k)
-    lin = poly_from_rationals([-F(1, 2), 1])
+    lin = ExactPoly([-F(1, 2), 1])
     quotient, rem = base.divmod(lin * lin)
     if not rem.is_zero():
         raise VerificationFailed(f"degree-{k} convexity floor: square factor does not divide")
@@ -405,7 +306,7 @@ def derive_c0() -> tuple[Fraction, Certificate]:
 
 def spectral_radius_margin_poly() -> ExactPoly:
     """(1/3)^5 - (1/3)^4 x - x^3: the binding slice of the local margin."""
-    return poly_from_rationals([F(1, 243), -F(1, 81), 0, -1])
+    return ExactPoly([F(1, 243), -F(1, 81), 0, -1])
 
 
 def derive_c1() -> tuple[Fraction, dict[str, Certificate]]:
@@ -488,7 +389,7 @@ def derive_c2_c3_C4() -> tuple[Fraction, Fraction, Fraction, dict[str, Certifica
         if candidate <= 0:
             continue
         verdict, cert = sturm_sign_on_interval(
-            margin - poly_from_rationals([candidate]), 0, t4max
+            margin - ExactPoly([candidate]), 0, t4max
         )
         if verdict == STRICTLY_POSITIVE:
             mu, floor_cert = candidate, cert

@@ -1,5 +1,5 @@
-"""Exact univariate/bivariate polynomials over Q(sqrt(2)) and certified
-sign claims.
+"""Exact polynomials over Q(sqrt(2)), univariate dense and sparse
+multivariate, and certified sign claims.
 
 Three certificate methods are produced here and re-checked by
 `verify_certificate`, a separate pass that re-derives every recorded
@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
+from operator import add
 
 from .errors import (
     DepthExhausted,
@@ -37,6 +38,7 @@ from .qsqrt2 import (
 )
 
 MAX_DEGREE = 64
+MAX_SUBDIVISION_DEPTH = 40
 
 STRICTLY_POSITIVE = "StrictlyPositive"
 STRICTLY_NEGATIVE = "StrictlyNegative"
@@ -141,21 +143,12 @@ class ExactPoly:
 
     def normalized(self) -> ExactPoly:
         """Divide by the positive rational content; signs are unchanged."""
-        nums, dens = [], []
-        for c in self.coeffs:
-            for f in (c.a, c.b):
-                if f:
-                    nums.append(abs(f.numerator))
-                    dens.append(f.denominator)
-        if not nums:
+        parts = [f for c in self.coeffs for f in (c.a, c.b) if f]
+        if not parts:
             return self
-        g = 0
-        for x in nums:
-            g = _gcd(g, x)
-        l = 1
-        for x in dens:
-            l = l * x // _gcd(l, x)
-        return self.scale(Fraction(l, g))
+        num = gcd(*(f.numerator for f in parts))
+        den = lcm(*(f.denominator for f in parts))
+        return self.scale(Fraction(den, num))
 
     def to_strings(self) -> list[str]:
         return [format_algebraic(c) for c in self.coeffs]
@@ -163,21 +156,6 @@ class ExactPoly:
     @classmethod
     def from_strings(cls, items) -> ExactPoly:
         return cls([parse_algebraic(s) for s in items])
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def poly_from_rationals(coeffs) -> ExactPoly:
-    return ExactPoly([AlgebraicNumber(Fraction(c), 0) for c in coeffs])
-
-
-def eval_exact(poly: ExactPoly, x) -> AlgebraicNumber:
-    """Horner evaluation at an exact point."""
-    return poly.eval(x)
 
 
 # ---------------------------------------------------------------------------
@@ -359,68 +337,147 @@ class ExactInterval:
         return cls(_an(lo), _an(hi))
 
 
-class ExactPoly2:
-    """Bivariate polynomial over Q(sqrt(2)); coefficient of x^i y^j at (i, j)."""
+class SparsePoly:
+    """Polynomial in `nvars` variables over Q(sqrt(2)): an immutable map
+    from exponent tuples to nonzero coefficients.  Terms may be given as
+    (exponent, coefficient) pairs; repeated exponents add up.  Every
+    exponent is capped at MAX_DEGREE, like ExactPoly's degree, so that no
+    witness can ask the checker for x^200000."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("nvars", "terms")
 
-    def __init__(self, terms):
-        cleaned = {}
-        for (i, j), c in dict(terms).items():
-            c = _an(c)
-            if c != ZERO:
-                cleaned[(int(i), int(j))] = c
-        object.__setattr__(self, "terms", cleaned)
+    def __init__(self, nvars: int, terms=()):
+        out = {}
+        for e, c in terms.items() if isinstance(terms, dict) else terms:
+            e = tuple(int(k) for k in e)
+            if len(e) != nvars or not all(0 <= k <= MAX_DEGREE for k in e):
+                raise ValueError(f"exponent {e} is not {nvars} integers in 0..{MAX_DEGREE}")
+            out[e] = out.get(e, ZERO) + _an(c)
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "terms", {e: c for e, c in out.items() if c != ZERO})
 
     def __setattr__(self, name, value):
-        raise AttributeError("ExactPoly2 is immutable")
-
-    def eval(self, x, y) -> AlgebraicNumber:
-        x, y = _an(x), _an(y)
-        acc = ZERO
-        for (i, j), c in self.terms.items():
-            acc = acc + c * x**i * y**j
-        return acc
-
-    def interval_eval(self, ix: ExactInterval, iy: ExactInterval) -> ExactInterval:
-        """Interval range bound via Horner in x with inner Horner in y."""
-        if not self.terms:
-            return ExactInterval(ZERO, ZERO)
-        deg_x = max(i for i, _ in self.terms)
-        rows = []
-        for i in range(deg_x + 1):
-            row = {j: c for (ii, j), c in self.terms.items() if ii == i}
-            rows.append(row)
-        zero_iv = ExactInterval(ZERO, ZERO)
-        acc = zero_iv
-        for i in range(deg_x, -1, -1):
-            inner = zero_iv
-            row = rows[i]
-            if row:
-                deg_y = max(row)
-                for j in range(deg_y, -1, -1):
-                    c = row.get(j, ZERO)
-                    inner = inner * iy + ExactInterval.point(c)
-            acc = acc * ix + inner
-        return acc
-
-    def to_list(self):
-        return [[i, j, format_algebraic(c)] for (i, j), c in sorted(self.terms.items())]
+        raise AttributeError("SparsePoly is immutable")
 
     @classmethod
-    def from_list(cls, items):
-        return cls({(i, j): parse_algebraic(c) for i, j, c in items})
+    def variable(cls, nvars: int, i: int) -> SparsePoly:
+        return cls(nvars, {tuple(int(k == i) for k in range(nvars)): 1})
+
+    def __eq__(self, other) -> bool:
+        # the exponent length carries the arity of every nonzero polynomial
+        return isinstance(other, SparsePoly) and self.terms == other.terms
+
+    def _lift(self, other) -> SparsePoly:
+        if isinstance(other, SparsePoly):
+            return other
+        return SparsePoly(self.nvars, {(0,) * self.nvars: other})
+
+    def __add__(self, other) -> SparsePoly:
+        return SparsePoly(self.nvars, [*self.terms.items(), *self._lift(other).terms.items()])
+
+    def __sub__(self, other) -> SparsePoly:
+        return self + self._lift(other).scale(-1)
+
+    def __rsub__(self, other) -> SparsePoly:
+        return self.scale(-1) + other
+
+    def __mul__(self, other) -> SparsePoly:
+        lhs, rhs = self.terms.items(), self._lift(other).terms.items()
+        products = [(tuple(map(add, e, f)), c * d) for e, c in lhs for f, d in rhs]
+        return SparsePoly(self.nvars, products)
+
+    def __pow__(self, k: int) -> SparsePoly:
+        out = self._lift(1)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def scale(self, k) -> SparsePoly:
+        k = _an(k)
+        return SparsePoly(self.nvars, {e: c * k for e, c in self.terms.items()})
+
+    def diff(self, var: int) -> SparsePoly:
+        terms = [(_put(e, var, e[var] - 1), c * e[var]) for e, c in self.terms.items() if e[var]]
+        return SparsePoly(self.nvars, terms)
+
+    def shift(self, var: int, center) -> SparsePoly:
+        """Substitute x_var -> center + x_var."""
+        center = Fraction(center)
+        return SparsePoly(
+            self.nvars,
+            [
+                (_put(e, var, j), c * (comb(e[var], j) * center ** (e[var] - j)))
+                for e, c in self.terms.items()
+                for j in range(e[var] + 1)
+            ],
+        )
+
+    def eval(self, *point) -> AlgebraicNumber:
+        point = [_an(x) for x in point]
+        acc = ZERO
+        for e, c in self.terms.items():
+            for x, k in zip(point, e, strict=True):
+                c = c * x**k
+            acc = acc + c
+        return acc
+
+    def interval_eval(self, *intervals: ExactInterval) -> ExactInterval:
+        """Interval range bound by dense Horner: the first variable is
+        outermost and every power down to zero is stepped through, rows
+        without terms included.  The accepted subdivision boxes, and so the
+        certificate trees, depend on exactly this order."""
+        if self.terms and len(intervals) != self.nvars:
+            raise ValueError(f"{len(intervals)} intervals for {self.nvars} variables")
+        zero_iv = ExactInterval(ZERO, ZERO)
+
+        def horner(terms, k):
+            if not terms:
+                return zero_iv
+            if k == len(intervals):
+                return ExactInterval.point(terms[()])
+            rows = {}
+            for e, c in terms.items():
+                rows.setdefault(e[0], {})[e[1:]] = c
+            acc = zero_iv
+            for i in range(max(rows), -1, -1):
+                acc = acc * intervals[k] + horner(rows.get(i), k + 1)
+            return acc
+
+        return horner(self.terms, 0)
+
+    def monomial_abs_bound(self, radii) -> AlgebraicNumber:
+        """sum |c| * prod radii^exponents; bounds |P| when |x_i| <= radii[i]."""
+        return SparsePoly(self.nvars, {e: abs(c) for e, c in self.terms.items()}).eval(*radii)
+
+    def to_list(self) -> list:
+        return [[list(e), format_algebraic(c)] for e, c in sorted(self.terms.items())]
+
+    @classmethod
+    def from_list(cls, rows) -> SparsePoly:
+        """Read rows [e1, ..., ek, c] or [[e1, ..., ek], c]; every row must
+        have the same k, which becomes nvars (0 for no rows)."""
+        pairs = []
+        for *e, c in rows:
+            if len(e) == 1 and isinstance(e[0], (list, tuple)):
+                e = e[0]
+            pairs.append((e, parse_algebraic(c)))
+        return cls(len(pairs[0][0]) if pairs else 0, pairs)
 
 
-def subdivision_positive_on_box(poly2: ExactPoly2, box, max_depth: int):
+def _put(e: tuple, var: int, k: int) -> tuple:
+    """The exponent tuple e with entry `var` replaced by k."""
+    return e[:var] + (k,) + e[var + 1 :]
+
+
+def subdivision_positive_on_box(poly2: SparsePoly, box, max_depth: int):
     """Certify poly2 >= 0 on the rational box, or refute with a witness point.
 
     Returns (True, Certificate) on success, (False, Certificate) with an
     exact negative witness on refutation, and raises DepthExhausted when the
     depth cap is reached with the sign still unresolved.
     """
-    if max_depth > 40:
-        raise ValueError("max_depth capped at 40")
+    if max_depth > MAX_SUBDIVISION_DEPTH:
+        raise ValueError(f"max_depth capped at {MAX_SUBDIVISION_DEPTH}")
     x_lo, x_hi, y_lo, y_hi = (Fraction(v) for v in box)
     box0 = (x_lo, x_hi, y_lo, y_hi)
 
@@ -470,13 +527,15 @@ def subdivision_positive_on_box(poly2: ExactPoly2, box, max_depth: int):
         return node
 
     tree = build(box0, 0)
+    # the poly2 witness keeps its flat [i, j, coefficient] rows
+    rows = [[*e, c] for e, c in poly2.to_list()]
     if "negative_at" in tree:
         wx, wy = Fraction(tree["negative_at"][0]), Fraction(tree["negative_at"][1])
         cert = Certificate(
             claim=f"bivariate polynomial is NOT nonnegative on box {box0}",
             method="subdivision",
             witness={
-                "poly2": poly2.to_list(),
+                "poly2": rows,
                 "box": [str(v) for v in box0],
                 "result": False,
                 "witness_point": [str(wx), str(wy)],
@@ -489,7 +548,7 @@ def subdivision_positive_on_box(poly2: ExactPoly2, box, max_depth: int):
         claim=f"bivariate polynomial is nonnegative on box {box0}",
         method="subdivision",
         witness={
-            "poly2": poly2.to_list(),
+            "poly2": rows,
             "box": [str(v) for v in box0],
             "result": True,
             "tree": tree,
@@ -535,15 +594,24 @@ def rational_chain_certificate(claim: str, steps: list[dict]) -> Certificate:
 
 
 def check_certificate(cert: Certificate) -> None:
-    """Re-verify a certificate from its witness alone; raises on failure."""
-    if cert.method == "sturm":
-        _check_sturm(cert)
-    elif cert.method == "subdivision":
-        _check_subdivision(cert)
-    elif cert.method == "rational_chain":
-        _check_chain(cert)
-    else:
-        raise VerificationFailed(f"unknown certificate method {cert.method!r}", cert)
+    """Re-verify a certificate from its witness alone; raises
+    VerificationFailed on failure, a malformed witness included."""
+    # a witness is outside input (often read back from JSON): a missing
+    # key, a wrong type, a bad literal or an out-of-range exponent is a
+    # failed check, not a crash
+    try:
+        if cert.method == "sturm":
+            _check_sturm(cert)
+        elif cert.method == "subdivision":
+            _check_subdivision(cert)
+        elif cert.method == "rational_chain":
+            _check_chain(cert)
+        else:
+            raise VerificationFailed(f"unknown certificate method {cert.method!r}", cert)
+    except (
+        ArithmeticError, AttributeError, LookupError, TypeError, ValueError, ZeroPolynomial
+    ) as err:
+        _fail(cert, f"malformed witness: {err!r}")
 
 
 def verify_certificate(cert: Certificate) -> bool:
@@ -579,7 +647,7 @@ def _check_sturm(cert: Certificate) -> None:
         # the quotient by (x - center)^2; verify the exact factorization
         base = ExactPoly.from_strings(w["square_factor"]["base"])
         center = Fraction(w["square_factor"]["center"])
-        lin = poly_from_rationals([-center, 1])
+        lin = ExactPoly([-center, 1])
         if not (poly * lin * lin == base):
             _fail(cert, "square-factor decomposition does not reproduce the base polynomial")
     lo, hi = Fraction(w["interval"][0]), Fraction(w["interval"][1])
@@ -635,7 +703,7 @@ def _check_sturm(cert: Certificate) -> None:
 
 def _check_subdivision(cert: Certificate) -> None:
     w = cert.witness
-    poly2 = ExactPoly2.from_list(w["poly2"])
+    poly2 = SparsePoly.from_list(w["poly2"])
     box = tuple(Fraction(v) for v in w["box"])
     if not w["result"]:
         wx, wy = Fraction(w["witness_point"][0]), Fraction(w["witness_point"][1])
@@ -645,7 +713,9 @@ def _check_subdivision(cert: Certificate) -> None:
             _fail(cert, "witness point does not evaluate negative")
         return
 
-    def walk(node, b):
+    def walk(node, b, depth):
+        if depth > MAX_SUBDIVISION_DEPTH:
+            _fail(cert, f"tree deeper than the depth cap {MAX_SUBDIVISION_DEPTH}")
         if [str(v) for v in b] != node["box"]:
             _fail(cert, "tree box does not match the recorded split structure")
         if node["status"] == "accepted":
@@ -668,9 +738,9 @@ def _check_subdivision(cert: Certificate) -> None:
         if len(children) != 2:
             _fail(cert, "split node without two children")
         for child, cb in zip(children, sub):
-            walk(child, cb)
+            walk(child, cb, depth + 1)
 
-    walk(w["tree"], box)
+    walk(w["tree"], box, 0)
 
 
 _LEMMAS = {
@@ -705,9 +775,9 @@ def _check_chain(cert: Certificate) -> None:
         if kind == "cmp":
             _check_cmp(cert, step)
         elif kind == "poly_identity":
-            lhs = _terms_from_list(step["lhs"])
-            rhs = _terms_from_list(step["rhs"])
-            if lhs != rhs:
+            # duplicate exponents add up, so recorded term lists may be
+            # the uncollected distributive expansion
+            if SparsePoly.from_list(step["lhs"]) != SparsePoly.from_list(step["rhs"]):
                 _fail(cert, f"step {idx}: polynomial identity fails")
         elif kind == "lemma":
             if step.get("name") not in _LEMMAS:
@@ -727,21 +797,17 @@ def _check_chain(cert: Certificate) -> None:
         elif kind == "monomial_abs_bound":
             bound = parse_algebraic(step["bound"])
             radii = [parse_algebraic(r) for r in step["radii"]]
-            total = ZERO
-            for exps, coeff in step["poly"]:
-                term = abs(parse_algebraic(coeff))
-                for r, e in zip(radii, exps):
-                    term = term * r ** int(e)
-                total = total + term
+            total = SparsePoly.from_list(step["poly"]).monomial_abs_bound(radii)
             if an_sign(bound - total) < 0:
                 _fail(cert, f"monomial bound {step['bound']} below the exact sum")
         elif kind == "even_binomial_value":
             l = int(step["l"])
             xsq = Fraction(step["xsq"])
             value = Fraction(step["value"])
-            total = sum(
-                Fraction(comb(l, 2 * j)) * xsq**j for j in range(int(step["terms"]) + 1)
-            )
+            terms = int(step["terms"])
+            if terms > MAX_DEGREE:
+                _fail(cert, f"step {idx}: partial sum longer than {MAX_DEGREE} terms")
+            total = sum(Fraction(comb(l, 2 * j)) * xsq**j for j in range(terms + 1))
             if total != value:
                 _fail(cert, "even binomial partial sum does not match")
         elif kind == "poly_eval":
@@ -770,16 +836,3 @@ def _check_cmp(cert: Certificate, step: dict) -> None:
         _fail(cert, f"unknown comparison operator {op!r}")
     if not ok:
         _fail(cert, f"comparison fails: {step['lhs']} {op} {step['rhs']}")
-
-
-def _terms_from_list(items) -> dict:
-    # duplicate exponent tuples accumulate, so recorded term lists may be
-    # the uncollected distributive expansion
-    out = {}
-    for entry in items:
-        *exps, coeff = entry
-        if len(exps) == 1 and isinstance(exps[0], (list, tuple)):
-            exps = exps[0]
-        key = tuple(int(e) for e in exps)
-        out[key] = out.get(key, ZERO) + parse_algebraic(coeff)
-    return {k: v for k, v in out.items() if v != ZERO}

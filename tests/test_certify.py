@@ -1,3 +1,7 @@
+import copy
+import hashlib
+import json
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +19,7 @@ from commonsys.certify import (
     verify_lemma_suite,
 )
 from commonsys.errors import VerificationFailed
-from commonsys.exactpoly import subdivision_positive_on_box
+from commonsys.exactpoly import subdivision_positive_on_box, verify_certificate
 from commonsys.qsqrt2 import AlgebraicNumber, an_sign
 
 F = Fraction
@@ -185,6 +189,19 @@ class TestL0:
         again = derive_all()
         assert again.to_dict() == ledger.to_dict()
 
+    def test_certified_outputs_are_pinned(self, ledger):
+        # SHA-256 of the canonical JSON of the ledger and of the lemma suite:
+        # any change to a certified number or a witness byte shows here
+        def digest(obj):
+            return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+        assert digest(ledger.to_dict()) == (
+            "2f6f38874ca15d2fc9306e67d0ae4ec7ffeb8956565f53d12bbd9cad8a065dbc"
+        )
+        assert digest([c.to_dict() for c in verify_lemma_suite()]) == (
+            "69f5f0c038b345a6bc4e13db29e006aa776909111e4209ba55d8b220408baa9d"
+        )
+
     def test_window_condition_covers_case_split(self, ledger):
         # c5/sqrt(l0) <= 1/6 keeps the balanced regimes inside [1/3, 2/3]
         assert ledger.c5 <= F(1, 6) * certify._sqrt_lower_int(ledger.l0)
@@ -270,3 +287,93 @@ class TestCheckerSoundness:
                 assert not verify_certificate(broken), f"tamper not caught: {name}"
                 tampered += 1
         assert tampered >= len(pool) - 2  # nearly every certificate is tamperable
+
+
+@pytest.fixture(scope="module")
+def real_certs(ledger):
+    suite = verify_lemma_suite()
+    certs = {
+        "sturm": ledger.certificates["spectral_radius_c1_root"],
+        "subdivision": ledger.certificates["spectral_radius_c1_box"],
+        "identity": suite[6],
+        "monomial": ledger.certificates["derivative_bound_C4"],
+        "binomial": ledger.certificates["condition_growth"],
+    }
+    assert all(verify_certificate(c) for c in certs.values())
+    return certs
+
+
+def _step(w, kind):
+    return next(s for s in w["steps"] if s["kind"] == kind)
+
+
+def _on_both_sides(w, row):
+    step = _step(w, "poly_identity")
+    step["lhs"].append(row)
+    step["rhs"].append(list(row))
+
+
+def _deep_tree(w, depth=1000):
+    """Replace the tree by a split chain `depth` levels deep whose boxes all
+    match the split structure, so only a depth cap can stop the walk."""
+    b = [Fraction(v) for v in w["box"]]
+    root = node = {}
+    for _ in range(depth):
+        mid = (b[0] + b[1]) / 2
+        child = {}
+        leaf = {"box": [str(v) for v in (mid, *b[1:])], "status": "accepted"}
+        node.update(box=[str(v) for v in b], status="split", axis=0, children=[child, leaf])
+        node, b = child, [b[0], mid, *b[2:]]
+    node.update(box=[str(v) for v in b], status="accepted")
+    w["tree"] = root
+
+
+_ONE = "1 + 0*sqrt2"
+_SQRT2 = "0 + 1*sqrt2"
+MALFORMED = {
+    "sturm-missing-key": ("sturm", lambda w: w.pop("chain")),
+    "sturm-bad-literal": ("sturm", lambda w: w["poly"].insert(0, "x")),
+    "sturm-degree-65": ("sturm", lambda w: w.update(poly=[_ONE] * 66)),
+    "subdivision-missing-key": ("subdivision", lambda w: w.pop("poly2")),
+    "subdivision-bad-literal": ("subdivision", lambda w: w["poly2"].append([0, 0, "x"])),
+    "subdivision-mixed-rows": ("subdivision", lambda w: w["poly2"].append([1, _ONE])),
+    "subdivision-exponent-65": ("subdivision", lambda w: w["poly2"].append([65, 0, _SQRT2])),
+    "subdivision-exponent-200000": (
+        "subdivision",
+        lambda w: w["poly2"].append([200000, 0, _SQRT2]),
+    ),
+    "subdivision-deep-tree": ("subdivision", _deep_tree),
+    "subdivision-unknown-status": ("subdivision", lambda w: w["tree"].update(status="bogus")),
+    "identity-missing-key": ("identity", lambda w: _step(w, "poly_identity").pop("rhs")),
+    "identity-bad-literal": ("identity", lambda w: _on_both_sides(w, [0, 0, "x"])),
+    "identity-mixed-rows": ("identity", lambda w: _on_both_sides(w, [1, _ONE])),
+    "identity-exponent-65": ("identity", lambda w: _on_both_sides(w, [65, 0, _ONE])),
+    "identity-exponent-200000": ("identity", lambda w: _on_both_sides(w, [200000, 0, _ONE])),
+    "monomial-bad-literal": (
+        "monomial",
+        lambda w: _step(w, "monomial_abs_bound")["radii"].insert(0, "x"),
+    ),
+    "monomial-mixed-rows": (
+        "monomial",
+        lambda w: _step(w, "monomial_abs_bound")["poly"].append([[1, 2], _ONE]),
+    ),
+    "monomial-exponent-200000": (
+        "monomial",
+        lambda w: _step(w, "monomial_abs_bound")["poly"].append([[200000, 0, 0], _ONE]),
+    ),
+    "binomial-terms-1e9": (
+        "binomial",
+        lambda w: _step(w, "even_binomial_value").update(terms=10**9),
+    ),
+}
+
+
+class TestMalformedWitness:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_rejected_quickly_without_raising(self, real_certs, case):
+        name, mutate = MALFORMED[case]
+        cert = copy.deepcopy(real_certs[name])
+        mutate(cert.witness)
+        start = time.perf_counter()
+        assert verify_certificate(cert) is False
+        assert time.perf_counter() - start < 1.0

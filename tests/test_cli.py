@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from commonsys import cli, counting, harmonic
+from commonsys.exactpoly import Certificate, verify_certificate
 
 
 def run_main(capsys, *argv):
@@ -296,6 +297,11 @@ class TestHostileArguments:
             assert code == 2 and "finite" in err
 
 
+def _recheck(document) -> bool:
+    """Re-verify a written certificate from its JSON alone."""
+    return verify_certificate(Certificate.from_dict(document))
+
+
 class TestVerifyAndConstants:
     def test_verify_writes_seven_certificates(self, capsys, tmp_path):
         out_path = tmp_path / "certs.json"
@@ -305,6 +311,7 @@ class TestVerifyAndConstants:
         saved = json.loads(out_path.read_text())
         assert len(saved["certificates"]) == 7
         assert all(c["verified"] for c in saved["certificates"])
+        assert all(_recheck(c) for c in saved["certificates"])
 
     def test_constants_ledger(self, capsys, tmp_path):
         out_path = tmp_path / "ledger.json"
@@ -315,6 +322,7 @@ class TestVerifyAndConstants:
             assert Fraction(saved[key]) > 0
         assert 1 <= saved["l0"] <= 10**7
         assert all(r["satisfied"] for r in saved["conditions_at_l0"])
+        assert all(_recheck(c) for c in saved["certificates"].values())
 
     def test_check_l_below_threshold_fails(self, capsys):
         code, out, _ = run_main(capsys, "constants", "--check-l", "100")

@@ -19,11 +19,9 @@ from commonsys.exactpoly import (
     STRICTLY_POSITIVE,
     Certificate,
     ExactPoly,
-    ExactPoly2,
+    SparsePoly,
     check_certificate,
-    eval_exact,
     isolate_positive_root,
-    poly_from_rationals,
     rational_chain_certificate,
     sturm_chain,
     sturm_sign_on_interval,
@@ -105,16 +103,16 @@ class TestAlgebraicNumber:
 
 class TestExactPoly:
     def test_eval_constant_term(self):
-        p = poly_from_rationals([F(5, 3), 1, 2])
-        assert eval_exact(p, 0) == AlgebraicNumber(F(5, 3), 0)
+        p = ExactPoly([F(5, 3), 1, 2])
+        assert p.eval(0) == AlgebraicNumber(F(5, 3), 0)
 
     def test_eval_double_root(self):
-        p = poly_from_rationals([1, -2, 1])  # (x-1)^2
-        assert eval_exact(p, 1) == AlgebraicNumber(0, 0)
+        p = ExactPoly([1, -2, 1])  # (x-1)^2
+        assert p.eval(1) == AlgebraicNumber(0, 0)
 
     def test_divmod_reconstructs(self):
-        a = poly_from_rationals([1, 2, 0, 1, 5])
-        b = poly_from_rationals([3, 1, 2])
+        a = ExactPoly([1, 2, 0, 1, 5])
+        b = ExactPoly([3, 1, 2])
         q, r = a.divmod(b)
         assert q * b + r == a
         assert r.degree < b.degree
@@ -124,9 +122,36 @@ class TestExactPoly:
             ExactPoly([1] * 70)
 
 
+class TestSparsePoly:
+    def test_from_list_reads_every_row_form_and_adds_repeats(self):
+        want = SparsePoly(2, {(1, 0): 3, (0, 2): F(1, 2)})
+        flat = [[1, 0, "1"], [0, 2, "1/2 + 0*sqrt2"], [1, 0, "2"]]
+        nested = [[[1, 0], "3 + 0*sqrt2"], [[0, 2], "1/2"]]
+        assert SparsePoly.from_list(flat) == want
+        assert SparsePoly.from_list(nested) == want
+        assert SparsePoly.from_list(want.to_list()) == want
+
+    def test_rejects_mixed_widths_and_out_of_range_exponents(self):
+        for rows in ([[1, 0, "1"], [1, "1"]], [[65, 0, "1"]], [[-1, 0, "1"]]):
+            with pytest.raises(ValueError):
+                SparsePoly.from_list(rows)
+
+    def test_algebra_agrees_with_pointwise_evaluation(self):
+        x, y = SparsePoly.variable(2, 0), SparsePoly.variable(2, 1)
+        sqrt2 = AlgebraicNumber(0, 1)
+        p = (1 - x) ** 3 * y + x * 2 - y.scale(sqrt2)
+        for a, b in ((F(1, 3), F(-2, 5)), (F(3), F(1, 7))):
+            assert p.eval(a, b) == AlgebraicNumber((1 - a) ** 3 * b + 2 * a, -b)
+            assert p.diff(0).eval(a, b) == AlgebraicNumber(-3 * (1 - a) ** 2 * b + 2, 0)
+            assert p.shift(0, F(1, 2)).eval(a, b) == p.eval(a + F(1, 2), b)
+        # |1 - sqrt2| y + 3|x y| + 3|x^2 y| + |x^3 y| + 2|x| at the unit radii
+        bound = p.monomial_abs_bound([AlgebraicNumber(1, 0), AlgebraicNumber(1, 0)])
+        assert bound == AlgebraicNumber(-1 + 3 + 3 + 1 + 2, 1)
+
+
 class TestSturm:
     def test_product_margin_positive(self):
-        s = poly_from_rationals([F(1, 1024), F(1, 256), -F(1, 8), -1])
+        s = ExactPoly([F(1, 1024), F(1, 256), -F(1, 8), -1])
         verdict, cert = sturm_sign_on_interval(s, 0, F(7, 100))
         assert verdict == STRICTLY_POSITIVE and cert.verified
 
@@ -141,12 +166,12 @@ class TestSturm:
         assert verdict == STRICTLY_NEGATIVE and cert.verified
 
     def test_sqrt2_has_root(self):
-        p = poly_from_rationals([-2, 0, 1])
+        p = ExactPoly([-2, 0, 1])
         verdict, cert = sturm_sign_on_interval(p, 1, 2)
         assert verdict == HAS_ROOT and cert.verified
 
     def test_endpoint_root(self):
-        p = poly_from_rationals([0, 1])
+        p = ExactPoly([0, 1])
         verdict, _ = sturm_sign_on_interval(p, 0, 1)
         assert verdict == HAS_ROOT
 
@@ -162,7 +187,7 @@ class TestSturm:
             coeffs = [int(rng.integers(-9, 10)) for _ in range(deg)] + [
                 int(rng.integers(1, 10))
             ]
-            poly = poly_from_rationals(coeffs)
+            poly = ExactPoly(coeffs)
             if an_sign(poly.eval(lo)) == 0 or an_sign(poly.eval(hi)) == 0:
                 continue
             chain = sturm_chain(poly)
@@ -180,36 +205,36 @@ class TestSturm:
 
 class TestIsolation:
     def test_sqrt2(self):
-        p = poly_from_rationals([-2, 0, 1])
+        p = ExactPoly([-2, 0, 1])
         (a, b), cert = isolate_positive_root(p, (1, 2), F(1, 1000))
         assert b - a <= F(1, 1000) and cert.verified
         assert a * a <= 2 <= b * b
 
     def test_binding_slice_root(self):
-        p = poly_from_rationals([F(1, 243), -F(1, 81), 0, -1])
+        p = ExactPoly([F(1, 243), -F(1, 81), 0, -1])
         (a, b), cert = isolate_positive_root(p, (0, 1), F(1, 10**6))
         assert b - a <= F(1, 10**6) and cert.verified
         assert an_sign(p.eval(a)) > 0 > an_sign(p.eval(b))
 
     def test_linear_through_zero(self):
-        p = poly_from_rationals([0, 1])
+        p = ExactPoly([0, 1])
         (a, b), _ = isolate_positive_root(p, (-1, 1), F(1, 100))
         assert a <= 0 <= b
 
     def test_no_root(self):
-        p = poly_from_rationals([1, 0, 1])
+        p = ExactPoly([1, 0, 1])
         with pytest.raises(NotExactlyOneRoot):
             isolate_positive_root(p, (0, 1), F(1, 100))
 
     def test_two_roots(self):
-        p = poly_from_rationals([F(1, 8), -F(3, 4), 1])  # roots ~0.19, ~0.56
+        p = ExactPoly([F(1, 8), -F(3, 4), 1])  # roots ~0.19, ~0.56
         with pytest.raises(NotExactlyOneRoot):
             isolate_positive_root(p, (0, 1), F(1, 100))
 
 
 class TestSubdivision:
     def test_constant_one_accepts_at_root(self):
-        poly2 = ExactPoly2({(0, 0): 1})
+        poly2 = SparsePoly(2, {(0, 0): 1})
         ok, cert = subdivision_positive_on_box(poly2, (0, 1, 0, 1), max_depth=0)
         assert ok and cert.verified
         assert cert.witness["tree"]["status"] == "accepted"
@@ -231,13 +256,14 @@ class TestSubdivision:
     def test_depth_exhausted_on_tangent_zero(self):
         # (x - y)^2 is nonnegative but vanishes on the diagonal, so interval
         # bounds straddle zero at every depth
-        poly2 = ExactPoly2({(2, 0): 1, (1, 1): -2, (0, 2): 1})
+        poly2 = SparsePoly(2, {(2, 0): 1, (1, 1): -2, (0, 2): 1})
         with pytest.raises(DepthExhausted):
             subdivision_positive_on_box(poly2, (0, 1, 0, 1), max_depth=4)
 
     def test_interval_eval_bounds_sampling(self):
         rng = np.random.default_rng(42)
-        poly2 = ExactPoly2(
+        poly2 = SparsePoly(
+            2,
             {
                 (i, j): F(int(rng.integers(-5, 6)), int(rng.integers(1, 4)))
                 for i in range(3)
@@ -258,21 +284,21 @@ class TestSubdivision:
 
 class TestCertificates:
     def test_tampered_sturm_fails(self):
-        s = poly_from_rationals([F(1, 1024), F(1, 256), -F(1, 8), -1])
+        s = ExactPoly([F(1, 1024), F(1, 256), -F(1, 8), -1])
         _, cert = sturm_sign_on_interval(s, 0, F(7, 100))
         cert.witness["verdict"] = STRICTLY_NEGATIVE
         assert not verify_certificate(cert)
 
     def test_tampered_chain_entry_fails(self):
-        p = poly_from_rationals([-2, 0, 1])
+        p = ExactPoly([-2, 0, 1])
         _, cert = sturm_sign_on_interval(p, 1, 2)
-        cert.witness["chain"][1] = poly_from_rationals([1, 1]).to_strings()
+        cert.witness["chain"][1] = ExactPoly([1, 1]).to_strings()
         assert not verify_certificate(cert)
 
     def test_tampered_subdivision_fails(self):
-        poly2 = ExactPoly2({(0, 0): 1})
+        poly2 = SparsePoly(2, {(0, 0): 1})
         _, cert = subdivision_positive_on_box(poly2, (0, 1, 0, 1), max_depth=0)
-        cert.witness["poly2"] = ExactPoly2({(0, 0): -1}).to_list()
+        cert.witness["poly2"] = SparsePoly(2, {(0, 0): -1}).to_list()
         assert not verify_certificate(cert)
 
     def test_chain_comparison_checked(self):
@@ -297,7 +323,7 @@ class TestCertificates:
         assert not verify_certificate(bad)
 
     def test_round_trip_dict(self):
-        p = poly_from_rationals([-2, 0, 1])
+        p = ExactPoly([-2, 0, 1])
         _, cert = sturm_sign_on_interval(p, 1, 2)
         again = Certificate.from_dict(cert.to_dict())
         assert verify_certificate(again)
