@@ -29,6 +29,11 @@ stack; `t_fourier`/`t_gradient` are its one-row case.  The point-index
 tables of each chunk of lambdas (or kernel parameters) come from a small
 bounded cache of read-only arrays, so repeated evaluations on the same
 blocks build them once.
+
+The exact route pairs f and 1 - f the same way: `defect(method="brute")`
+scans the kernel once for both, building each streamed chunk's index
+table once and taking both rows' exact product sums from it, each with
+its own denominator and integer path; `t_brute` is the one-row case.
 """
 
 from __future__ import annotations
@@ -76,23 +81,6 @@ def _check_compat(system: LinearSystem, f: GroupFunction) -> None:
         )
 
 
-def _digit_matrix(indices: np.ndarray, p: int, n: int) -> np.ndarray:
-    """Base-p digits of point indices, shape (len, n)."""
-    out = np.empty((indices.size, n), dtype=np.int64)
-    v = indices.copy()
-    for i in range(n):
-        out[:, i] = v % p
-        v //= p
-    return out
-
-
-def _recompose(digits: np.ndarray, p: int) -> np.ndarray:
-    idx = np.zeros(digits.shape[0], dtype=np.int64)
-    for i in range(digits.shape[1] - 1, -1, -1):
-        idx = idx * p + digits[:, i]
-    return idx
-
-
 @lru_cache(maxsize=4)
 def _index_table(forms, p: int, n: int, start: int, stop: int) -> np.ndarray:
     """Point indices of every linear form over the parameter tuples
@@ -100,22 +88,28 @@ def _index_table(forms, p: int, n: int, start: int, stop: int) -> np.ndarray:
     (len(forms), stop - start) array.
 
     forms[i] gives the F_p coefficients of form i; tuples are enumerated
-    as base-p^n integers.  The cache holds the one-chunk tables of the few
-    blocks a search evaluates on every call.
+    as base-p^n integers, so digit i of parameter j is base-p digit
+    j*n + i of the tuple index.  The cache holds the one-chunk tables of
+    the few blocks a search evaluates on every call.
     """
-    base = p**n
+    size = stop - start
+    # v - (v // p) * p is v % p, and numpy takes `//` by a scalar several
+    # times faster than `%`
+    digits = np.empty((len(forms[0]), n, size), dtype=np.int64)
     rest = np.arange(start, stop, dtype=np.int64)
-    param_digits = []
-    for _ in range(len(forms[0])):
-        param_digits.append(_digit_matrix(rest % base, p, n))
-        rest //= base
-    table = np.empty((len(forms), stop - start), dtype=np.int64)
-    for row, coeffs in zip(table, forms):
-        acc = np.zeros((stop - start, n), dtype=np.int64)
-        for c, dig in zip(coeffs, param_digits):
-            if c:
-                acc += c * dig
-        row[:] = _recompose(acc % p, p)
+    for row in digits.reshape(-1, size):
+        quot = rest // p
+        np.subtract(rest, quot * p, out=row)
+        rest = quot
+    table = np.zeros((len(forms), size), dtype=np.int64)
+    for out, coeffs in zip(table, forms):
+        for i in range(n - 1, -1, -1):  # Horner over the digits, high first
+            acc = np.zeros(size, dtype=np.int64)
+            for c, dig in zip(coeffs, digits[:, i]):
+                if c:
+                    acc += c * dig
+            out *= p
+            out += acc - (acc // p) * p
     table.flags.writeable = False
     return table
 
@@ -143,27 +137,38 @@ def t_brute(system: LinearSystem, f: GroupFunction) -> Fraction:
     kernel is enumerated, never factored, so this stays an independent
     oracle for the row-space route.
     """
-    _check_compat(system, f)
-    chunks = _form_indices(system.kernel, f.p, f.n, "p^(nD)")
-    exact = f.exact_values()
-    denom_lcm = 1
-    for v in exact:
-        denom_lcm = denom_lcm * v.denominator // math.gcd(denom_lcm, v.denominator)
-    numerators = [int(v * denom_lcm) for v in exact]
-    max_abs = max(abs(a) for a in numerators) if numerators else 0
+    return _brute_rows(system, [f])[0]
+
+
+def _brute_rows(system: LinearSystem, fs) -> list[Fraction]:
+    """`t_brute` of each function of `fs` (all on the same F_p^n), from one
+    scan of the kernel: each chunk's index table is built once and every
+    row takes its exact integer product sum from it.  Each row keeps its
+    own lcm denominator and its own int64-or-object path and bound."""
+    for f in fs:
+        _check_compat(system, f)
+    chunks = _form_indices(system.kernel, fs[0].p, fs[0].n, "p^(nD)")
     t = system.t
-    bound = max_abs**t if max_abs else 0
-    use_int64 = 0 < bound < (1 << 62)
-    if max_abs == 0:
-        return Fraction(0)
-    numer_arr = np.array(numerators, dtype=np.int64 if use_int64 else object)
-    total = 0
-    for var_idx in chunks:
-        prod = numer_arr[var_idx[0]].copy()
-        for vi in var_idx[1:]:
-            prod *= numer_arr[vi]
-        total += _exact_sum(prod, bound if use_int64 else None)
-    return Fraction(total, denom_lcm**t * f.size**system.num_params)
+    live, scales = [], []
+    for i, f in enumerate(fs):
+        exact = f.exact_values()
+        denom_lcm = math.lcm(*(v.denominator for v in exact))
+        numerators = [int(v * denom_lcm) for v in exact]
+        bound = max(abs(a) for a in numerators) ** t
+        scales.append(denom_lcm**t * f.size**system.num_params)
+        if bound:  # an all-zero row has T = 0 and takes no part in the scan
+            use_int64 = bound < (1 << 62)
+            numer_arr = np.array(numerators, dtype=np.int64 if use_int64 else object)
+            live.append((i, numer_arr, bound if use_int64 else None))
+    totals = [0] * len(fs)
+    if live:
+        for var_idx in chunks:
+            for i, numer_arr, bound in live:
+                prod = numer_arr[var_idx[0]].copy()
+                for vi in var_idx[1:]:
+                    prod *= numer_arr[vi]
+                totals[i] += _exact_sum(prod, bound)
+    return [Fraction(total, scale) for total, scale in zip(totals, scales)]
 
 
 def _exact_sum(prod: np.ndarray, per_item_bound) -> int:
@@ -385,8 +390,7 @@ def defect(
         alpha = f.exact_mean()
         if property == ALON and l * alpha.denominator.bit_length() > EXACT_POWER_BITS:
             raise TooLarge(f"exact alpha^l at l={l} exceeds {EXACT_POWER_BITS} bits")
-        t_f = t_brute(system, f)
-        t_1mf = t_brute(system, f.complement())
+        t_f, t_1mf = _brute_rows(system, [f, f.complement()])
         one = Fraction(1)
         method_name = METHOD_BRUTE
     elif method == "fourier":

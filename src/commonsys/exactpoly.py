@@ -6,7 +6,8 @@ Three certificate methods are produced here and re-checked by
 quantity using only exact field arithmetic and comparisons:
 
 * ``sturm``       -- sign of a polynomial on a closed rational interval,
-                     witnessed by the Sturm chain and endpoint sign counts;
+                     witnessed by the Sturm chain and endpoint sign counts,
+                     and for a root bracket by every bisection step;
 * ``subdivision`` -- nonnegativity of a bivariate polynomial on a rational
                      box, witnessed by the subdivision tree with exact
                      interval bounds, or refuted by an exact witness point;
@@ -31,6 +32,7 @@ from .errors import (
 )
 from .qsqrt2 import (
     AlgebraicNumber,
+    ONE,
     ZERO,
     an_sign,
     format_algebraic,
@@ -352,7 +354,8 @@ class SparsePoly:
             e = tuple(int(k) for k in e)
             if len(e) != nvars or not all(0 <= k <= MAX_DEGREE for k in e):
                 raise ValueError(f"exponent {e} is not {nvars} integers in 0..{MAX_DEGREE}")
-            out[e] = out.get(e, ZERO) + _an(c)
+            c = _an(c)
+            out[e] = out[e] + c if e in out else c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", {e: c for e, c in out.items() if c != ZERO})
 
@@ -401,25 +404,35 @@ class SparsePoly:
         return SparsePoly(self.nvars, terms)
 
     def shift(self, var: int, center) -> SparsePoly:
-        """Substitute x_var -> center + x_var."""
+        """Substitute x_var -> center + x_var.  The binomial weights
+        comb(k, j) * center^(k-j) are built once per distinct exponent k."""
         center = Fraction(center)
-        return SparsePoly(
-            self.nvars,
-            [
-                (_put(e, var, j), c * (comb(e[var], j) * center ** (e[var] - j)))
-                for e, c in self.terms.items()
-                for j in range(e[var] + 1)
-            ],
-        )
+        powers = _powers(center, self._top(var), Fraction(1))
+        weights = {}
+        terms = []
+        for e, c in self.terms.items():
+            k = e[var]
+            if k not in weights:
+                weights[k] = [comb(k, j) * powers[k - j] for j in range(k + 1)]
+            terms.extend((_put(e, var, j), c * w) for j, w in enumerate(weights[k]))
+        return SparsePoly(self.nvars, terms)
 
     def eval(self, *point) -> AlgebraicNumber:
-        point = [_an(x) for x in point]
+        """Exact value at `point`; each variable's powers are built once."""
+        if self.terms and len(point) != self.nvars:
+            raise ValueError(f"{len(point)} coordinates for {self.nvars} variables")
+        powers = [_powers(_an(x), self._top(i), ONE) for i, x in enumerate(point)]
         acc = ZERO
         for e, c in self.terms.items():
-            for x, k in zip(point, e, strict=True):
-                c = c * x**k
+            for row, k in zip(powers, e):
+                if k:
+                    c = c * row[k]
             acc = acc + c
         return acc
+
+    def _top(self, var: int) -> int:
+        """The highest exponent of x_var over the terms (0 for none)."""
+        return max((e[var] for e in self.terms), default=0)
 
     def interval_eval(self, *intervals: ExactInterval) -> ExactInterval:
         """Interval range bound by dense Horner: the first variable is
@@ -462,6 +475,14 @@ class SparsePoly:
                 e = e[0]
             pairs.append((e, parse_algebraic(c)))
         return cls(len(pairs[0][0]) if pairs else 0, pairs)
+
+
+def _powers(x, top: int, one) -> list:
+    """[x^0, x^1, ..., x^top], each by one multiplication."""
+    out = [one]
+    for _ in range(top):
+        out.append(out[-1] * x)
+    return out
 
 
 def _put(e: tuple, var: int, k: int) -> tuple:
@@ -699,6 +720,30 @@ def _check_sturm(cert: Certificate) -> None:
         s_a, s_b = an_sign(poly.eval(b_lo)), an_sign(poly.eval(b_hi))
         if s_a * s_b != -1:
             _fail(cert, "no sign change across the recorded bracket")
+    if "bisection" in w:
+        _check_bisection(cert, poly, lo, hi)
+
+
+def _check_bisection(cert: Certificate, poly: ExactPoly, lo: Fraction, hi: Fraction) -> None:
+    """Replay the recorded bisection of `isolate_positive_root` from the
+    search interval [lo, hi] down to the recorded bracket."""
+    w = cert.witness
+    s_lo, s_hi = an_sign(poly.eval(lo)), an_sign(poly.eval(hi))
+    if list(w["bracket_signs"]) != [s_lo, s_hi]:
+        _fail(cert, "bracket signs are not the signs at the search endpoints")
+    for idx, (mid, recorded) in enumerate(w["bisection"]):
+        mid = Fraction(mid)
+        if not lo < mid < hi:
+            _fail(cert, f"bisection step {idx}: {mid} is not inside ({lo}, {hi})")
+        s_mid = an_sign(poly.eval(mid))
+        if s_mid == 0 or recorded != s_mid:
+            _fail(cert, f"bisection step {idx}: recorded sign {recorded!r} at {mid} is wrong")
+        if s_mid == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    if [lo, hi] != [Fraction(b) for b in w["bracket"]]:
+        _fail(cert, "bisection does not end at the recorded bracket")
 
 
 def _check_subdivision(cert: Certificate) -> None:

@@ -24,7 +24,6 @@ rows of its batch, and the cross-restart reduction is lexicographic in
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -138,9 +137,6 @@ class SearchResult:
             violation=d["violation"],
             restart_index=d.get("restart_index", 0),
         )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def _project_values(v: np.ndarray, alpha: float | None) -> np.ndarray:

@@ -37,10 +37,6 @@ class AlgebraicNumber:
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraicNumber is immutable")
 
-    @classmethod
-    def from_rational(cls, x) -> AlgebraicNumber:
-        return cls(_as_fraction(x), 0)
-
     def __repr__(self) -> str:
         return f"AlgebraicNumber({self.a!r}, {self.b!r})"
 
@@ -80,6 +76,11 @@ class AlgebraicNumber:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        # a rational factor (b == 0) is the common case: two products
+        if other.b == 0:
+            return AlgebraicNumber(self.a * other.a, self.b * other.a)
+        if self.b == 0:
+            return AlgebraicNumber(self.a * other.a, self.a * other.b)
         return AlgebraicNumber(
             self.a * other.a + 2 * self.b * other.b,
             self.a * other.b + self.b * other.a,
@@ -147,9 +148,6 @@ class AlgebraicNumber:
 
     def __abs__(self) -> AlgebraicNumber:
         return -self if self.sign() < 0 else self
-
-    def is_rational(self) -> bool:
-        return self.b == 0
 
     def approx(self) -> float:
         """Float approximation; display only, never used in certificates."""

@@ -78,6 +78,19 @@ class TestC1:
         slice_poly = certify.spectral_radius_margin_poly()
         assert an_sign(slice_poly.eval(c1)) > 0  # still left of the root
 
+    def test_root_bisection_is_replayed(self):
+        _, certs = derive_c1()
+        root = certs["root"]
+        assert verify_certificate(root) and len(root.witness["bisection"]) == 24
+        broken = copy.deepcopy(root)
+        broken.witness["bisection"] = [["7", 1]]
+        broken.witness["bracket_signs"] = [5, 5]
+        assert verify_certificate(broken) is False
+        broken = copy.deepcopy(root)
+        step = broken.witness["bisection"][5]
+        step[1] = -step[1]
+        assert verify_certificate(broken) is False
+
     def test_larger_radius_fails_with_witness(self):
         c1, _ = derive_c1()
         ok, cert = subdivision_positive_on_box(

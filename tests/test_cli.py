@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import struct
@@ -323,6 +324,19 @@ class TestVerifyAndConstants:
         assert 1 <= saved["l0"] <= 10**7
         assert all(r["satisfied"] for r in saved["conditions_at_l0"])
         assert all(_recheck(c) for c in saved["certificates"].values())
+
+    def test_written_files_are_pinned(self, capsys, tmp_path):
+        # SHA-256 of the files themselves: the certificate and ledger bytes
+        # on disk must not move, not only their parsed content
+        pins = {
+            "verify": "b15f36914d79a3d1cb2c0c7aee2296cb3f9b8fc83ce8a3aa2ffb863a35db1550",
+            "constants": "ae6da240a16d563cb4956602d8ac2da0aff99e9fa19807cbd9268e357029f709",
+        }
+        for subcommand, want in pins.items():
+            out_path = tmp_path / f"{subcommand}.json"
+            code, _, _ = run_main(capsys, subcommand, "--out", str(out_path))
+            assert code == 0
+            assert hashlib.sha256(out_path.read_bytes()).hexdigest() == want, subcommand
 
     def test_check_l_below_threshold_fails(self, capsys):
         code, out, _ = run_main(capsys, "constants", "--check-l", "100")

@@ -367,6 +367,110 @@ class TestBatchedRows:
         assert len(tables) == 35 and not any(t.flags.writeable for t in tables)
 
 
+class TestBruteRows:
+    """`_brute_rows`: exact T of several functions from one kernel scan."""
+
+    @staticmethod
+    def _spy_bounds(monkeypatch):
+        """Record the per-item bound of every `_exact_sum` call (None on the
+        object path)."""
+        seen = []
+        exact_sum = counting._exact_sum
+
+        def spy(prod, bound):
+            seen.append(bound)
+            return exact_sum(prod, bound)
+
+        monkeypatch.setattr(counting, "_exact_sum", spy)
+        return seen
+
+    def test_rows_match_separate_scans_on_both_paths(self, monkeypatch):
+        rng = np.random.default_rng(60)
+        f = random_rational_function(rng, 3, 1)  # 64^9 = 2^54: int64
+        # 3^20 denominators: far past 2^62 on both routes, so the object path
+        deep = tuple(F(int(k), 3**20) for k in rng.integers(0, 3**20, size=3))
+        g = GroupFunction(3, 1, np.array([float(v) for v in deep]), deep)
+        rows = [f, f.complement(), g]
+        want = [t_brute(PHI, h) for h in rows]
+        seen = self._spy_bounds(monkeypatch)
+        assert counting._brute_rows(PHI, rows) == want
+        assert None in seen and any(b is not None for b in seen)
+
+    def test_one_row_crosses_the_int64_bound(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        f = random_rational_function(rng, 3, 2)
+        ks = [int(k) for k in rng.integers(0, 129, size=9)]
+        ks[:2] = 128, 1  # values 1 and 1/128: the bound is 128^9 = 2^63 at t = 9
+        exact = tuple(F(k, 128) for k in ks)
+        g = GroupFunction(3, 2, np.array([float(v) for v in exact]), exact)
+        want = [t_brute(PHI, f), t_brute(PHI, g)]
+        seen = self._spy_bounds(monkeypatch)
+        assert counting._brute_rows(PHI, [f, g]) == want
+        assert None in seen and any(b is not None for b in seen)
+
+    def test_all_zero_row(self):
+        rng = np.random.default_rng(62)
+        f = random_rational_function(rng, 3, 1)
+        zero = constant(3, 1, 0)
+        got = counting._brute_rows(PHI, [zero, f, zero.complement()])
+        assert got == [F(0), t_brute(PHI, f), F(1)]
+        assert counting._brute_rows(PHI, [zero, zero]) == [F(0), F(0)]
+
+    def test_multi_chunk_scan(self, monkeypatch):
+        rng = np.random.default_rng(63)
+        f = random_rational_function(rng, 3, 2)
+        g = random_rational_function(rng, 3, 2, q=1000)
+        rows = [f, f.complement(), g]
+        want = counting._brute_rows(A4, rows)
+        monkeypatch.setattr(counting, "CHUNK", 4)  # 9^3 tuples: 183 chunks
+        assert counting._brute_rows(A4, rows) == want
+        assert [t_brute(A4, h) for h in rows] == want
+
+    def test_streamed_scan_adds_no_cache_entry(self, monkeypatch):
+        cache = counting._index_table
+        rng = np.random.default_rng(64)
+        f = random_rational_function(rng, 3, 1)
+        monkeypatch.setattr(counting, "CHUNK", 64)  # 3^7 tuples: 35 chunks
+        before = cache.cache_info()
+        counting._brute_rows(PHI, [f, f.complement()])
+        after = cache.cache_info()
+        assert (after.misses, after.currsize) == (before.misses, before.currsize)
+
+    def test_index_table_matches_naive_enumeration(self):
+        forms = ((1, 0, 4), (2, 3, 1), (0, 0, 0), (4, 4, 4))
+        p, n = 5, 2
+        base = p**n
+        for start, stop in ((0, base**3), (7, 400), (base**3 - 3, base**3)):
+            want = []
+            for form in forms:
+                row = []
+                for tup in range(start, stop):
+                    params = [(tup // base**j) % base for j in range(3)]
+                    digits = [(x // p**i) % p for x in params for i in range(n)]
+                    point = [sum(c * digits[j * n + i] for j, c in enumerate(form)) % p
+                             for i in range(n)]
+                    row.append(sum(d * p**i for i, d in enumerate(point)))
+                want.append(row)
+            got = counting._index_table.__wrapped__(forms, p, n, start, stop)
+            assert got.dtype == np.int64 and not got.flags.writeable
+            assert got.tolist() == want
+
+    def test_brute_defect_scans_the_kernel_once(self, monkeypatch):
+        calls = []
+        form_indices = counting._form_indices
+
+        def spy(forms, p, n, label):
+            calls.append(label)
+            return form_indices(forms, p, n, label)
+
+        monkeypatch.setattr(counting, "_form_indices", spy)
+        rng = np.random.default_rng(65)
+        f = random_rational_function(rng, 3, 1)
+        rep = defect(PHI, f, "common", method="brute")
+        assert calls == ["p^(nD)"]
+        assert (rep.t_f, rep.t_1mf) == (t_brute(PHI, f), t_brute(PHI, f.complement()))
+
+
 class TestDefect:
     def test_common_balanced_is_zero_exact(self):
         rep = defect(PHI, constant(3, 1, F(1, 2)), "common", method="brute")

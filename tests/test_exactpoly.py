@@ -1,3 +1,4 @@
+import copy
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
@@ -101,6 +102,31 @@ class TestAlgebraicNumber:
             assert hi - lo < F(1, 2**40)
 
 
+    @given(rationals, rationals, rationals, rationals)
+    @settings(max_examples=80, deadline=None)
+    def test_rational_factor_product_matches_general_formula(self, a, b, c, d):
+        def general(x, y):
+            return (x.a * y.a + 2 * x.b * y.b, x.a * y.b + x.b * y.a)
+
+        cases = [
+            ((a, 0), (c, d)),  # rational on the left
+            ((a, b), (c, 0)),  # rational on the right
+            ((a, 0), (c, 0)),  # both rational
+            ((0, 0), (c, d)),  # zero
+            ((a, b), (0, 0)),
+            ((a, b), (c, d)),  # the general product itself
+        ]
+        for x, y in cases:
+            x, y = AlgebraicNumber(*x), AlgebraicNumber(*y)
+            for got in (x * y, y * x):
+                assert (got.a, got.b) == general(x, y)
+                assert type(got.a) is type(got.b) is F
+        x = AlgebraicNumber(a, b)
+        for k in (c, 3):
+            want = general(x, AlgebraicNumber(k, 0))
+            assert ((x * k).a, (x * k).b) == want == ((k * x).a, (k * x).b)
+
+
 class TestExactPoly:
     def test_eval_constant_term(self):
         p = ExactPoly([F(5, 3), 1, 2])
@@ -147,6 +173,56 @@ class TestSparsePoly:
         # |1 - sqrt2| y + 3|x y| + 3|x^2 y| + |x^3 y| + 2|x| at the unit radii
         bound = p.monomial_abs_bound([AlgebraicNumber(1, 0), AlgebraicNumber(1, 0)])
         assert bound == AlgebraicNumber(-1 + 3 + 3 + 1 + 2, 1)
+
+
+    @staticmethod
+    def _random_poly(rng, nvars):
+        """Random sparse terms with exponent 0 and repeated exponents."""
+        terms = []
+        for _ in range(int(rng.integers(1, 12))):
+            e = tuple(int(k) for k in rng.integers(0, 6, size=nvars))
+            c = AlgebraicNumber(F(int(rng.integers(-9, 10)), int(rng.integers(1, 7))),
+                                F(int(rng.integers(-3, 4)), int(rng.integers(1, 5))))
+            terms.append((e, c))
+        terms.append(terms[0])  # a repeated exponent adds up
+        terms.append(((0,) * nvars, AlgebraicNumber(F(1, 3), 0)))
+        return terms
+
+    @staticmethod
+    def _random_point(rng, nvars):
+        return [AlgebraicNumber(F(int(rng.integers(-7, 8)), int(rng.integers(1, 5))),
+                                F(int(rng.integers(-2, 3)), 3) if rng.integers(0, 2) else 0)
+                for _ in range(nvars)]
+
+    def test_eval_matches_per_term_powers(self):
+        rng = np.random.default_rng(70)
+        for nvars in (1, 2, 3):
+            for _ in range(15):
+                terms = self._random_poly(rng, nvars)
+                point = self._random_point(rng, nvars)
+                want = AlgebraicNumber(0, 0)
+                for e, c in terms:
+                    for x, k in zip(point, e):
+                        c = c * x**k
+                    want = want + c
+                assert SparsePoly(nvars, terms).eval(*point) == want
+        assert SparsePoly(2, []).eval(F(1), F(2)) == AlgebraicNumber(0, 0)
+        with pytest.raises(ValueError):
+            SparsePoly(2, {(1, 0): 1}).eval(F(1))
+
+    def test_shift_moves_the_argument_and_inverts(self):
+        rng = np.random.default_rng(71)
+        for nvars in (1, 2, 3):
+            for _ in range(10):
+                poly = SparsePoly(nvars, self._random_poly(rng, nvars))
+                point = self._random_point(rng, nvars)
+                var = int(rng.integers(0, nvars))
+                center = F(int(rng.integers(-9, 10)), int(rng.integers(1, 9)))
+                shifted = poly.shift(var, center)
+                moved = list(point)
+                moved[var] = moved[var] - center
+                assert shifted.eval(*moved) == poly.eval(*point)
+                assert shifted.shift(var, -center) == poly
 
 
 class TestSturm:
@@ -294,6 +370,27 @@ class TestCertificates:
         _, cert = sturm_sign_on_interval(p, 1, 2)
         cert.witness["chain"][1] = ExactPoly([1, 1]).to_strings()
         assert not verify_certificate(cert)
+
+    def test_tampered_bisection_fails(self):
+        for poly, search in ((ExactPoly([-2, 0, 1]), (1, 2)), (ExactPoly([0, 1]), (-1, 1))):
+            _, cert = isolate_positive_root(poly, search, F(1, 1000))
+            assert verify_certificate(cert)
+            w = cert.witness
+            tampers = [
+                lambda w: w.update(bisection=[["7", 1]], bracket_signs=[5, 5]),
+                lambda w: w["bisection"][2].__setitem__(1, -w["bisection"][2][1]),
+                lambda w: w["bisection"][0].__setitem__(1, 0),
+                lambda w: w.update(bracket_signs=w["bracket_signs"][::-1]),
+                lambda w: w["bisection"].pop(),  # ends short of the bracket
+                lambda w: w["bisection"].append(list(w["bisection"][-1])),  # not inside
+                lambda w: w["bisection"][0].__setitem__(0, str(search[1])),  # an endpoint
+                lambda w: w.pop("bracket_signs"),
+            ]
+            for tamper in tampers:
+                broken = Certificate.from_dict(copy.deepcopy(cert.to_dict()))
+                tamper(broken.witness)
+                assert not verify_certificate(broken)
+            assert w["bisection"] and verify_certificate(cert)
 
     def test_tampered_subdivision_fails(self):
         poly2 = SparsePoly(2, {(0, 0): 1})
