@@ -22,7 +22,7 @@ only through rational enclosures with directed rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from decimal import Decimal
 from fractions import Fraction
 from math import comb, isqrt
@@ -34,6 +34,7 @@ from .exactpoly import (
     STRICTLY_NEGATIVE,
     STRICTLY_POSITIVE,
     SparsePoly,
+    check_certificate,
     isolate_positive_root,
     rational_chain_certificate,
     sturm_sign_on_interval,
@@ -177,15 +178,19 @@ def _certify_convexity_floor(k: int) -> Certificate:
         "base": base.to_strings(),
         "center": "1/2",
     }
-    cert.verified = verify_certificate(cert)
-    if not cert.verified:
-        raise VerificationFailed("convexity floor certificate failed recheck", cert)
+    check_certificate(cert)  # the witness changed after it was checked
     return cert
 
 
-def verify_lemma_suite(flip_sign_of: str | None = None) -> list[Certificate]:
+def verify_lemma_suite() -> list[Certificate]:
     """Certify the seven claims; raises VerificationFailed on the first
-    failure.  `flip_sign_of` negates one claim for self-testing."""
+    failure."""
+    return _lemma_suite(derive_c1()[1]["box"])
+
+
+def _lemma_suite(box_cert: Certificate) -> list[Certificate]:
+    """The seven claims, with `derive_c1`'s local-margin box certificate
+    as claim (v); raises VerificationFailed on the first failure."""
     certs: list[Certificate] = []
 
     # (i) degree-9 convexity floor
@@ -201,19 +206,15 @@ def verify_lemma_suite(flip_sign_of: str | None = None) -> list[Certificate]:
             {"kind": "lemma", "name": "even_power_nonneg", "premises": []},
         ],
     )
-    if not cert.verified:
-        raise VerificationFailed("coefficient-drop identity failed", cert)
     certs.append(cert)
 
     # (iii) the low-mean correction polynomial is negative on [0, 1/2]
-    expected = STRICTLY_NEGATIVE
-    if flip_sign_of == "low_mean_correction_negative":
-        expected = STRICTLY_POSITIVE
     verdict, cert = sturm_sign_on_interval(low_mean_correction_poly(), 0, F(1, 2))
     cert.claim = "the low-mean correction polynomial is strictly negative on [0, 1/2]"
-    if verdict != expected:
+    if verdict != STRICTLY_NEGATIVE:
         raise VerificationFailed(
-            f"low-mean correction polynomial: expected {expected}, Sturm says {verdict}",
+            f"low-mean correction polynomial: expected {STRICTLY_NEGATIVE}, "
+            f"Sturm says {verdict}",
             cert,
         )
     certs.append(cert)
@@ -233,13 +234,10 @@ def verify_lemma_suite(flip_sign_of: str | None = None) -> list[Certificate]:
             _cmp(value, ">", 0),
         ],
     )
-    if not cert.verified:
-        raise VerificationFailed("prevalence value positivity failed", cert)
     certs.append(cert)
 
     # (v) local margin box inequality up to the derived spectral radius c1
-    c1, c1_certs = derive_c1()
-    certs.append(c1_certs["box"])
+    certs.append(box_cert)
 
     # (vi) the product margin polynomial is positive on [0, 7/100]
     verdict, cert = sturm_sign_on_interval(product_margin_poly(), 0, F(7, 100))
@@ -268,8 +266,6 @@ def verify_lemma_suite(flip_sign_of: str | None = None) -> list[Certificate]:
         "= (2^-4 + T4)^2 (2^-10 - T5^2) as polynomials in (T4, T5)",
         [{"kind": "poly_identity", "lhs": lhs_terms, "rhs": rhs_terms}],
     )
-    if not cert.verified:
-        raise VerificationFailed("pair product factorization failed", cert)
     certs.append(cert)
 
     return certs
@@ -299,8 +295,6 @@ def derive_c0() -> tuple[Fraction, Certificate]:
             _cmp(c0, ">", 0),
         ],
     )
-    if not cert.verified:
-        raise VerificationFailed("c0 certificate failed", cert)
     return c0, cert
 
 
@@ -325,7 +319,6 @@ def derive_c1() -> tuple[Fraction, dict[str, Certificate]]:
     box_cert.claim = (
         f"a^5 - a^4 x - x^3 >= 0 for all a in [1/3, 2/3] and x in [0, {c1}]"
     )
-    box_cert.verified = verify_certificate(box_cert)
     below_cert = rational_chain_certificate(
         f"c1 = {c1} lies strictly below the positive root of the binding slice",
         [
@@ -333,11 +326,7 @@ def derive_c1() -> tuple[Fraction, dict[str, Certificate]]:
             _cmp(slice_poly.eval(c1), ">", 0),
         ],
     )
-    certs = {"root": root_cert, "box": box_cert, "below": below_cert}
-    for name, cert in certs.items():
-        if not cert.verified:
-            raise VerificationFailed(f"c1 certificate {name} failed", cert)
-    return c1, certs
+    return c1, {"root": root_cert, "box": box_cert, "below": below_cert}
 
 
 def derive_c2_c3_C4() -> tuple[Fraction, Fraction, Fraction, dict[str, Certificate]]:
@@ -441,16 +430,12 @@ def derive_c2_c3_C4() -> tuple[Fraction, Fraction, Fraction, dict[str, Certifica
             _cmp(c4, ">=", AlgebraicNumber(c4a + c4b, 0)),
         ],
     )
-    certs = {
+    return c2, c3, c4, {
         "window": window_cert,
         "admissible": admissible_cert,
         "margin_floor": floor_cert,
         "derivative_bound": c4_cert,
     }
-    for name, cert in certs.items():
-        if not cert.verified:
-            raise VerificationFailed(f"c2/c3/C4 certificate {name} failed", cert)
-    return c2, c3, c4, certs
 
 
 def _sqrt_lower_int(l: int) -> Fraction:
@@ -641,9 +626,6 @@ def derive_l0(
         "gain_c6": c6_cert,
         "decay_rate_c5": c5_cert,
     }
-    for name, cert in cond_certs.items():
-        if not cert.verified:
-            raise VerificationFailed(f"l0 certificate {name} failed", cert)
     if not all(v >= 0 for v in slacks.values()):
         raise VerificationFailed("conditions do not hold at the selected l0")
     return c5, c6, l0, cond_certs
@@ -654,19 +636,15 @@ def derive_l0(
 
 
 @dataclass
-class ConstantLedger:
-    c0: Fraction
-    c1: Fraction
-    c2: Fraction
-    c3: Fraction
-    C4: Fraction
-    c5: Fraction
-    c6: Fraction
+class ConstantLedger(LConditions):
+    """The seven constants with the threshold l0 and every certificate."""
+
     l0: int
     certificates: dict[str, Certificate] = field(default_factory=dict)
 
-    def conditions(self) -> LConditions:
-        return LConditions(self.c0, self.c1, self.c2, self.c3, self.C4, self.c5, self.c6)
+    def _constants(self) -> list[tuple[str, Fraction]]:
+        """(name, value) of c0 ... c6 in ledger order."""
+        return [(f.name, getattr(self, f.name)) for f in fields(LConditions)]
 
     def replay(self, l: int) -> list[dict]:
         """Exact per-condition slacks at a given l; all must be >= 0."""
@@ -680,7 +658,7 @@ class ConstantLedger:
                 }
             )
             return rows
-        for name, slack in self.conditions().slacks(l).items():
+        for name, slack in self.slacks(l).items():
             rows.append(
                 {
                     "condition": name,
@@ -696,41 +674,17 @@ class ConstantLedger:
 
     def to_dict(self) -> dict:
         return {
-            "c0": str(self.c0),
-            "c1": str(self.c1),
-            "c2": str(self.c2),
-            "c3": str(self.c3),
-            "C4": str(self.C4),
-            "c5": str(self.c5),
-            "c6": str(self.c6),
+            **{name: str(value) for name, value in self._constants()},
             "l0": self.l0,
-            "approx": {
-                "c0": float(self.c0),
-                "c1": float(self.c1),
-                "c2": float(self.c2),
-                "c3": float(self.c3),
-                "C4": float(self.C4),
-                "c5": float(self.c5),
-                "c6": float(self.c6),
-            },
+            "approx": {name: float(value) for name, value in self._constants()},
             "conditions_at_l0": self.replay(self.l0),
             "certificates": {k: v.to_dict() for k, v in self.certificates.items()},
         }
 
     def summary(self) -> str:
-        lines = [
-            "constant  exact                    approx",
-            f"c0        {self.c0}   {float(self.c0):.6e}",
-            f"c1        {self.c1}   {float(self.c1):.6e}",
-            f"c2        {self.c2}   {float(self.c2):.6e}",
-            f"c3        {self.c3}   {float(self.c3):.6e}",
-            f"C4        {self.C4}   {float(self.C4):.6e}",
-            f"c5        {self.c5}   {float(self.c5):.6e}",
-            f"c6        {self.c6}   {float(self.c6):.6e}",
-            f"l0        {self.l0}",
-            "",
-            f"conditions at l0={self.l0}:",
-        ]
+        lines = ["constant  exact                    approx"]
+        lines += [f"{name:<10}{value}   {float(value):.6e}" for name, value in self._constants()]
+        lines += [f"l0        {self.l0}", "", f"conditions at l0={self.l0}:"]
         for row in self.replay(self.l0):
             mark = "ok " if row["satisfied"] else "FAIL"
             lines.append(
@@ -740,9 +694,11 @@ class ConstantLedger:
 
 
 def derive_all() -> ConstantLedger:
-    """Run the four derivations in dependency order; fully deterministic."""
+    """Run the four derivations in dependency order, gated on the lemma
+    suite (which shares c1's box certificate); fully deterministic."""
     c0, c0_cert = derive_c0()
     c1, c1_certs = derive_c1()
+    _lemma_suite(c1_certs["box"])
     c2, c3, C4, mid_certs = derive_c2_c3_C4()
     c5, c6, l0, l_certs = derive_l0(c0, c1, c2, c3, C4)
     certificates = {"prevalence_floor_c0": c0_cert}

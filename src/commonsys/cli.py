@@ -149,7 +149,6 @@ def _emit_json(payload: dict, manifest: RunManifest, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-        manifest.outputs.append(out)
     print(text)
 
 
@@ -254,7 +253,6 @@ def cmd_verify(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump({"manifest": manifest.to_dict(), **payload}, fh, indent=2)
-        manifest.outputs.append(args.out)
         print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -262,7 +260,6 @@ def cmd_verify(args) -> int:
 def cmd_constants(args) -> int:
     manifest = _build_manifest(args)
     try:
-        certify.verify_lemma_suite()
         ledger = certify.derive_all()
     except (VerificationFailed, NoSuchL) as exc:
         print(f"derivation FAILED: {exc}", file=sys.stderr)
@@ -271,7 +268,6 @@ def cmd_constants(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump({"manifest": manifest.to_dict(), **ledger.to_dict()}, fh, indent=2)
-        manifest.outputs.append(args.out)
         print(f"wrote {args.out}")
     if args.check_l is not None:
         rows = ledger.replay(args.check_l)

@@ -14,7 +14,10 @@ quantity using only exact field arithmetic and comparisons:
 * ``rational_chain`` -- a list of exact comparisons, polynomial identities
                      and named elementary lemmas with checked premises.
 
-Floating point never enters a witness.
+Every certificate a producer returns has already been checked: the
+producers build it through one checked constructor, which returns it with
+``verified`` True or raises VerificationFailed.  Floating point never
+enters a witness.
 """
 
 from __future__ import annotations
@@ -188,14 +191,32 @@ def sign_variations(signs) -> int:
     return sum(1 for a, b in zip(nonzero, nonzero[1:]) if a * b < 0)
 
 
-def count_roots_open(chain, lo: Fraction, hi: Fraction) -> int:
-    """Distinct real roots of chain[0] in the open interval (lo, hi).
-
-    Requires nonzero values at both endpoints.
-    """
-    v_lo = sign_variations(sign_sequence(chain, lo))
-    v_hi = sign_variations(sign_sequence(chain, hi))
-    return v_lo - v_hi
+def _sturm_witness(poly: ExactPoly, chain, lo: Fraction, hi: Fraction) -> dict:
+    """The Sturm witness fields of `poly` on [lo, hi]: endpoint values and
+    sign sequences, and the root count and verdict they imply (a root at
+    an endpoint gives HasRoot with no count)."""
+    value_lo, value_hi = poly.eval(lo), poly.eval(hi)
+    signs_lo, signs_hi = sign_sequence(chain, lo), sign_sequence(chain, hi)
+    count = None
+    if an_sign(value_lo) == 0 or an_sign(value_hi) == 0:
+        verdict = HAS_ROOT
+    else:
+        count = sign_variations(signs_lo) - sign_variations(signs_hi)
+        if count > 0:
+            verdict = HAS_ROOT
+        else:
+            verdict = STRICTLY_POSITIVE if an_sign(value_lo) > 0 else STRICTLY_NEGATIVE
+    return {
+        "poly": poly.to_strings(),
+        "interval": [str(lo), str(hi)],
+        "chain": [q.to_strings() for q in chain],
+        "signs_lo": signs_lo,
+        "signs_hi": signs_hi,
+        "root_count": count,
+        "value_lo": format_algebraic(value_lo),
+        "value_hi": format_algebraic(value_hi),
+        "verdict": verdict,
+    }
 
 
 def sturm_sign_on_interval(poly: ExactPoly, lo, hi):
@@ -210,37 +231,10 @@ def sturm_sign_on_interval(poly: ExactPoly, lo, hi):
         raise ValueError("need lo < hi")
     if poly.is_zero():
         raise ZeroPolynomial("sign of the zero polynomial")
-    value_lo = poly.eval(lo)
-    value_hi = poly.eval(hi)
-    chain = sturm_chain(poly)
-    signs_lo = sign_sequence(chain, lo)
-    signs_hi = sign_sequence(chain, hi)
-    if an_sign(value_lo) == 0 or an_sign(value_hi) == 0:
-        verdict = HAS_ROOT
-        count = None
-    else:
-        count = sign_variations(signs_lo) - sign_variations(signs_hi)
-        if count > 0:
-            verdict = HAS_ROOT
-        else:
-            verdict = STRICTLY_POSITIVE if an_sign(value_lo) > 0 else STRICTLY_NEGATIVE
-    cert = Certificate(
-        claim=f"sign of polynomial on [{lo}, {hi}] is {verdict}",
-        method="sturm",
-        witness={
-            "poly": poly.to_strings(),
-            "interval": [str(lo), str(hi)],
-            "chain": [q.to_strings() for q in chain],
-            "signs_lo": signs_lo,
-            "signs_hi": signs_hi,
-            "root_count": count,
-            "value_lo": format_algebraic(value_lo),
-            "value_hi": format_algebraic(value_hi),
-            "verdict": verdict,
-        },
-    )
-    cert.verified = verify_certificate(cert)
-    return verdict, cert
+    witness = _sturm_witness(poly, sturm_chain(poly), lo, hi)
+    verdict = witness["verdict"]
+    claim = f"sign of polynomial on [{lo}, {hi}] is {verdict}"
+    return verdict, _certified(claim, "sturm", witness)
 
 
 def isolate_positive_root(poly: ExactPoly, search, precision):
@@ -254,14 +248,14 @@ def isolate_positive_root(poly: ExactPoly, search, precision):
     precision = Fraction(precision)
     if poly.is_zero():
         raise ZeroPolynomial("root isolation of the zero polynomial")
-    chain = sturm_chain(poly)
-    s_lo = an_sign(poly.eval(lo))
-    s_hi = an_sign(poly.eval(hi))
-    if s_lo == 0 or s_hi == 0:
+    witness = _sturm_witness(poly, sturm_chain(poly), lo, hi)
+    count = witness["root_count"]
+    if count is None:
         raise NotExactlyOneRoot("root at a search endpoint")
-    count = count_roots_open(chain, lo, hi)
     if count != 1:
         raise NotExactlyOneRoot(f"Sturm count on search interval is {count}, not 1")
+    s_lo = an_sign(poly.eval(lo))
+    s_hi = an_sign(poly.eval(hi))
     if s_lo == s_hi:
         raise NotExactlyOneRoot("no sign change across search interval (even multiplicity)")
     steps = []
@@ -279,27 +273,11 @@ def isolate_positive_root(poly: ExactPoly, search, precision):
             lo = mid
         else:
             hi = mid
-    cert = Certificate(
-        claim=f"unique root of polynomial in [{search[0]}, {search[1]}] "
-        f"lies in [{lo}, {hi}]",
-        method="sturm",
-        witness={
-            "poly": poly.to_strings(),
-            "interval": [str(Fraction(search[0])), str(Fraction(search[1]))],
-            "chain": [q.to_strings() for q in chain],
-            "signs_lo": sign_sequence(chain, Fraction(search[0])),
-            "signs_hi": sign_sequence(chain, Fraction(search[1])),
-            "root_count": 1,
-            "value_lo": format_algebraic(poly.eval(Fraction(search[0]))),
-            "value_hi": format_algebraic(poly.eval(Fraction(search[1]))),
-            "verdict": HAS_ROOT,
-            "bracket": [str(lo), str(hi)],
-            "bracket_signs": [s_lo, s_hi],
-            "bisection": steps,
-        },
-    )
-    cert.verified = verify_certificate(cert)
-    return (lo, hi), cert
+    witness["bracket"] = [str(lo), str(hi)]
+    witness["bracket_signs"] = [s_lo, s_hi]
+    witness["bisection"] = steps
+    claim = f"unique root of polynomial in [{search[0]}, {search[1]}] lies in [{lo}, {hi}]"
+    return (lo, hi), _certified(claim, "sturm", witness)
 
 
 # ---------------------------------------------------------------------------
@@ -549,34 +527,18 @@ def subdivision_positive_on_box(poly2: SparsePoly, box, max_depth: int):
 
     tree = build(box0, 0)
     # the poly2 witness keeps its flat [i, j, coefficient] rows
-    rows = [[*e, c] for e, c in poly2.to_list()]
+    witness = {"poly2": [[*e, c] for e, c in poly2.to_list()], "box": [str(v) for v in box0]}
     if "negative_at" in tree:
         wx, wy = Fraction(tree["negative_at"][0]), Fraction(tree["negative_at"][1])
-        cert = Certificate(
-            claim=f"bivariate polynomial is NOT nonnegative on box {box0}",
-            method="subdivision",
-            witness={
-                "poly2": rows,
-                "box": [str(v) for v in box0],
-                "result": False,
-                "witness_point": [str(wx), str(wy)],
-                "witness_value": format_algebraic(poly2.eval(wx, wy)),
-            },
-        )
-        cert.verified = verify_certificate(cert)
-        return False, cert
-    cert = Certificate(
-        claim=f"bivariate polynomial is nonnegative on box {box0}",
-        method="subdivision",
-        witness={
-            "poly2": rows,
-            "box": [str(v) for v in box0],
-            "result": True,
-            "tree": tree,
-        },
-    )
-    cert.verified = verify_certificate(cert)
-    return True, cert
+        witness["result"] = False
+        witness["witness_point"] = [str(wx), str(wy)]
+        witness["witness_value"] = format_algebraic(poly2.eval(wx, wy))
+        claim = f"bivariate polynomial is NOT nonnegative on box {box0}"
+        return False, _certified(claim, "subdivision", witness)
+    witness["result"] = True
+    witness["tree"] = tree
+    claim = f"bivariate polynomial is nonnegative on box {box0}"
+    return True, _certified(claim, "subdivision", witness)
 
 
 # ---------------------------------------------------------------------------
@@ -608,10 +570,17 @@ class Certificate:
         )
 
 
-def rational_chain_certificate(claim: str, steps: list[dict]) -> Certificate:
-    cert = Certificate(claim=claim, method="rational_chain", witness={"steps": steps})
-    cert.verified = verify_certificate(cert)
+def _certified(claim: str, method: str, witness: dict) -> Certificate:
+    """The one place a producer makes a Certificate: it is checked here and
+    returned with verified=True, or VerificationFailed is raised."""
+    cert = Certificate(claim=claim, method=method, witness=witness)
+    check_certificate(cert)
+    cert.verified = True
     return cert
+
+
+def rational_chain_certificate(claim: str, steps: list[dict]) -> Certificate:
+    return _certified(claim, "rational_chain", {"steps": steps})
 
 
 def check_certificate(cert: Certificate) -> None:

@@ -158,10 +158,13 @@ def constant(p: int, n: int, value) -> GroupFunction:
 
 
 def indicator(p: int, n: int, members) -> GroupFunction:
-    """Indicator of a set given as an iterable of indices."""
-    size = p**n
-    values = np.zeros(size)
+    """Indicator of a set given as an iterable of indices in 0..p^n-1."""
+    size = checked_size(p, n)
     members = set(int(m) for m in members)
+    outside = sorted(m for m in members if not 0 <= m < size)
+    if outside:
+        raise MalformedDocument(f"indicator member {outside[0]} outside 0..{size - 1}")
+    values = np.zeros(size)
     for m in members:
         values[m] = 1.0
     exact = tuple(Fraction(1 if i in members else 0) for i in range(size))

@@ -36,9 +36,11 @@ class TestLemmaSuite:
         assert len(certs) == len(LEMMA_SUITE_NAMES) == 7
         assert all(c.verified for c in certs)
 
-    def test_flipped_sign_self_test(self):
+    def test_flipped_sign_self_test(self, monkeypatch):
+        flipped = -certify.low_mean_correction_poly()
+        monkeypatch.setattr(certify, "low_mean_correction_poly", lambda: flipped)
         with pytest.raises(VerificationFailed) as err:
-            verify_lemma_suite(flip_sign_of="low_mean_correction_negative")
+            verify_lemma_suite()
         assert "low-mean" in str(err.value)
 
     def test_factorization_identity_is_exact(self):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from commonsys import cli, counting, harmonic
+from commonsys import certify, cli, counting, harmonic
 from commonsys.exactpoly import Certificate, verify_certificate
 
 
@@ -337,6 +337,20 @@ class TestVerifyAndConstants:
             code, _, _ = run_main(capsys, subcommand, "--out", str(out_path))
             assert code == 0
             assert hashlib.sha256(out_path.read_bytes()).hexdigest() == want, subcommand
+
+    @pytest.mark.parametrize("subcommand", ["verify", "constants"])
+    def test_c1_derived_once(self, capsys, monkeypatch, subcommand):
+        calls = []
+        derive_c1 = certify.derive_c1
+
+        def spy():
+            calls.append(1)
+            return derive_c1()
+
+        monkeypatch.setattr(certify, "derive_c1", spy)
+        code, _, _ = run_main(capsys, subcommand)
+        assert code == 0
+        assert len(calls) == 1
 
     def test_check_l_below_threshold_fails(self, capsys):
         code, out, _ = run_main(capsys, "constants", "--check-l", "100")

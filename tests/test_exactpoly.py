@@ -24,7 +24,6 @@ from commonsys.exactpoly import (
     check_certificate,
     isolate_positive_root,
     rational_chain_certificate,
-    sturm_chain,
     sturm_sign_on_interval,
     subdivision_positive_on_box,
     verify_certificate,
@@ -266,8 +265,8 @@ class TestSturm:
             poly = ExactPoly(coeffs)
             if an_sign(poly.eval(lo)) == 0 or an_sign(poly.eval(hi)) == 0:
                 continue
-            chain = sturm_chain(poly)
-            count = exactpoly.count_roots_open(chain, lo, hi)
+            _, cert = sturm_sign_on_interval(poly, lo, hi)
+            count = cert.witness["root_count"]
             # independent oracle: sign changes of the float evaluation on a
             # fine grid; zeros (roots landing exactly on grid points) are
             # compressed out so the flip across them is still seen
@@ -410,6 +409,21 @@ class TestCertificates:
         )
         with pytest.raises(VerificationFailed):
             check_certificate(bad)
+
+    def test_failed_sturm_self_check_raises(self, monkeypatch):
+        # a producer never hands out a certificate its own check rejected
+        def failing_check(cert):
+            raise VerificationFailed("forced failure", cert)
+
+        monkeypatch.setattr(exactpoly, "_check_sturm", failing_check)
+        with pytest.raises(VerificationFailed, match="forced failure"):
+            sturm_sign_on_interval(ExactPoly([-2, 0, 1]), 0, 1)
+
+    def test_false_chain_step_raises(self):
+        with pytest.raises(VerificationFailed, match="comparison fails"):
+            rational_chain_certificate(
+                "1 < 1/2", [{"kind": "cmp", "lhs": "1", "op": "<", "rhs": "1/2"}]
+            )
 
     def test_unknown_lemma_rejected(self):
         bad = Certificate(

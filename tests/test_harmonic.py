@@ -47,6 +47,12 @@ class TestMean:
     def test_point_indicator(self):
         assert indicator(3, 1, [0]).mean() == pytest.approx(1 / 3, abs=1e-15)
 
+    @pytest.mark.parametrize("member", [-1, 3, 7])
+    def test_indicator_member_out_of_range(self, member):
+        # -1 must not wrap around to the last point through numpy indexing
+        with pytest.raises(MalformedDocument):
+            indicator(3, 1, [0, member])
+
     def test_coset_density(self):
         f = coset_indicator(3, 2, [1, 0], 1)
         assert f.mean() == pytest.approx(1 / 3, abs=1e-15)
