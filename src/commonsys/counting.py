@@ -231,9 +231,11 @@ def _block_gradient(columns, fhat: np.ndarray, p: int, n: int):
     for table in _form_indices(columns, p, n, "p^(nm)"):
         gathered = fhat[:, table]
         # leave-one-out products via prefix/suffix scans
-        prefix = np.ones_like(gathered)
+        prefix = np.empty_like(gathered)
+        prefix[:, 0] = 1.0
         np.cumprod(gathered[:, :-1], axis=1, out=prefix[:, 1:])
-        suffix = np.ones_like(gathered)
+        suffix = np.empty_like(gathered)
+        suffix[:, -1] = 1.0
         np.cumprod(gathered[:, :0:-1], axis=1, out=suffix[:, -2::-1])
         sums += _row_sums(prefix[:, -1] * gathered[:, -1])
         loo = (prefix * suffix).ravel()

@@ -1,7 +1,18 @@
 """Search for colourings that violate commonness-type properties.
 
-Projected gradient descent on a property's defect over the box
-{f : F_p^n -> [0,1]}, optionally intersected with a fixed-mean slice.
+Nonmonotone spectral projected gradient (SPG; Birgin, Martinez and
+Raydan 2000, "Nonmonotone spectral projected gradient methods on convex
+sets") on a property's defect over the box {f : F_p^n -> [0,1]},
+optionally intersected with a fixed-mean slice.  From x with gradient g
+and step length lam, one outer step projects once, d = P(x - lam g) - x,
+and backtracks t = 1, 1/2, ... along the feasible segment x + t d until
+the defect is at most the largest of the last M accepted values plus
+1e-4 t (g . d).  The first lam is `eta0`; after each accepted step s with
+gradient change y, lam = s.s / s.y (Barzilai and Borwein 1988), clamped to
+[1e-10, 1e10], or 1e10 when s.y <= 0.  A restart stops when the projected
+gradient x - P(x - g) is below `grad_tol`, when t falls below 1e-12, or
+at a violation.
+
 Restarts cycle through four initialization families (constant-plus-noise,
 uniform noise, coset indicators, character bumps); character bumps are
 the extremizers suggested by the Fourier form of the functionals, so
@@ -10,9 +21,9 @@ they are seeded deliberately.
 The restarts run in lockstep as the rows of one array: each outer step
 takes one gradient pass over the rows still running, and each
 backtracking round evaluates every row still searching at once, while
-each row keeps its own step size and stop state.  A batch holds at most
-CHUNK // widest rows (widest: p^n or the widest block index table), so
-memory stays bounded at large p^n.  The projection onto a fixed-mean
+each row keeps its own step length, value history and stop state.  A
+batch holds at most CHUNK // widest rows (widest: p^n or the widest block
+index table), so memory stays bounded at large p^n.  The projection onto a fixed-mean
 slice is exact: a breakpoint search per row (Kiwiel 2008), not a
 bisection.
 
@@ -48,6 +59,12 @@ from .linsys import LinearSystem
 
 MAX_SEARCH_POINTS = 1 << 20
 
+# spectral projected gradient: value memory M of the nonmonotone test, its
+# sufficient-decrease factor, and the clamp on the Barzilai-Borwein step
+_MEMORY = 10
+_SUFFICIENT_DECREASE = 1e-4
+_LAMBDA_MIN, _LAMBDA_MAX = 1e-10, 1e10
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -60,7 +77,7 @@ class SearchConfig:
     mean: float | None = None  # pin E f to this value when set
     restarts: int = 16
     max_iters: int = 300
-    eta0: float = 0.1
+    eta0: float = 0.1  # first step length; later steps are Barzilai-Borwein
     seed: int = 0
     grad_tol: float = 1e-8
     violation_tol: float = -1e-6
@@ -292,14 +309,21 @@ def _batch_rows(system: LinearSystem, n: int) -> int:
     return max(1, CHUNK // widest)
 
 
-def _run_restart(system: LinearSystem, cfg: SearchConfig, ks, trace: list | None = None):
-    """Run the restarts `ks` in lockstep, one row of one array each.
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_i . b_i for each row i, each as the 1-D `a_i @ b_i`, so a row's
+    value does not depend on the other rows of its batch."""
+    return np.array([u @ v for u, v in zip(a, b)])
 
-    Each row keeps its own step size and stop state; one gradient pass
-    serves every row still running, and each backtracking round evaluates
-    every row still searching at once.  Returns (defect, k, colouring,
-    accepted steps, converged) per restart.  With `trace`, one list per
-    restart receives its starting and accepted defects.
+
+def _run_restart(system: LinearSystem, cfg: SearchConfig, ks, trace: list | None = None):
+    """Run the restarts `ks` in lockstep, one row of one array each, by
+    nonmonotone spectral projected gradient.
+
+    Each row keeps its own step length, value history and stop state; one
+    gradient pass serves every row still running, and each backtracking
+    round evaluates every row still searching at once.  Returns (defect,
+    k, colouring, accepted steps, converged) per restart.  With `trace`,
+    one list per restart receives its starting and accepted defects.
     """
     ks = list(ks)
     alpha = cfg.pinned_mean()
@@ -309,43 +333,58 @@ def _run_restart(system: LinearSystem, cfg: SearchConfig, ks, trace: list | None
         alpha,
     )
     val = obj.value(x)
+    grad = np.empty_like(x)  # the gradient at each row's accepted point
+    moved = np.empty_like(x)  # each row's last accepted step s
+    lam = np.full(len(ks), cfg.eta0)
+    history = np.full((len(ks), _MEMORY), -np.inf)  # ring buffer of accepted values
+    history[:, 0] = val
     iters = np.zeros(len(ks), dtype=np.int64)
     converged = np.zeros(len(ks), dtype=bool)
     running = np.ones(len(ks), dtype=bool)
     if trace is not None:
         for row, v in zip(trace, val.tolist()):
             row.append(v)
-    for _ in range(cfg.max_iters):
+    for outer in range(cfg.max_iters):
         running &= ~(val < cfg.violation_tol)
         live = np.flatnonzero(running)
         if not live.size:
             break
-        grad = obj.gradient(x[live])
-        pg = x[live] - _project_values(x[live] - grad, alpha)
-        # the 1-D norm of each row, as np.linalg.norm(row) computes it
-        flat = np.sqrt([row @ row for row in pg]) < cfg.grad_tol
+        g = obj.gradient(x[live])
+        if outer:  # every live row accepted a step last round: Barzilai-Borwein
+            s = moved[live]
+            ss, sy = _row_dots(s, s), _row_dots(s, g - grad[live])
+            curved = sy > 0
+            lam[live] = _LAMBDA_MAX
+            lam[live[curved]] = np.clip(ss[curved] / sy[curved], _LAMBDA_MIN, _LAMBDA_MAX)
+        grad[live] = g
+        pg = x[live] - _project_values(x[live] - g, alpha)
+        flat = np.sqrt(_row_dots(pg, pg)) < cfg.grad_tol
         converged[live[flat]] = True
         running[live[flat]] = False
-        live, grad = live[~flat], grad[~flat]
-        step = np.full(live.size, cfg.eta0)
-        while True:
-            stalled = step < 1e-12
-            converged[live[stalled]] = True
-            running[live[stalled]] = False
-            live, grad, step = live[~stalled], grad[~stalled], step[~stalled]
-            if not live.size:
-                break
-            cand = _project_values(x[live] - step[:, None] * grad, alpha)
+        live, g = live[~flat], g[~flat]
+        # x + t d stays feasible for t in [0, 1], so backtracking never projects
+        d = _project_values(x[live] - lam[live, None] * g, alpha) - x[live]
+        slope = _SUFFICIENT_DECREASE * _row_dots(g, d)
+        ref = history[live].max(axis=1)
+        t = 1.0  # every row still searching has halved its t as often
+        while live.size and t >= 1e-12:
+            cand = x[live] + t * d
             cand_val = obj.value(cand)
-            ok = cand_val <= val[live]
+            ok = cand_val <= ref + t * slope
             taken = live[ok]
+            moved[taken] = cand[ok] - x[taken]
             x[taken] = cand[ok]
             val[taken] = cand_val[ok]
             iters[taken] += 1
+            history[taken, iters[taken] % _MEMORY] = cand_val[ok]
             if trace is not None:
                 for i, v in zip(taken.tolist(), cand_val[ok].tolist()):
                     trace[i].append(v)
-            live, grad, step = live[~ok], grad[~ok], step[~ok] * 0.5
+            keep = ~ok
+            live, d, slope, ref = live[keep], d[keep], slope[keep], ref[keep]
+            t *= 0.5
+        converged[live] = True  # stalled
+        running[live] = False
     return [
         (float(val[i]), k, GroupFunction(cfg.p, cfg.n, x[i]), int(iters[i]), bool(converged[i]))
         for i, k in enumerate(ks)

@@ -75,6 +75,7 @@ def test_criterion_02_pair_system_commonness():
         )
         result = minimize_defect(PHI, cfg)
         assert result.best_defect >= -1e-6, (n, result.best_defect)
+        assert result.converged, n
     _report(2, "64-restart search finds no commonness violation for the pair system", started, 300)
 
 

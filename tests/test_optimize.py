@@ -230,12 +230,22 @@ class TestMinimize:
         assert res.iterations == sum(r[3] for r in outcomes)
 
     def test_monotone_descent_trace(self):
+        # the nonmonotone rule's guarantee: each accepted value lies strictly
+        # below the largest of the previous M, so that maximum never rises
         cfg = SearchConfig(property="common", p=3, n=2, restarts=4, max_iters=80, seed=13)
         traces = [[] for _ in range(cfg.restarts)]
         outcomes = optimize._run_restart(PHI, cfg, range(cfg.restarts), trace=traces)
         for trace, (val, _, _, iters, _) in zip(traces, outcomes):
             assert len(trace) == iters + 1 and trace[-1] == val
-            assert np.all(np.diff(np.array(trace)) <= 0)
+            assert max(trace) == trace[0]
+            for j in range(1, len(trace)):
+                assert trace[j] < max(trace[max(0, j - optimize._MEMORY) : j])
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_pair_system_restarts_converge_before_the_cap(self, n):
+        cfg = SearchConfig(property="common", p=3, n=n, restarts=16, max_iters=300, seed=2024)
+        for _, _, _, iters, converged in optimize._run_restart(PHI, cfg, range(cfg.restarts)):
+            assert converged and iters < cfg.max_iters
 
     @pytest.mark.parametrize(
         "system, prop, l, mean",
