@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field, fields
 from decimal import Decimal
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb
 
 from .errors import NoSuchL, VerificationFailed
 from .exactpoly import (
@@ -438,11 +438,6 @@ def derive_c2_c3_C4() -> tuple[Fraction, Fraction, Fraction, dict[str, Certifica
     }
 
 
-def _sqrt_lower_int(l: int) -> Fraction:
-    """Monotone rational lower bound on sqrt(l)."""
-    return F(isqrt(l << 80), 1 << 40)
-
-
 def _even_binomial_lower(l: int, c5: Fraction) -> Fraction:
     """Exact partial sum of the even binomial terms of (1 + 2 c5/sqrt(l))^l.
 
@@ -470,7 +465,7 @@ class LConditions:
         return self.c3 * self.c1**4 / 2
 
     def slacks(self, l: int) -> dict[str, Fraction]:
-        s_lo = _sqrt_lower_int(l)
+        s_lo = sqrt_lower(F(l), bits=40)
         a = 4 * self.c5**2
         gain = (1 + 256 * self.c6) ** 2
         return {
@@ -554,7 +549,7 @@ def derive_l0(
                 lo = mid
         l0 = hi
     slacks = conditions.slacks(l0)
-    s_lo = _sqrt_lower_int(l0)
+    s_lo = sqrt_lower(F(l0), bits=40)
     a = 4 * c5 * c5
     growth_value = _even_binomial_lower(l0, c5)
     cond_certs = {
@@ -685,12 +680,15 @@ class ConstantLedger(LConditions):
         lines = ["constant  exact                    approx"]
         lines += [f"{name:<10}{value}   {float(value):.6e}" for name, value in self._constants()]
         lines += [f"l0        {self.l0}", "", f"conditions at l0={self.l0}:"]
-        for row in self.replay(self.l0):
-            mark = "ok " if row["satisfied"] else "FAIL"
-            lines.append(
-                f"  {mark} {row['condition']:<12} slack {row.get('slack_float', 0.0):.3e}"
-            )
+        lines += [_replay_line(row) for row in self.replay(self.l0)]
         return "\n".join(lines)
+
+
+def _replay_line(row: dict) -> str:
+    """One row of `ConstantLedger.replay` as printed by `summary` and by
+    `constants --check-l`."""
+    mark = "ok " if row["satisfied"] else "FAIL"
+    return f"  {mark} {row['condition']:<12} slack {row.get('slack_float', 0.0):.3e}"
 
 
 def derive_all() -> ConstantLedger:

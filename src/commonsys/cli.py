@@ -272,12 +272,9 @@ def cmd_constants(args) -> int:
     if args.check_l is not None:
         rows = ledger.replay(args.check_l)
         print(f"\nconditions at l={args.check_l}:")
-        ok = True
         for row in rows:
-            mark = "ok " if row["satisfied"] else "FAIL"
-            print(f"  {mark} {row['condition']:<12} slack {row.get('slack_float', 0.0):.3e}")
-            ok = ok and row["satisfied"]
-        if not ok:
+            print(certify._replay_line(row))
+        if not all(row["satisfied"] for row in rows):
             return EXIT_VERIFY
     return EXIT_OK
 

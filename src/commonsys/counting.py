@@ -54,7 +54,7 @@ from .errors import (
     MissingL,
     TooLarge,
 )
-from .harmonic import GroupFunction, _dft_rows, _idft_rows, negation_permutation
+from .harmonic import GroupFunction, _dft_rows, _digits, _idft_rows, negation_permutation
 from .linsys import LinearSystem, factor_disjoint
 
 ENUMERATION_CAP = 10**8
@@ -93,14 +93,10 @@ def _index_table(forms, p: int, n: int, start: int, stop: int) -> np.ndarray:
     the few blocks a search evaluates on every call.
     """
     size = stop - start
-    # v - (v // p) * p is v % p, and numpy takes `//` by a scalar several
-    # times faster than `%`
     digits = np.empty((len(forms[0]), n, size), dtype=np.int64)
-    rest = np.arange(start, stop, dtype=np.int64)
-    for row in digits.reshape(-1, size):
-        quot = rest // p
-        np.subtract(rest, quot * p, out=row)
-        rest = quot
+    rows = digits.reshape(-1, size)
+    for _ in _digits(np.arange(start, stop, dtype=np.int64), p, len(rows), rows):
+        pass  # digit k lands in rows[k]
     table = np.zeros((len(forms), size), dtype=np.int64)
     for out, coeffs in zip(table, forms):
         for i in range(n - 1, -1, -1):  # Horner over the digits, high first

@@ -69,15 +69,35 @@ def _inverse_matrix(p: int) -> np.ndarray:
     return np.conj(_forward_matrix(p))
 
 
+def _digits(index: np.ndarray, p: int, n: int, out: np.ndarray | None = None):
+    """Base-p digits 0..n-1 of the int64 index array `index`, least
+    significant first, one array per coordinate.  With `out`, digit k is
+    written to out[k], so a caller keeping every digit allocates no array
+    per digit.  v - (v // p) * p is v % p, and numpy takes `//` by a scalar
+    several times faster than `%`."""
+    for k in range(n):
+        quot = index // p
+        digit = np.multiply(quot, p, out=None if out is None else out[k])
+        yield np.subtract(index, digit, out=digit)
+        index = quot
+
+
+def _dot(p: int, n: int, coefficients) -> np.ndarray:
+    """sum_i coefficients[i] x_i at every point x of F_p^n, as int64; each
+    coefficient is reduced mod p first, so the sum cannot overflow."""
+    size = checked_size(p, n)
+    total = np.zeros(size, dtype=np.int64)
+    for c, x in zip(coefficients, _digits(np.arange(size), p, n)):
+        total += (c % p) * x
+    return total
+
+
 @lru_cache(maxsize=None)
 def negation_permutation(p: int, n: int) -> np.ndarray:
     """Index permutation sending x to -x (coordinatewise mod p)."""
-    idx = np.arange(p**n)
-    out = np.zeros_like(idx)
-    v = idx.copy()
-    for i in range(n):
-        out += ((p - v % p) % p) * p**i
-        v //= p
+    out = np.zeros(p**n, dtype=np.int64)
+    for i, x in enumerate(_digits(np.arange(p**n), p, n)):
+        out += np.where(x, p - x, 0) * p**i
     out.flags.writeable = False
     return out
 
@@ -164,11 +184,17 @@ def indicator(p: int, n: int, members) -> GroupFunction:
     outside = sorted(m for m in members if not 0 <= m < size)
     if outside:
         raise MalformedDocument(f"indicator member {outside[0]} outside 0..{size - 1}")
-    values = np.zeros(size)
-    for m in members:
-        values[m] = 1.0
-    exact = tuple(Fraction(1 if i in members else 0) for i in range(size))
-    return GroupFunction(p, n, values, exact)
+    inside = np.zeros(size, dtype=bool)
+    inside[list(members)] = True
+    return _mask_indicator(p, n, inside)
+
+
+def _mask_indicator(p: int, n: int, inside: np.ndarray) -> GroupFunction:
+    """Indicator of the points where the boolean array `inside` is set; the
+    exact values share one Fraction(0) and one Fraction(1)."""
+    bits = (Fraction(0), Fraction(1))
+    exact = tuple(bits[b] for b in inside.tolist())
+    return GroupFunction(p, n, inside.astype(np.float64), exact)
 
 
 def coset_indicator(p: int, n: int, coefficients, residue: int) -> GroupFunction:
@@ -176,25 +202,14 @@ def coset_indicator(p: int, n: int, coefficients, residue: int) -> GroupFunction
     coefficients = list(coefficients)
     if len(coefficients) != n:
         raise MalformedDocument(f"expected {n} coefficients, got {len(coefficients)}")
-    members = []
-    for idx in range(checked_size(p, n)):
-        x = index_to_point(idx, p, n)
-        if sum(c * xi for c, xi in zip(coefficients, x)) % p == residue % p:
-            members.append(idx)
-    return indicator(p, n, members)
+    return _mask_indicator(p, n, _dot(p, n, coefficients) % p == residue % p)
 
 
 def character_bump(p: int, n: int, h_index: int, phase: int, eps: float) -> GroupFunction:
     """f(x) = 1/2 + eps * cos(2 pi (h.x + phase) / p); extremal for the
     Fourier expressions that drive the defect functionals."""
-    size = p**n
-    values = np.empty(size)
-    h = index_to_point(h_index, p, n)
-    for idx in range(size):
-        x = index_to_point(idx, p, n)
-        r = (sum(hi * xi for hi, xi in zip(h, x)) + phase) % p
-        values[idx] = 0.5 + eps * np.cos(2.0 * np.pi * r / p)
-    return GroupFunction(p, n, values)
+    r = (_dot(p, n, index_to_point(h_index, p, n)) + phase) % p
+    return GroupFunction(p, n, 0.5 + eps * np.cos(2.0 * np.pi * r / p))
 
 
 def from_values(p: int, n: int, values, exact=None) -> GroupFunction:

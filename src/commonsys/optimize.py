@@ -35,7 +35,7 @@ rows of its batch, and the cross-restart reduction is lexicographic in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -54,7 +54,7 @@ from .counting import (
     defect_value,
 )
 from .errors import InfeasibleMean, MalformedDocument, MissingL
-from .harmonic import GroupFunction, checked_size
+from .harmonic import GroupFunction, character_bump, checked_size, coset_indicator
 from .linsys import LinearSystem
 
 MAX_SEARCH_POINTS = 1 << 20
@@ -96,6 +96,8 @@ class SearchConfig:
             raise MalformedDocument("l must be >= 0")
         if self.property == PREVALENCE and self.mean is None:
             raise MalformedDocument("prevalence search requires a pinned mean")
+        if self.property == GEOMETRIC and self.mean is not None and abs(self.mean - 0.5) > 1e-12:
+            raise MalformedDocument("the geometric property is defined only at mean 1/2")
 
     def pinned_mean(self) -> float | None:
         if self.property == GEOMETRIC:
@@ -103,19 +105,7 @@ class SearchConfig:
         return self.mean
 
     def to_dict(self) -> dict:
-        return {
-            "property": self.property,
-            "p": self.p,
-            "n": self.n,
-            "l": self.l,
-            "mean": self.mean,
-            "restarts": self.restarts,
-            "max_iters": self.max_iters,
-            "eta0": self.eta0,
-            "seed": self.seed,
-            "grad_tol": self.grad_tol,
-            "violation_tol": self.violation_tol,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d) -> "SearchConfig":
@@ -280,21 +270,12 @@ def _initial_point(cfg: SearchConfig, k: int, rng) -> np.ndarray:
     if family == 2:
         coord = int(rng.integers(cfg.n))
         residue = int(rng.integers(cfg.p))
-        idx = np.arange(size)
-        digits = (idx // cfg.p**coord) % cfg.p
-        return (digits == residue).astype(np.float64)
+        unit = [int(i == coord) for i in range(cfg.n)]
+        return coset_indicator(cfg.p, cfg.n, unit, residue).values
     h = int(rng.integers(1, size))
     phase = int(rng.integers(cfg.p))
     eps = 0.45 * float(rng.uniform(0.6, 1.0))
-    idx = np.arange(size)
-    dot = np.zeros(size, dtype=np.int64)
-    v = idx.copy()
-    hh = h
-    for _ in range(cfg.n):
-        dot += (v % cfg.p) * (hh % cfg.p)
-        v //= cfg.p
-        hh //= cfg.p
-    return 0.5 + eps * np.cos(2.0 * np.pi * ((dot + phase) % cfg.p) / cfg.p)
+    return character_bump(cfg.p, cfg.n, h, phase, eps).values
 
 
 def _batch_rows(system: LinearSystem, n: int) -> int:
@@ -428,10 +409,6 @@ def scan_alpha(
     rows = []
     for i, alpha in enumerate(alphas):
         alpha = float(alpha)
-        if property == GEOMETRIC and abs(alpha - 0.5) > 1e-12:
-            raise MalformedDocument(
-                "the geometric property is defined only at mean 1/2"
-            )
         cfg = SearchConfig(
             property=property,
             p=system.p,

@@ -20,7 +20,7 @@ from commonsys.certify import (
 )
 from commonsys.errors import VerificationFailed
 from commonsys.exactpoly import subdivision_positive_on_box, verify_certificate
-from commonsys.qsqrt2 import AlgebraicNumber, an_sign
+from commonsys.qsqrt2 import AlgebraicNumber, an_sign, sqrt_lower
 
 F = Fraction
 
@@ -219,7 +219,7 @@ class TestL0:
 
     def test_window_condition_covers_case_split(self, ledger):
         # c5/sqrt(l0) <= 1/6 keeps the balanced regimes inside [1/3, 2/3]
-        assert ledger.c5 <= F(1, 6) * certify._sqrt_lower_int(ledger.l0)
+        assert ledger.c5 <= F(1, 6) * sqrt_lower(F(ledger.l0), bits=40)
 
     def test_small_l_fails_growth(self, ledger):
         rows = {r["condition"]: r for r in ledger.replay(100)}

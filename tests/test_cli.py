@@ -154,6 +154,19 @@ class TestSearch:
         payload = json.loads(out)
         assert "result" in payload and save.exists()
 
+    @pytest.mark.parametrize("alpha, code", [("0.3", 2), ("1/2", 0)])
+    def test_geometric_mean_is_checked(self, capsys, alpha, code):
+        got, out, err = run_main(
+            capsys,
+            "search", "--system", "phi", "--property", "geometric", "--alpha", alpha,
+            "--restarts", "2", "--max-iters", "10",
+        )
+        assert got == code
+        if code == 0:
+            assert json.loads(out)["result"]["best_values"]
+        else:
+            assert "mean 1/2" in err
+
 
 # p^GIANT_N is a multi-megabyte integer, so a traced peak below 1 MB shows
 # that a giant n was refused before the power was formed

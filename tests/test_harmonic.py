@@ -47,9 +47,10 @@ class TestMean:
     def test_point_indicator(self):
         assert indicator(3, 1, [0]).mean() == pytest.approx(1 / 3, abs=1e-15)
 
-    @pytest.mark.parametrize("member", [-1, 3, 7])
+    @pytest.mark.parametrize("member", [-1, 3, 7, 1 << 70])
     def test_indicator_member_out_of_range(self, member):
-        # -1 must not wrap around to the last point through numpy indexing
+        # -1 must not wrap around to the last point through numpy indexing,
+        # and a member beyond int64 is an input error, not an OverflowError
         with pytest.raises(MalformedDocument):
             indicator(3, 1, [0, member])
 
@@ -164,6 +165,50 @@ class TestCharacterBump:
         assert abs(abs(s[2]) - 0.15) < 1e-12
         assert abs(abs(s[3]) - 0.15) < 1e-12
         assert abs(s[1]) < 1e-12 and abs(s[4]) < 1e-12
+
+
+def _point_dot(a, b, p):
+    return sum(x * y for x, y in zip(a, b)) % p
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+class TestPointIndexing:
+    """The vectorized builders against per-point `index_to_point` oracles."""
+
+    def test_coset_indicator(self, p, n):
+        rng = np.random.default_rng(p * 10 + n)
+        for _ in range(4):
+            coefficients = [int(c) for c in rng.integers(-p, 2 * p, n)]
+            residue = int(rng.integers(-p, 2 * p))
+            f = coset_indicator(p, n, coefficients, residue)
+            want = [
+                int(_point_dot(coefficients, harmonic.index_to_point(x, p, n), p) == residue % p)
+                for x in range(p**n)
+            ]
+            assert f.values.tolist() == want
+            assert f.exact == tuple(Fraction(v) for v in want)
+
+    def test_character_bump_bits(self, p, n):
+        for h in range(0, p**n, max(1, p**n // 5)):
+            for phase in range(p):
+                f = character_bump(p, n, h, phase, 0.37)
+                hd = harmonic.index_to_point(h, p, n)
+                want = np.array([
+                    0.5 + 0.37 * np.cos(
+                        2.0 * np.pi * ((_point_dot(hd, harmonic.index_to_point(x, p, n), p)
+                                        + phase) % p) / p
+                    )
+                    for x in range(p**n)
+                ])
+                assert np.array_equal(f.values.view(np.int64), want.view(np.int64))
+
+    def test_negation_permutation(self, p, n):
+        want = []
+        for x in range(p**n):
+            neg = [(-d) % p for d in harmonic.index_to_point(x, p, n)]
+            want.append(sum(d * p**i for i, d in enumerate(neg)))
+        assert harmonic.negation_permutation(p, n).tolist() == want
 
 
 class TestFiles:

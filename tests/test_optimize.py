@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commonsys import counting, linsys, optimize
+from commonsys import counting, harmonic, linsys, optimize
 from commonsys.errors import InfeasibleMean, MalformedDocument, MissingL, TooLarge
 from commonsys.optimize import (
     SearchConfig,
@@ -152,6 +152,29 @@ class TestSearchConfig:
     def test_round_trip(self):
         cfg = SearchConfig(property="common", p=3, n=2, restarts=4, seed=9)
         assert SearchConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_geometric_mean_must_be_half(self):
+        with pytest.raises(MalformedDocument):
+            SearchConfig(property="geometric", p=3, n=1, mean=0.3)
+        assert SearchConfig(property="geometric", p=3, n=1, mean=0.5).pinned_mean() == 0.5
+
+
+class TestInitialPoint:
+    @pytest.mark.parametrize("p, n", [(3, 1), (3, 3), (5, 2), (7, 2)])
+    def test_structured_families_reuse_the_harmonic_builders(self, p, n):
+        cfg = SearchConfig(property="common", p=p, n=n)
+        for k in [4 * j + family for j in range(10) for family in (2, 3)]:
+            got = optimize._initial_point(cfg, k, np.random.default_rng([3, k]))
+            rng = np.random.default_rng([3, k])
+            if k % 4 == 2:
+                coord, residue = int(rng.integers(n)), int(rng.integers(p))
+                unit = [int(i == coord) for i in range(n)]
+                want = harmonic.coset_indicator(p, n, unit, residue).values
+            else:
+                h, phase = int(rng.integers(1, p**n)), int(rng.integers(p))
+                eps = 0.45 * float(rng.uniform(0.6, 1.0))
+                want = harmonic.character_bump(p, n, h, phase, eps).values
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestObjectiveGradient:
