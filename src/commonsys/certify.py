@@ -34,9 +34,11 @@ from .exactpoly import (
     STRICTLY_NEGATIVE,
     STRICTLY_POSITIVE,
     SparsePoly,
-    check_certificate,
+    _certified,
+    _sturm_witness,
     isolate_positive_root,
     rational_chain_certificate,
+    sturm_chain,
     sturm_sign_on_interval,
     subdivision_positive_on_box,
     verify_certificate,
@@ -167,18 +169,19 @@ def _certify_convexity_floor(k: int) -> Certificate:
     quotient, rem = base.divmod(lin * lin)
     if not rem.is_zero():
         raise VerificationFailed(f"degree-{k} convexity floor: square factor does not divide")
-    verdict, cert = sturm_sign_on_interval(quotient, 0, 1)
-    if verdict != STRICTLY_POSITIVE:
-        raise VerificationFailed(f"degree-{k} convexity floor quotient not positive", cert)
-    cert.claim = (
-        f"x^{k} + (1-x)^{k} - 2^(1-{k}) is nonnegative on [0,1] "
-        f"(it is (x-1/2)^2 times a strictly positive polynomial)"
-    )
-    cert.witness["square_factor"] = {
+    # the quotient's Sturm witness plus the square factor, checked once
+    witness = _sturm_witness(quotient, sturm_chain(quotient), F(0), F(1))
+    witness["square_factor"] = {
         "base": base.to_strings(),
         "center": "1/2",
     }
-    check_certificate(cert)  # the witness changed after it was checked
+    claim = (
+        f"x^{k} + (1-x)^{k} - 2^(1-{k}) is nonnegative on [0,1] "
+        f"(it is (x-1/2)^2 times a strictly positive polynomial)"
+    )
+    cert = _certified(claim, "sturm", witness)
+    if witness["verdict"] != STRICTLY_POSITIVE:
+        raise VerificationFailed(f"degree-{k} convexity floor quotient not positive", cert)
     return cert
 
 

@@ -98,14 +98,21 @@ def _index_table(forms, p: int, n: int, start: int, stop: int) -> np.ndarray:
     for _ in _digits(np.arange(start, stop, dtype=np.int64), p, len(rows), rows):
         pass  # digit k lands in rows[k]
     table = np.zeros((len(forms), size), dtype=np.int64)
+    acc = np.empty(size, dtype=np.int64)  # one form's digit i, reused
+    term = np.empty(size, dtype=np.int64)
     for out, coeffs in zip(table, forms):
         for i in range(n - 1, -1, -1):  # Horner over the digits, high first
-            acc = np.zeros(size, dtype=np.int64)
+            acc.fill(0)
             for c, dig in zip(coeffs, digits[:, i]):
-                if c:
-                    acc += c * dig
+                if c == 1:
+                    acc += dig
+                elif c:
+                    acc += np.multiply(dig, c, out=term)
             out *= p
-            out += acc - (acc // p) * p
+            out += acc  # then minus (acc // p) * p: the digit is acc mod p
+            np.floor_divide(acc, p, out=acc)
+            acc *= p
+            out -= acc
     table.flags.writeable = False
     return table
 

@@ -54,7 +54,7 @@ INDETERMINATE = "Indeterminate"
 def _an(x) -> AlgebraicNumber:
     if isinstance(x, AlgebraicNumber):
         return x
-    return AlgebraicNumber(Fraction(x), 0)
+    return AlgebraicNumber(x if isinstance(x, (int, Fraction)) else Fraction(x))
 
 
 class ExactPoly:
@@ -327,15 +327,24 @@ class SparsePoly:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms=()):
-        out = {}
+        pairs = []
         for e, c in terms.items() if isinstance(terms, dict) else terms:
             e = tuple(int(k) for k in e)
             if len(e) != nvars or not all(0 <= k <= MAX_DEGREE for k in e):
                 raise ValueError(f"exponent {e} is not {nvars} integers in 0..{MAX_DEGREE}")
-            c = _an(c)
-            out[e] = out[e] + c if e in out else c
+            pairs.append((e, _an(c)))
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", {e: c for e, c in out.items() if c != ZERO})
+        object.__setattr__(self, "terms", _collect(pairs))
+
+    @classmethod
+    def _from_valid(cls, nvars: int, pairs) -> SparsePoly:
+        """The polynomial of (exponent tuple, AlgebraicNumber) pairs whose
+        exponents are already known valid: those of a valid polynomial, or
+        lowered from them."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "nvars", nvars)
+        object.__setattr__(poly, "terms", _collect(pairs))
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("SparsePoly is immutable")
@@ -354,7 +363,9 @@ class SparsePoly:
         return SparsePoly(self.nvars, {(0,) * self.nvars: other})
 
     def __add__(self, other) -> SparsePoly:
-        return SparsePoly(self.nvars, [*self.terms.items(), *self._lift(other).terms.items()])
+        return SparsePoly._from_valid(
+            self.nvars, [*self.terms.items(), *self._lift(other).terms.items()]
+        )
 
     def __sub__(self, other) -> SparsePoly:
         return self + self._lift(other).scale(-1)
@@ -375,31 +386,30 @@ class SparsePoly:
 
     def scale(self, k) -> SparsePoly:
         k = _an(k)
-        return SparsePoly(self.nvars, {e: c * k for e, c in self.terms.items()})
+        return SparsePoly._from_valid(self.nvars, [(e, c * k) for e, c in self.terms.items()])
 
     def diff(self, var: int) -> SparsePoly:
         terms = [(_put(e, var, e[var] - 1), c * e[var]) for e, c in self.terms.items() if e[var]]
-        return SparsePoly(self.nvars, terms)
+        return SparsePoly._from_valid(self.nvars, terms)
 
     def shift(self, var: int, center) -> SparsePoly:
         """Substitute x_var -> center + x_var.  The binomial weights
         comb(k, j) * center^(k-j) are built once per distinct exponent k."""
-        center = Fraction(center)
-        powers = _powers(center, self._top(var), Fraction(1))
+        powers = _powers(_an(center), self._top(var))
         weights = {}
         terms = []
         for e, c in self.terms.items():
             k = e[var]
             if k not in weights:
-                weights[k] = [comb(k, j) * powers[k - j] for j in range(k + 1)]
+                weights[k] = [powers[k - j] * comb(k, j) for j in range(k + 1)]
             terms.extend((_put(e, var, j), c * w) for j, w in enumerate(weights[k]))
-        return SparsePoly(self.nvars, terms)
+        return SparsePoly._from_valid(self.nvars, terms)
 
     def eval(self, *point) -> AlgebraicNumber:
         """Exact value at `point`; each variable's powers are built once."""
         if self.terms and len(point) != self.nvars:
             raise ValueError(f"{len(point)} coordinates for {self.nvars} variables")
-        powers = [_powers(_an(x), self._top(i), ONE) for i, x in enumerate(point)]
+        powers = [_powers(_an(x), self._top(i)) for i, x in enumerate(point)]
         acc = ZERO
         for e, c in self.terms.items():
             for row, k in zip(powers, e):
@@ -438,7 +448,9 @@ class SparsePoly:
 
     def monomial_abs_bound(self, radii) -> AlgebraicNumber:
         """sum |c| * prod radii^exponents; bounds |P| when |x_i| <= radii[i]."""
-        return SparsePoly(self.nvars, {e: abs(c) for e, c in self.terms.items()}).eval(*radii)
+        return SparsePoly._from_valid(
+            self.nvars, [(e, abs(c)) for e, c in self.terms.items()]
+        ).eval(*radii)
 
     def to_list(self) -> list:
         return [[list(e), format_algebraic(c)] for e, c in sorted(self.terms.items())]
@@ -455,9 +467,18 @@ class SparsePoly:
         return cls(len(pairs[0][0]) if pairs else 0, pairs)
 
 
-def _powers(x, top: int, one) -> list:
+def _collect(pairs) -> dict:
+    """Exponent -> coefficient, repeated exponents added up and zero
+    coefficients dropped."""
+    out = {}
+    for e, c in pairs:
+        out[e] = out[e] + c if e in out else c
+    return {e: c for e, c in out.items() if c != ZERO}
+
+
+def _powers(x: AlgebraicNumber, top: int) -> list:
     """[x^0, x^1, ..., x^top], each by one multiplication."""
-    out = [one]
+    out = [ONE]
     for _ in range(top):
         out.append(out[-1] * x)
     return out

@@ -207,7 +207,12 @@ def coset_indicator(p: int, n: int, coefficients, residue: int) -> GroupFunction
 
 def character_bump(p: int, n: int, h_index: int, phase: int, eps: float) -> GroupFunction:
     """f(x) = 1/2 + eps * cos(2 pi (h.x + phase) / p); extremal for the
-    Fourier expressions that drive the defect functionals."""
+    Fourier expressions that drive the defect functionals.  h is the point
+    of index `h_index`, which must lie in 0..p^n - 1 (MalformedDocument
+    otherwise)."""
+    size = checked_size(p, n)
+    if not 0 <= h_index < size:
+        raise MalformedDocument(f"character index {h_index} outside 0..{size - 1}")
     r = (_dot(p, n, index_to_point(h_index, p, n)) + phase) % p
     return GroupFunction(p, n, 0.5 + eps * np.cos(2.0 * np.pi * r / p))
 

@@ -1,6 +1,7 @@
 import copy
 from decimal import Decimal, getcontext
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -43,13 +44,144 @@ rationals = st.fractions(
 )
 
 
+# a two-Fraction model of Q(sqrt(2)), the oracle for AlgebraicNumber's
+# integer-numerator representation: pairs (a, b) meaning a + b*sqrt(2)
+def _o_mul(x, y):
+    return (x[0] * y[0] + 2 * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _o_inv(x):
+    norm = x[0] * x[0] - 2 * x[1] * x[1]
+    return (x[0] / norm, -x[1] / norm)
+
+
+def _o_pow(x, k):
+    if k < 0:
+        x, k = _o_inv(x), -k
+    out = (F(1), F(0))
+    for _ in range(k):
+        out = _o_mul(out, x)
+    return out
+
+
+def _o_sign(x):
+    a, b = x
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0 or (a > 0) == (b > 0):
+        return 1 if b > 0 else -1
+    return (1 if a > 0 else -1) if a * a > 2 * b * b else (1 if b > 0 else -1)
+
+
+def _pair(x):
+    return (x.a, x.b)
+
+
+def _assert_canonical(x):
+    assert type(x._an) is type(x._bn) is type(x._d) is int
+    assert x._d > 0 and gcd(x._an, x._bn, x._d) == 1
+
+
 class TestAlgebraicNumber:
+    @given(rationals, rationals, rationals, rationals, st.integers(-4, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_two_fraction_oracle(self, a, b, c, d, k):
+        x, y = AlgebraicNumber(a, b), AlgebraicNumber(c, d)
+        X, Y = (a, b), (c, d)
+        got = {
+            "+": (x + y, (a + c, b + d)),
+            "-": (x - y, (a - c, b - d)),
+            "*": (x * y, _o_mul(X, Y)),
+            "neg": (-x, (-a, -b)),
+            "abs": (abs(x), (a, b) if _o_sign(X) >= 0 else (-a, -b)),
+            "x*c": (x * c, (a * c, b * c)),
+            "c-x": (c - x, (c - a, -b)),
+            "int*x": (3 * x, (3 * a, 3 * b)),
+        }
+        if Y != (0, 0):
+            got["/"] = (x / y, _o_mul(X, _o_inv(Y)))
+            got["inv"] = (y.inverse(), _o_inv(Y))
+            got["c/y"] = (a / y, _o_mul((a, F(0)), _o_inv(Y)))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x / y
+        if X != (0, 0) or k >= 0:
+            got["**"] = (x**k, _o_pow(X, k))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x**k
+        for name, (value, want) in got.items():
+            assert _pair(value) == want, name
+            assert type(value.a) is type(value.b) is F
+            _assert_canonical(value)
+        assert x.sign() == an_sign(x) == _o_sign(X)
+        for other, want in ((y, (c, d)), (c, (c, F(0))), (c.numerator, (F(c.numerator), F(0)))):
+            s = _o_sign((a - want[0], b - want[1]))
+            assert (x < other, x <= other, x > other, x >= other) == (s < 0, s <= 0, s > 0, s >= 0)
+            assert (x == other) == (s == 0)
+        assert parse_algebraic(format_algebraic(x)) == x
+        _assert_canonical(parse_algebraic(format_algebraic(x)))
+        assert x.approx() == float(a) + float(b) * 2.0**0.5
+
+    @given(rationals, rationals, st.integers(1, 12))
+    @settings(max_examples=80, deadline=None)
+    def test_equal_values_built_differently_hash_alike(self, a, b, m):
+        x = AlgebraicNumber(a, b)
+        same = [
+            x * m / m,
+            (x * m - x * (m - 1)),
+            x + AlgebraicNumber(0, F(1, m)) - AlgebraicNumber(0, F(1, m)),
+            parse_algebraic(  # an unreduced literal
+                f"{a.numerator * m}/{a.denominator * m} {'-' if b < 0 else '+'} "
+                f"{abs(b.numerator) * m}/{b.denominator * m}*sqrt2"
+            ),
+            AlgebraicNumber(str(a), str(b)),
+        ]
+        for y in same:
+            _assert_canonical(y)
+            assert y == x and hash(y) == hash(x)
+        r = AlgebraicNumber(a, 0)
+        assert r == a and hash(r) == hash(a)
+        assert AlgebraicNumber(a * m, 0) / m == a
+        assert AlgebraicNumber(m) == m and hash(AlgebraicNumber(m)) == hash(m)
+        assert (AlgebraicNumber(a, b) == AlgebraicNumber(a, b + 1)) is False
+
+    def test_bad_literal_or_zero_norm_fails_the_check(self):
+        assert isinstance(ZeroDivisionError(), ArithmeticError)
+        with pytest.raises(ZeroDivisionError):
+            AlgebraicNumber(0, 0).inverse()
+        with pytest.raises(ZeroDivisionError):
+            parse_algebraic("1/0")
+        with pytest.raises(ZeroDivisionError):
+            parse_algebraic("1 + 1/0*sqrt2")
+        _, cert = sturm_sign_on_interval(ExactPoly([1, 0, 1]), 0, 1)
+        for literal in ("1/0 + 0*sqrt2", "1 - 3/0*sqrt2"):
+            broken = copy.deepcopy(cert)
+            broken.witness["poly"][0] = literal
+            assert verify_certificate(broken) is False
+        for lhs, rhs in (("1/0", "1"), ("1", "0 + 1/0*sqrt2")):
+            chain = Certificate(
+                claim="division by zero in a literal",
+                method="rational_chain",
+                witness={"steps": [{"kind": "cmp", "lhs": lhs, "op": "<", "rhs": rhs}]},
+            )
+            assert verify_certificate(chain) is False
+
     def test_sign_examples(self):
         assert an_sign(AlgebraicNumber(3, -2)) == 1  # 9 > 8
         assert an_sign(AlgebraicNumber(-1, 0)) == -1
         assert an_sign(AlgebraicNumber(0, 0)) == 0
         assert an_sign(AlgebraicNumber(-3, 2)) == -1
         assert an_sign(AlgebraicNumber(0, -1)) == -1
+        # near ties: the convergents p/q of sqrt(2) have p^2 - 2 q^2 = +-1
+        getcontext().prec = 60
+        sqrt2 = Decimal(2).sqrt()
+        for p, q in ((1, 1), (3, 2), (7, 5), (17, 12), (41, 29), (99, 70), (577, 408)):
+            for a, b in ((p, -q), (-p, q)):
+                for den in (1, 7):
+                    x = AlgebraicNumber(F(a, den), F(b, den))
+                    assert an_sign(x) == (1 if a + b * sqrt2 > 0 else -1), (a, b, den)
+                    assert (x < 0) == (a + b * sqrt2 < 0)
 
     @given(rationals, rationals, rationals, rationals, rationals, rationals)
     @settings(max_examples=60, deadline=None)

@@ -166,6 +166,21 @@ class TestCharacterBump:
         assert abs(abs(s[3]) - 0.15) < 1e-12
         assert abs(s[1]) < 1e-12 and abs(s[4]) < 1e-12
 
+    @pytest.mark.parametrize("p, n", [(3, 1), (5, 2), (3, 0)])
+    def test_index_range(self, p, n):
+        # an index past p^n - 1 used to wrap silently onto its low n digits
+        for bad in (-1, p**n, p**n + 2):
+            with pytest.raises(MalformedDocument):
+                character_bump(p, n, bad, 0, 0.3)
+        for h in (0, p**n - 1):
+            f = character_bump(p, n, h, 1, 0.3)
+            assert f.values.shape == (p**n,)
+        if n:
+            assert not np.array_equal(
+                character_bump(p, n, p**n - 1, 0, 0.3).values,
+                character_bump(p, n, 0, 0, 0.3).values,
+            )
+
 
 def _point_dot(a, b, p):
     return sum(x * y for x, y in zip(a, b)) % p
