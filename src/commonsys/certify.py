@@ -36,6 +36,7 @@ from .exactpoly import (
     SparsePoly,
     _certified,
     _sturm_witness,
+    even_binomial_sum,
     isolate_positive_root,
     rational_chain_certificate,
     sturm_chain,
@@ -448,8 +449,7 @@ def _even_binomial_lower(l: int, c5: Fraction) -> Fraction:
     and each term is nondecreasing in l (for l >= 2j), so this is a
     certified, monotone-in-l lower bound.
     """
-    xsq = 4 * c5 * c5 / l
-    return sum(F(comb(l, 2 * j)) * xsq**j for j in range(BINOMIAL_TERMS + 1))
+    return even_binomial_sum(l, 4 * c5 * c5 / l, BINOMIAL_TERMS)
 
 
 @dataclass

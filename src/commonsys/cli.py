@@ -84,6 +84,7 @@ def _build_manifest(
 
 def _load_system(args, manifest: RunManifest) -> linsys.LinearSystem:
     system = linsys.load_system(args.system, p=args.p)
+    manifest.args["p"] = system.p  # a system document's own p overrides --p
     manifest.inputs["system"] = system.digest()
     return system
 

@@ -25,21 +25,32 @@ Both Fourier routes run on an (R, p^n) stack of functions: one transform
 pass per stack, one gather per block, and a `np.bincount` scatter for the
 gradient.  Every defect is a function of the pair (T(f), T(1 - f)), so
 `defect`, `alon_witness` and the optimizer evaluate [f, 1 - f] as one
-stack; `t_fourier`/`t_gradient` are its one-row case.  The point-index
-tables of each chunk of lambdas (or kernel parameters) come from a small
-bounded cache of read-only arrays, so repeated evaluations on the same
-blocks build them once.
+stack; `t_fourier`/`t_gradient` are its one-row case.
 
 The exact route pairs f and 1 - f the same way: `defect(method="brute")`
-scans the kernel once for both, building each streamed chunk's index
-table once and taking both rows' exact product sums from it, each with
-its own denominator and integer path; `t_brute` is the one-row case.
+scans the kernel once for both, taking both rows' exact product sums
+from each index table, each with its own denominator and integer path;
+`t_brute` is the one-row case.
+
+Every route reads f through index tables, which give the point of F_p^n
+that each form takes at each parameter tuple (kernel parameters, or
+lambdas), and `_form_indices` is the one scan that yields them, at most
+CHUNK tuples per table.  A table that fits in one chunk (every m = 1
+block up to p^n = CHUNK) comes from a small bounded cache of read-only
+arrays, so repeated evaluations on the same blocks build it once.  A
+longer scan streams past the cache.  Its forms are linear, so
+psi(y_low + y_high) = psi(y_low) + psi(y_high): the table of the low
+parameters, as many as fit in a chunk, is built once per scan, and each
+chunk translates it by the points the high parameters give there, with
+one gather through each translation x -> x + o of F_p^n.  Only a single
+parameter wider than CHUNK is streamed over its own points.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -54,7 +65,14 @@ from .errors import (
     MissingL,
     TooLarge,
 )
-from .harmonic import GroupFunction, _dft_rows, _digits, _idft_rows, negation_permutation
+from .harmonic import (
+    GroupFunction,
+    _dft_rows,
+    _digits,
+    _dilations,
+    _idft_rows,
+    negation_permutation,
+)
 from .linsys import LinearSystem, factor_disjoint
 
 ENUMERATION_CAP = 10**8
@@ -81,55 +99,100 @@ def _check_compat(system: LinearSystem, f: GroupFunction) -> None:
         )
 
 
+def _translate(table: np.ndarray, points: np.ndarray, p: int, n: int) -> np.ndarray:
+    """Row i of `table` translated by each point of row i of `points`:
+    out[i, a*S + s] = table[i, s] + points[i, a] in F_p^n, S = table width.
+
+    Each translation x -> x + o is built on the p^n points of F_p^n, digit
+    by digit, and the table is gathered through it."""
+    x = np.arange(p**n)
+    # x + o minus the carry p^(k+1) of every digit k with x_k + o_k >= p
+    shifted = x + points[:, :, None]
+    place = p
+    for x_k, o_k in zip(_digits(x, p, n), _digits(points, p, n)):
+        shifted -= place * (x_k >= p - o_k[:, :, None])
+        place *= p
+    out = np.empty((len(table), points.shape[1], table.shape[1]), dtype=np.int64)
+    for row, translations, out_row in zip(table, shifted, out):
+        # every entry is a point index, so "clip" clips nothing; it spares the
+        # copy of `out` that the default mode makes
+        np.take(translations, row, axis=1, out=out_row, mode="clip")
+    return out.reshape(len(table), -1)
+
+
 @lru_cache(maxsize=4)
-def _index_table(forms, p: int, n: int, start: int, stop: int) -> np.ndarray:
-    """Point indices of every linear form over the parameter tuples
-    start..stop-1 of (F_p^n)^k, k = len(forms[0]), as a read-only
-    (len(forms), stop - start) array.
+def _index_table(forms, p: int, n: int) -> np.ndarray:
+    """Point indices of every linear form over all parameter tuples of
+    (F_p^n)^k, k = len(forms[0]), as a read-only (len(forms), p^(nk)) array.
 
     forms[i] gives the F_p coefficients of form i; tuples are enumerated
-    as base-p^n integers, so digit i of parameter j is base-p digit
-    j*n + i of the tuple index.  The cache holds the one-chunk tables of
-    the few blocks a search evaluates on every call.
+    as base-p^n integers, parameter 0 least significant.  Parameter 0
+    gives each form's dilation table c*y over F_p^n, and each further
+    parameter j translates the table so far by each of its p^n points
+    c_j*y_j, so no entry is derived from the digits of a tuple index.  The
+    cache holds the one-chunk tables of the few blocks a search evaluates
+    on every call; `_chunk_tables` calls the uncached function for the
+    inner table of a longer scan.
     """
-    size = stop - start
-    digits = np.empty((len(forms[0]), n, size), dtype=np.int64)
-    rows = digits.reshape(-1, size)
-    for _ in _digits(np.arange(start, stop, dtype=np.int64), p, len(rows), rows):
-        pass  # digit k lands in rows[k]
-    table = np.zeros((len(forms), size), dtype=np.int64)
-    acc = np.empty(size, dtype=np.int64)  # one form's digit i, reused
-    term = np.empty(size, dtype=np.int64)
-    for out, coeffs in zip(table, forms):
-        for i in range(n - 1, -1, -1):  # Horner over the digits, high first
-            acc.fill(0)
-            for c, dig in zip(coeffs, digits[:, i]):
-                if c == 1:
-                    acc += dig
-                elif c:
-                    acc += np.multiply(dig, c, out=term)
-            out *= p
-            out += acc  # then minus (acc // p) * p: the digit is acc mod p
-            np.floor_divide(acc, p, out=acc)
-            acc *= p
-            out -= acc
+    if not forms[0]:
+        table = np.zeros((len(forms), 1), dtype=np.int64)  # the empty tuple
+    else:
+        columns = np.array(forms, dtype=np.int64).T
+        table = _dilations(columns[0], p, n)
+        for column in columns[1:]:
+            table = _translate(table, _dilations(column, p, n), p, n)
     table.flags.writeable = False
     return table
 
 
+def _chunk_tables(forms, p: int, n: int):
+    """The index tables of `forms` over runs of at most CHUNK consecutive
+    parameter tuples, in tuple order.
+
+    The low parameters, as many as fit in one chunk, get one inner table
+    per scan; the chunks of the high ones come from the same scan, and
+    each run of them translates the inner table.  A single parameter past
+    CHUNK streams its own points instead."""
+    size = p**n
+    low = 1
+    while low < len(forms[0]) and size ** (low + 1) <= CHUNK:
+        low += 1
+    if size > CHUNK:
+        # c*y = c*y_low + p^h c*y_high: one small table for each half of the digits
+        column = np.array([form[0] for form in forms], dtype=np.int64)
+        h = (n + 1) // 2
+        low_half, high_half = _dilations(column, p, h), _dilations(column, p, n - h) * p**h
+
+        def inner():
+            for start in range(0, size, CHUNK):
+                y_high, y_low = np.divmod(np.arange(start, min(start + CHUNK, size)), p**h)
+                yield low_half[:, y_low] + high_half[:, y_high]
+    else:
+        table = _index_table.__wrapped__(tuple(form[:low] for form in forms), p, n)
+
+        def inner():
+            yield table
+    if low == len(forms[0]):
+        yield from inner()
+        return
+    group = max(1, CHUNK // size**low)
+    for outer in _chunk_tables(tuple(form[low:] for form in forms), p, n):
+        for start in range(0, outer.shape[1], group):
+            for piece in inner():
+                yield _translate(piece, outer[:, start:start + group], p, n)
+
+
 def _form_indices(forms, p: int, n: int, label: str):
-    """The index tables of `forms` over all of (F_p^n)^k, one CHUNK of
-    parameter tuples at a time.  The size cap is checked before any chunk."""
+    """The index tables of `forms` over all of (F_p^n)^k, at most CHUNK
+    parameter tuples each.  The size cap is checked before any table."""
     total = (p**n) ** len(forms[0])
     if total > ENUMERATION_CAP:
         raise TooLarge(f"{label} = {total} exceeds cap {ENUMERATION_CAP}")
-    # a longer scan would miss on every chunk of the LRU cache and leave its
-    # last chunks (len(forms) * CHUNK * 8 bytes each) pinned, so it streams
-    build = _index_table if total <= CHUNK else _index_table.__wrapped__
-    return (
-        build(forms, p, n, start, min(start + CHUNK, total))
-        for start in range(0, total, CHUNK)
-    )
+    if total <= CHUNK:
+        return (_index_table(forms, p, n),)
+    # through the LRU cache, a longer scan would miss on every chunk and
+    # leave its last chunks (len(forms) * CHUNK * 8 bytes each) pinned
+    return _chunk_tables(forms, p, n)
 
 
 def t_brute(system: LinearSystem, f: GroupFunction) -> Fraction:
@@ -167,7 +230,7 @@ def _brute_rows(system: LinearSystem, fs) -> list[Fraction]:
     if live:
         for var_idx in chunks:
             for i, numer_arr, bound in live:
-                prod = numer_arr[var_idx[0]].copy()
+                prod = numer_arr[var_idx[0]]
                 for vi in var_idx[1:]:
                     prod *= numer_arr[vi]
                 totals[i] += _exact_sum(prod, bound)
@@ -366,6 +429,32 @@ def function_digest(f: GroupFunction) -> str:
     return hashlib.sha256(f.values.tobytes()).hexdigest()[:12]
 
 
+def _alon_denominator_digits(system: LinearSystem, rows, alpha: Fraction, l: int) -> int:
+    """A lower bound on the decimal digits of the denominator of the exact
+    alon defect alpha^l T(f) + (1 - alpha)^l T(1 - f) - 2^(1-t-l), with
+    `rows` = [f, 1 - f]; 0 where none is known.
+
+    Each T is an integer over L^t p^(nD), L the lcm of its row's value
+    denominators, so its 2-adic valuation is at least -v_2(L^t p^(nD)).
+    If alpha's denominator is odd, alpha and 1 - alpha have valuation
+    >= 0, so the first two terms are bounded the same way; once the last
+    term's valuation 1 - t - l lies below that bound, it is the defect's,
+    and 2^(l+t-1) divides the denominator."""
+    if alpha.denominator % 2 == 0:
+        return 0
+
+    def v2(x: int) -> int:
+        return (x & -x).bit_length() - 1
+
+    bound = system.num_params * v2(rows[0].size) + system.t * max(
+        v2(math.lcm(*(v.denominator for v in f.exact_values()))) for f in rows
+    )
+    power = l + system.t - 1
+    if power <= bound:
+        return 0
+    return power * 30102 // 100000 + 1  # 2^power has floor(power log10 2) + 1 digits
+
+
 def defect(
     system: LinearSystem,
     f: GroupFunction,
@@ -379,7 +468,9 @@ def defect(
     The free-variable (alon) defect always goes through the closed form
     alpha^l T(f) + (1-alpha)^l T(1-f) - 2^(1-t-l), never through an
     enlarged system, so l may be arbitrarily large; the exact method
-    raises TooLarge once alpha^l would pass EXACT_POWER_BITS.
+    raises TooLarge once alpha^l would pass EXACT_POWER_BITS, or once the
+    value is sure to have more digits than the interpreter's int-to-str
+    limit prints (`_alon_denominator_digits`), before computing either.
     """
     if property not in PROPERTIES:
         raise MalformedDocument(f"unknown property {property!r}")
@@ -393,9 +484,15 @@ def defect(
     t = system.t
     if method == "brute":
         alpha = f.exact_mean()
-        if property == ALON and l * alpha.denominator.bit_length() > EXACT_POWER_BITS:
-            raise TooLarge(f"exact alpha^l at l={l} exceeds {EXACT_POWER_BITS} bits")
-        t_f, t_1mf = _brute_rows(system, [f, f.complement()])
+        rows = [f, f.complement()]
+        if property == ALON:
+            if l * alpha.denominator.bit_length() > EXACT_POWER_BITS:
+                raise TooLarge(f"exact alpha^l at l={l} exceeds {EXACT_POWER_BITS} bits")
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            if limit and _alon_denominator_digits(system, rows, alpha, l) > limit:
+                raise TooLarge(f"the exact alon defect at l={l} has more than {limit} "
+                               "digits, too many to print")
+        t_f, t_1mf = _brute_rows(system, rows)
         one = Fraction(1)
         method_name = METHOD_BRUTE
     elif method == "fourier":

@@ -801,6 +801,15 @@ _LEMMAS = {
 }
 
 
+def even_binomial_sum(l: int, xsq: Fraction, terms: int) -> Fraction:
+    """sum_{j=0}^{terms} C(l, 2j) xsq^j, exactly.  With xsq = a/d, the sum
+    is taken on integers, C(l, 2j) a^j d^(terms - j), and divided by
+    d^terms once, so no term pays a Fraction gcd."""
+    a, d = xsq.numerator, xsq.denominator
+    total = sum(comb(l, 2 * j) * a**j * d ** (terms - j) for j in range(terms + 1))
+    return Fraction(total, d ** max(terms, 0))
+
+
 def _check_chain(cert: Certificate) -> None:
     steps = cert.witness.get("steps", [])
     if not steps:
@@ -842,8 +851,7 @@ def _check_chain(cert: Certificate) -> None:
             terms = int(step["terms"])
             if terms > MAX_DEGREE:
                 _fail(cert, f"step {idx}: partial sum longer than {MAX_DEGREE} terms")
-            total = sum(Fraction(comb(l, 2 * j)) * xsq**j for j in range(terms + 1))
-            if total != value:
+            if even_binomial_sum(l, xsq, terms) != value:
                 _fail(cert, "even binomial partial sum does not match")
         elif kind == "poly_eval":
             poly = ExactPoly.from_strings(step["poly"])

@@ -69,15 +69,13 @@ def _inverse_matrix(p: int) -> np.ndarray:
     return np.conj(_forward_matrix(p))
 
 
-def _digits(index: np.ndarray, p: int, n: int, out: np.ndarray | None = None):
+def _digits(index: np.ndarray, p: int, n: int):
     """Base-p digits 0..n-1 of the int64 index array `index`, least
-    significant first, one array per coordinate.  With `out`, digit k is
-    written to out[k], so a caller keeping every digit allocates no array
-    per digit.  v - (v // p) * p is v % p, and numpy takes `//` by a scalar
-    several times faster than `%`."""
-    for k in range(n):
+    significant first, one array per coordinate.  v - (v // p) * p is
+    v % p, and numpy takes `//` by a scalar several times faster than `%`."""
+    for _ in range(n):
         quot = index // p
-        digit = np.multiply(quot, p, out=None if out is None else out[k])
+        digit = quot * p
         yield np.subtract(index, digit, out=digit)
         index = quot
 
@@ -92,12 +90,22 @@ def _dot(p: int, n: int, coefficients) -> np.ndarray:
     return total
 
 
+def _dilations(coefficients: np.ndarray, p: int, k: int) -> np.ndarray:
+    """The points c*y of F_p^k for each coefficient c of `coefficients` and
+    every y in F_p^k, as a (len(coefficients), p^k) int64 array.  Digit i
+    of c*y is c*y_i mod p and carries into no other digit, so the table is
+    an outer sum of one (c, digit) table per digit, highest digit outermost."""
+    digit = coefficients[:, None] * np.arange(p) % p
+    table = np.zeros((len(coefficients), 1), dtype=np.int64)
+    for i in range(k):
+        table = ((digit * p**i)[:, :, None] + table[:, None, :]).reshape(len(coefficients), -1)
+    return table
+
+
 @lru_cache(maxsize=None)
 def negation_permutation(p: int, n: int) -> np.ndarray:
     """Index permutation sending x to -x (coordinatewise mod p)."""
-    out = np.zeros(p**n, dtype=np.int64)
-    for i, x in enumerate(_digits(np.arange(p**n), p, n)):
-        out += np.where(x, p - x, 0) * p**i
+    out = _dilations(np.array([p - 1]), p, n)[0]
     out.flags.writeable = False
     return out
 

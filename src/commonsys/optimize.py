@@ -54,7 +54,7 @@ from .counting import (
     defect_value,
 )
 from .errors import InfeasibleMean, MalformedDocument, MissingL
-from .harmonic import GroupFunction, character_bump, checked_size, coset_indicator
+from .harmonic import GroupFunction, _dot, character_bump, checked_size
 from .linsys import LinearSystem
 
 MAX_SEARCH_POINTS = 1 << 20
@@ -271,7 +271,8 @@ def _initial_point(cfg: SearchConfig, k: int, rng) -> np.ndarray:
         coord = int(rng.integers(cfg.n))
         residue = int(rng.integers(cfg.p))
         unit = [int(i == coord) for i in range(cfg.n)]
-        return coset_indicator(cfg.p, cfg.n, unit, residue).values
+        # coset_indicator(...).values, without its exact Fraction tuple
+        return (_dot(cfg.p, cfg.n, unit) % cfg.p == residue).astype(np.float64)
     h = int(rng.integers(1, size))
     phase = int(rng.integers(cfg.p))
     eps = 0.45 * float(rng.uniform(0.6, 1.0))

@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -154,6 +155,15 @@ class TestSearch:
         payload = json.loads(out)
         assert "result" in payload and save.exists()
 
+    def test_manifest_records_the_document_p(self, capsys, tmp_path):
+        path = tmp_path / "q5.json"
+        path.write_text('{"p": 5, "matrix": [[1, 1, 1, 1]]}')
+        code, out, _ = run_main(capsys, "search", "--system", str(path), "--property",
+                                "common", "--restarts", "1", "--max-iters", "5")
+        payload = json.loads(out)
+        assert code == 0 and payload["result"]["p"] == 5
+        assert payload["manifest"]["args"]["p"] == payload["config"]["p"] == 5
+
     @pytest.mark.parametrize("alpha, code", [("0.3", 2), ("1/2", 0)])
     def test_geometric_mean_is_checked(self, capsys, alpha, code):
         got, out, err = run_main(
@@ -294,6 +304,13 @@ class TestHostileArguments:
     def test_documented_exit(self, capsys, argv, code):
         got, _, err = run_main(capsys, *argv)
         assert got == code and "error" in err
+
+    def test_unprintable_exact_alon_refused_up_front(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_main(capsys, "eval", "--system", "ap3", "--const", "1/3",
+                                  "--property", "alon", "--l", "2000000", "--method", "brute")
+        assert (code, out) == (4, "") and "digits" in err
+        assert time.perf_counter() - start < 1.0
 
     def test_exact_value_beyond_the_print_limit(self, capsys, tmp_path):
         path = tmp_path / "f.json"

@@ -34,6 +34,24 @@ def random_rational_function(rng, p, n, q=64):
     return GroupFunction(p, n, np.array([float(v) for v in exact]), exact)
 
 
+def naive_points(forms, p, n):
+    """The point of F_p^n that each form takes at each parameter tuple, by
+    plain enumeration: tuple index sum_j y_j (p^n)^j, point index
+    sum_k x_k p^k, both from digit lists and mod-p arithmetic."""
+    size = p**n
+    digits = [[(x // p**k) % p for k in range(n)] for x in range(size)]
+    index = {tuple(d): x for x, d in enumerate(digits)}
+    add = [[index[tuple((a + b) % p for a, b in zip(da, db))] for db in digits] for da in digits]
+    mul = [[index[tuple(c * a % p for a in da)] for da in digits] for c in range(p)]
+    rows = []
+    for form in forms:
+        row = [0]  # over the high parameters first; parameter 0 varies fastest
+        for c in reversed(form):
+            row = [add[acc][mul[c % p][y]] for acc in row for y in range(size)]
+        rows.append(row)
+    return rows
+
+
 def random_system(rng, p, n, cap=10**5, max_t=9):
     while True:
         m = int(rng.integers(1, 3))
@@ -359,12 +377,15 @@ class TestBatchedRows:
                 table[0, 0] = 1
         # a long kernel scan streams past the bounded cache and pins nothing
         monkeypatch.setattr(counting, "CHUNK", 64)
-        t_brute(PHI, constant(3, 1, F(1, 3)))  # 3^7 tuples: 35 chunks
+        t_brute(PHI, constant(3, 1, F(1, 3)))  # 3^7 tuples, 27 inner tuples a chunk
+        tables = list(counting._form_indices(PHI.kernel, 3, 1, "p^(nD)"))
         info = cache.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize
         assert (info.misses, info.currsize) == (after.misses, after.currsize)
-        tables = list(counting._form_indices(PHI.kernel, 3, 1, "p^(nD)"))
-        assert len(tables) == 35 and not any(t.flags.writeable for t in tables)
+        assert len(tables) > 1 and all(t.shape[1] <= 64 for t in tables)
+        whole = counting._index_table.__wrapped__(PHI.kernel, 3, 1)
+        assert not whole.flags.writeable
+        assert np.array_equal(np.concatenate(tables, axis=1), whole)
 
 
 class TestBruteRows:
@@ -436,24 +457,62 @@ class TestBruteRows:
         after = cache.cache_info()
         assert (after.misses, after.currsize) == (before.misses, before.currsize)
 
+    # (p, n, forms, CHUNK): several outer tuples at the real CHUNK; a
+    # parameter wider than CHUNK, streamed and translated; chunks that
+    # translate the inner table by runs of two outer points; outer tables
+    # three levels deep; one parameter streamed on its own
+    SCANS = [
+        (5, 1, ((1, 0, 4, 2, 3, 1, 1), (2, 3, 1, 0, 0, 4, 1), (0, 0, 0, 0, 0, 0, 0)), None),
+        (5, 2, ((1, 0, 4), (2, 3, 1), (4, 4, 4)), 16),
+        (7, 1, ((1, 6, 3, 2), (0, 5, 0, 1)), 1000),
+        (3, 2, ((1, 2, 0, 1), (2, 2, 1, 0), (1, 1, 1, 1)), 30),
+        (7, 3, ((3,), (6,), (1,)), 100),
+    ]
+
+    @pytest.mark.parametrize("p, n, forms, chunk", SCANS)
+    def test_scan_tables_match_naive_enumeration(self, monkeypatch, p, n, forms, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(counting, "CHUNK", chunk)
+        tables = list(counting._form_indices(forms, p, n, "p^(nD)"))
+        assert len(tables) > 1
+        assert all(t.dtype == np.int64 and t.shape[1] <= counting.CHUNK for t in tables)
+        assert np.concatenate(tables, axis=1).tolist() == naive_points(forms, p, n)
+
     def test_index_table_matches_naive_enumeration(self):
         forms = ((1, 0, 4), (2, 3, 1), (0, 0, 0), (4, 4, 4))
-        p, n = 5, 2
-        base = p**n
-        for start, stop in ((0, base**3), (7, 400), (base**3 - 3, base**3)):
-            want = []
-            for form in forms:
-                row = []
-                for tup in range(start, stop):
-                    params = [(tup // base**j) % base for j in range(3)]
-                    digits = [(x // p**i) % p for x in params for i in range(n)]
-                    point = [sum(c * digits[j * n + i] for j, c in enumerate(form)) % p
-                             for i in range(n)]
-                    row.append(sum(d * p**i for i, d in enumerate(point)))
-                want.append(row)
-            got = counting._index_table.__wrapped__(forms, p, n, start, stop)
-            assert got.dtype == np.int64 and not got.flags.writeable
-            assert got.tolist() == want
+        got = counting._index_table.__wrapped__(forms, 5, 2)
+        assert got.dtype == np.int64 and not got.flags.writeable
+        assert got.tolist() == naive_points(forms, 5, 2)
+
+    # (system over F_p, n, CHUNK): 5^7 kernel tuples at the real CHUNK, and
+    # 25^3 with CHUNK below p^n
+    BRUTE_SCANS = [
+        (linsys.LinearSystem.from_matrix(5, [[1, 2, 3, 4, 1, 2, 3, 4]]), 1, None),
+        (linsys.LinearSystem.from_matrix(7, [[1, 3, 5, 2]]), 1, 50),
+        (linsys.LinearSystem.from_matrix(5, [[1, 1, 2, 4]]), 2, 16),
+    ]
+
+    @pytest.mark.parametrize("system, n, chunk", BRUTE_SCANS)
+    def test_brute_rows_match_naive_enumeration(self, monkeypatch, system, n, chunk):
+        p = system.p
+        rng = np.random.default_rng([p, n])
+        f = random_rational_function(rng, p, n)  # 64^t: the int64 path
+        deep = tuple(F(int(k), 5**30) for k in rng.integers(0, 5**25, size=p**n))
+        g = GroupFunction(p, n, np.array([float(v) for v in deep]), deep)  # object path
+        rows = [f, g, constant(p, n, 0)]
+        seen = self._spy_bounds(monkeypatch)
+        if chunk is not None:
+            monkeypatch.setattr(counting, "CHUNK", chunk)
+        points = naive_points(system.kernel, p, n)
+        want = []
+        for h in rows:
+            exact = h.exact_values()
+            den = math.lcm(*(v.denominator for v in exact))
+            numer = [int(v * den) for v in exact]
+            total = sum(math.prod(numer[x] for x in column) for column in zip(*points))
+            want.append(F(total, den**system.t * (p**n) ** system.num_params))
+        assert counting._brute_rows(system, rows) == want
+        assert want[2] == 0 and None in seen and any(b is not None for b in seen)
 
     def test_brute_defect_scans_the_kernel_once(self, monkeypatch):
         calls = []
@@ -529,6 +588,34 @@ class TestDefect:
             defect(PHI, third, "alon", l=10**9, method="brute")
         # the float route has no such cap: every term underflows to 0
         assert defect(PHI, third, "alon", l=10**9).value == 0.0
+
+    def test_alon_digit_bound_is_a_lower_bound(self):
+        rng = np.random.default_rng(27)
+        ap3 = linsys.preset("ap3")
+        third = constant(3, 1, F(1, 3))
+        # mean 1/3 from values over 4: the 2-adic floor of T is below 0
+        odd = GroupFunction(3, 1, np.array([0.25, 0.25, 0.5]), (F(1, 4), F(1, 4), F(1, 2)))
+        cases = [(ap3, third), (PHI, third), (ap3, odd), (PHI, random_rational_function(rng, 3, 1))]
+        bounded = 0
+        for system, f in cases:
+            rows = [f, f.complement()]
+            for l in (0, 3, 40, 1000, 5000):
+                rep = defect(system, f, "alon", l=l, method="brute")
+                bound = counting._alon_denominator_digits(system, rows, rep.alpha, l)
+                assert rep.value.denominator >= 10 ** (bound - 1)  # at least `bound` digits
+                bounded += bound > 0
+        assert bounded >= 8
+        half = constant(3, 1, F(1, 2))  # even denominator: no bound
+        assert counting._alon_denominator_digits(PHI, [half, half.complement()], F(1, 2), 10**6) == 0
+
+    def test_unprintable_exact_alon_refused_before_the_scan(self, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("scanned the kernel")
+
+        monkeypatch.setattr(counting, "_brute_rows", no_scan)
+        with pytest.raises(TooLarge, match="digits"):
+            defect(linsys.preset("ap3"), constant(3, 1, F(1, 3)), "alon", l=2 * 10**6,
+                   method="brute")
 
     def test_free_variable_formula_matches_enlarged_system(self):
         rng = np.random.default_rng(26)

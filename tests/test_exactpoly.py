@@ -23,6 +23,7 @@ from commonsys.exactpoly import (
     ExactPoly,
     SparsePoly,
     check_certificate,
+    even_binomial_sum,
     isolate_positive_root,
     rational_chain_certificate,
     sturm_sign_on_interval,
@@ -564,6 +565,25 @@ class TestCertificates:
             witness={"steps": [{"kind": "lemma", "name": "made_up", "premises": []}]},
         )
         assert not verify_certificate(bad)
+
+    def test_even_binomial_sum_matches_the_fraction_sum(self):
+        from math import comb
+
+        c5 = F(37, 10000)
+        cases = [(l, 4 * c5 * c5 / l, 24) for l in (48, 100, 441562, 441563, 10**6)]
+        cases += [(11, F(-3, 7), terms) for terms in (-1, 0, 1, 5)] + [(5, F(2), 3)]
+        for l, xsq, terms in cases:
+            want = sum(F(comb(l, 2 * j)) * xsq**j for j in range(terms + 1))
+            assert even_binomial_sum(l, xsq, terms) == want, (l, xsq, terms)
+
+    def test_even_binomial_step_checks_its_value(self):
+        step = {"kind": "even_binomial_value", "l": 100, "xsq": "1/3", "terms": 4}
+        value = even_binomial_sum(100, F(1, 3), 4)
+        good = Certificate("partial sum", "rational_chain",
+                           {"steps": [dict(step, value=str(value))]})
+        bad = Certificate("partial sum", "rational_chain",
+                          {"steps": [dict(step, value=str(value + F(1, 3**4)))]})
+        assert verify_certificate(good) and not verify_certificate(bad)
 
     def test_round_trip_dict(self):
         p = ExactPoly([-2, 0, 1])

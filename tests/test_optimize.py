@@ -160,7 +160,7 @@ class TestSearchConfig:
 
 
 class TestInitialPoint:
-    @pytest.mark.parametrize("p, n", [(3, 1), (3, 3), (5, 2), (7, 2)])
+    @pytest.mark.parametrize("p, n", [(3, 1), (3, 3), (5, 2), (7, 2), (3, 9)])
     def test_structured_families_reuse_the_harmonic_builders(self, p, n):
         cfg = SearchConfig(property="common", p=p, n=n)
         for k in [4 * j + family for j in range(10) for family in (2, 3)]:
