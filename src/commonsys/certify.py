@@ -42,7 +42,6 @@ from .exactpoly import (
     sturm_chain,
     sturm_sign_on_interval,
     subdivision_positive_on_box,
-    verify_certificate,
 )
 from .qsqrt2 import AlgebraicNumber, an_sign, format_algebraic, sqrt_lower
 
@@ -666,9 +665,6 @@ class ConstantLedger(LConditions):
                 }
             )
         return rows
-
-    def verify_all(self) -> bool:
-        return all(verify_certificate(c) for c in self.certificates.values())
 
     def to_dict(self) -> dict:
         return {

@@ -35,15 +35,17 @@ from each index table, each with its own denominator and integer path;
 Every route reads f through index tables, which give the point of F_p^n
 that each form takes at each parameter tuple (kernel parameters, or
 lambdas), and `_form_indices` is the one scan that yields them, at most
-CHUNK tuples per table.  A table that fits in one chunk (every m = 1
-block up to p^n = CHUNK) comes from a small bounded cache of read-only
-arrays, so repeated evaluations on the same blocks build it once.  A
-longer scan streams past the cache.  Its forms are linear, so
-psi(y_low + y_high) = psi(y_low) + psi(y_high): the table of the low
-parameters, as many as fit in a chunk, is built once per scan, and each
-chunk translates it by the points the high parameters give there, with
-one gather through each translation x -> x + o of F_p^n.  Only a single
-parameter wider than CHUNK is streamed over its own points.
+CHUNK tuples per table.  Tuples are enumerated digit-position-major:
+tuple digit t is digit t // k of parameter t % k, so a point's digit d
+depends only on the tuple digits of position d, and
+`harmonic._form_table` is the one builder, over any range of tuple
+digits.  A table that fits in one chunk (every m = 1 block up to
+p^n = CHUNK) comes from a small bounded cache of read-only arrays, so
+repeated evaluations on the same blocks build it once.  A longer scan
+streams past the cache: each chunk is the table of the low digits, built
+once per scan, plus the point of each high tuple, in one broadcast add.
+The two parts share a point digit only when one position is wider than
+CHUNK, and there the carry is taken back with one masked subtract.
 """
 
 from __future__ import annotations
@@ -68,8 +70,7 @@ from .errors import (
 from .harmonic import (
     GroupFunction,
     _dft_rows,
-    _digits,
-    _dilations,
+    _form_table,
     _idft_rows,
     negation_permutation,
 )
@@ -99,48 +100,16 @@ def _check_compat(system: LinearSystem, f: GroupFunction) -> None:
         )
 
 
-def _translate(table: np.ndarray, points: np.ndarray, p: int, n: int) -> np.ndarray:
-    """Row i of `table` translated by each point of row i of `points`:
-    out[i, a*S + s] = table[i, s] + points[i, a] in F_p^n, S = table width.
-
-    Each translation x -> x + o is built on the p^n points of F_p^n, digit
-    by digit, and the table is gathered through it."""
-    x = np.arange(p**n)
-    # x + o minus the carry p^(k+1) of every digit k with x_k + o_k >= p
-    shifted = x + points[:, :, None]
-    place = p
-    for x_k, o_k in zip(_digits(x, p, n), _digits(points, p, n)):
-        shifted -= place * (x_k >= p - o_k[:, :, None])
-        place *= p
-    out = np.empty((len(table), points.shape[1], table.shape[1]), dtype=np.int64)
-    for row, translations, out_row in zip(table, shifted, out):
-        # every entry is a point index, so "clip" clips nothing; it spares the
-        # copy of `out` that the default mode makes
-        np.take(translations, row, axis=1, out=out_row, mode="clip")
-    return out.reshape(len(table), -1)
-
-
 @lru_cache(maxsize=4)
 def _index_table(forms, p: int, n: int) -> np.ndarray:
     """Point indices of every linear form over all parameter tuples of
-    (F_p^n)^k, k = len(forms[0]), as a read-only (len(forms), p^(nk)) array.
+    (F_p^n)^k, k = len(forms[0]), in the digit-position-major order of
+    `harmonic._form_table`, as a read-only (len(forms), p^(nk)) array.
 
-    forms[i] gives the F_p coefficients of form i; tuples are enumerated
-    as base-p^n integers, parameter 0 least significant.  Parameter 0
-    gives each form's dilation table c*y over F_p^n, and each further
-    parameter j translates the table so far by each of its p^n points
-    c_j*y_j, so no entry is derived from the digits of a tuple index.  The
-    cache holds the one-chunk tables of the few blocks a search evaluates
-    on every call; `_chunk_tables` calls the uncached function for the
-    inner table of a longer scan.
+    The cache holds the one-chunk tables of the few blocks a search
+    evaluates on every call; a longer scan streams through `_chunk_tables`.
     """
-    if not forms[0]:
-        table = np.zeros((len(forms), 1), dtype=np.int64)  # the empty tuple
-    else:
-        columns = np.array(forms, dtype=np.int64).T
-        table = _dilations(columns[0], p, n)
-        for column in columns[1:]:
-            table = _translate(table, _dilations(column, p, n), p, n)
+    table = _form_table(forms, p, range(n * len(forms[0])))
     table.flags.writeable = False
     return table
 
@@ -149,37 +118,27 @@ def _chunk_tables(forms, p: int, n: int):
     """The index tables of `forms` over runs of at most CHUNK consecutive
     parameter tuples, in tuple order.
 
-    The low parameters, as many as fit in one chunk, get one inner table
-    per scan; the chunks of the high ones come from the same scan, and
-    each run of them translates the inner table.  A single parameter past
-    CHUNK streams its own points instead."""
-    size = p**n
-    low = 1
-    while low < len(forms[0]) and size ** (low + 1) <= CHUNK:
+    The low tuple digits get one table per scan: as many whole positions
+    as fit in CHUNK, or, when one position is wider than CHUNK, as many
+    of its digits as fit.  Each chunk adds to it the points of a run of
+    high tuples.  Whole positions add with no carry.  A cut position is
+    position 0, whose point digit both parts share, so p is taken back
+    wherever their two digits sum past p - 1."""
+    k = len(forms[0])
+    low = 0
+    while p ** (low + 1) <= CHUNK:
         low += 1
-    if size > CHUNK:
-        # c*y = c*y_low + p^h c*y_high: one small table for each half of the digits
-        column = np.array([form[0] for form in forms], dtype=np.int64)
-        h = (n + 1) // 2
-        low_half, high_half = _dilations(column, p, h), _dilations(column, p, n - h) * p**h
-
-        def inner():
-            for start in range(0, size, CHUNK):
-                y_high, y_low = np.divmod(np.arange(start, min(start + CHUNK, size)), p**h)
-                yield low_half[:, y_low] + high_half[:, y_high]
-    else:
-        table = _index_table.__wrapped__(tuple(form[:low] for form in forms), p, n)
-
-        def inner():
-            yield table
-    if low == len(forms[0]):
-        yield from inner()
-        return
-    group = max(1, CHUNK // size**low)
-    for outer in _chunk_tables(tuple(form[low:] for form in forms), p, n):
-        for start in range(0, outer.shape[1], group):
-            for piece in inner():
-                yield _translate(piece, outer[:, start:start + group], p, n)
+    if low >= k:
+        low -= low % k
+    table = _form_table(forms, p, range(low))
+    high = _form_table(forms, p, range(low, n * k))
+    room = (p - high % p)[:, :, None] if low % k else None
+    group = CHUNK // table.shape[1]
+    for start in range(0, high.shape[1], group):
+        out = table[:, None, :] + high[:, start:start + group, None]
+        if room is not None:
+            np.subtract(out, p, out=out, where=table[:, None, :] >= room[:, start:start + group])
+        yield out.reshape(len(forms), -1)
 
 
 def _form_indices(forms, p: int, n: int, label: str):
@@ -483,6 +442,8 @@ def defect(
     _check_compat(system, f)
     t = system.t
     if method == "brute":
+        # fix f's exact values once, so that 1 - f is their exact complement
+        f = GroupFunction(f.p, f.n, f.values, f.exact_values())
         alpha = f.exact_mean()
         rows = [f, f.complement()]
         if property == ALON:

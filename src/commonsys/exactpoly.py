@@ -759,6 +759,8 @@ def _check_subdivision(cert: Certificate) -> None:
             )
             if an_sign(iv.lo) < 0:
                 _fail(cert, f"interval bound on {b} is not nonnegative")
+            if node["bound_lo"] != format_algebraic(iv.lo):
+                _fail(cert, f"recorded bound on {b} is not the interval lower bound")
             return
         if node["status"] != "split":
             _fail(cert, f"unknown node status {node['status']!r}")
@@ -827,6 +829,8 @@ def _check_chain(cert: Certificate) -> None:
             if step.get("name") not in _LEMMAS:
                 _fail(cert, f"step {idx}: unknown lemma {step.get('name')!r}")
             for premise in step.get("premises", []):
+                if premise.get("kind") != "cmp":
+                    _fail(cert, f"step {idx}: premise of kind {premise.get('kind')!r}, not 'cmp'")
                 _check_cmp(cert, premise)
         elif kind == "sqrt_lower":
             x = Fraction(step["x"])

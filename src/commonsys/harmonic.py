@@ -90,22 +90,44 @@ def _dot(p: int, n: int, coefficients) -> np.ndarray:
     return total
 
 
-def _dilations(coefficients: np.ndarray, p: int, k: int) -> np.ndarray:
-    """The points c*y of F_p^k for each coefficient c of `coefficients` and
-    every y in F_p^k, as a (len(coefficients), p^k) int64 array.  Digit i
-    of c*y is c*y_i mod p and carries into no other digit, so the table is
-    an outer sum of one (c, digit) table per digit, highest digit outermost."""
-    digit = coefficients[:, None] * np.arange(p) % p
-    table = np.zeros((len(coefficients), 1), dtype=np.int64)
-    for i in range(k):
-        table = ((digit * p**i)[:, :, None] + table[:, None, :]).reshape(len(coefficients), -1)
+def _outer_sum(high: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """out[i, a*S + s] = high[i, a] + low[i, s], S = low.shape[1]."""
+    return (high[:, :, None] + low[:, None, :]).reshape(len(high), -1)
+
+
+def _form_table(forms, p: int, digits: range) -> np.ndarray:
+    """The point of F_p^n that each linear form takes at each parameter
+    tuple of (F_p^n)^k, k = len(forms[0]), over all values of the tuple
+    digits in `digits` with every other digit zero, as a
+    (len(forms), p^len(digits)) int64 array.
+
+    Tuples are enumerated digit-position-major: tuple digit t is digit
+    t // k of parameter t % k, least significant first.  Digit d of form
+    i's point is sum_j forms[i][j] y_(j,d) mod p, so it depends only on
+    the tuple digits of position d, and different positions add with no
+    carry.  The table is an outer sum over positions, highest outermost,
+    of each position's mod-p outer sum over its parameters, weighted by
+    p^d.  A range that cuts a position keeps the part sum mod p of the
+    parameters it covers there."""
+    coefficients = np.array(forms, dtype=np.int64) % p
+    k = coefficients.shape[1]
+    values = np.arange(p)
+    table = np.zeros((len(forms), 1), dtype=np.int64)
+    t = digits.start
+    while t < digits.stop:
+        d, j = divmod(t, k)
+        t = min(digits.stop, (d + 1) * k)
+        position = np.zeros((len(forms), 1), dtype=np.int64)
+        for column in coefficients[:, j:t - d * k].T:
+            position = _outer_sum(np.outer(column, values), position)
+        table = _outer_sum(position % p * p**d, table)
     return table
 
 
 @lru_cache(maxsize=None)
 def negation_permutation(p: int, n: int) -> np.ndarray:
     """Index permutation sending x to -x (coordinatewise mod p)."""
-    out = _dilations(np.array([p - 1]), p, n)[0]
+    out = _form_table(((p - 1,),), p, range(n))[0]
     out.flags.writeable = False
     return out
 
@@ -223,10 +245,6 @@ def character_bump(p: int, n: int, h_index: int, phase: int, eps: float) -> Grou
         raise MalformedDocument(f"character index {h_index} outside 0..{size - 1}")
     r = (_dot(p, n, index_to_point(h_index, p, n)) + phase) % p
     return GroupFunction(p, n, 0.5 + eps * np.cos(2.0 * np.pi * r / p))
-
-
-def from_values(p: int, n: int, values, exact=None) -> GroupFunction:
-    return GroupFunction(p, n, np.asarray(values, dtype=np.float64), exact)
 
 
 @dataclass(frozen=True)

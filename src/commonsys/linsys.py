@@ -116,9 +116,6 @@ class LinearSystem:
     def ident(self) -> str:
         return self.name or f"system:{self.digest()}"
 
-    def to_document(self) -> str:
-        return json.dumps({"p": self.p, "matrix": [list(r) for r in self.matrix]})
-
 
 def _validate_rows(rows) -> list[list[int]]:
     if not isinstance(rows, (list, tuple)) or not rows:

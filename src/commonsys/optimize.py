@@ -107,10 +107,6 @@ class SearchConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d) -> "SearchConfig":
-        return cls(**d)
-
 
 @dataclass
 class SearchResult:
@@ -132,18 +128,6 @@ class SearchResult:
             "violation": self.violation,
             "restart_index": self.restart_index,
         }
-
-    @classmethod
-    def from_dict(cls, d) -> "SearchResult":
-        best = GroupFunction(d["p"], d["n"], np.array(d["best_values"]))
-        return cls(
-            best=best,
-            best_defect=d["best_defect"],
-            iterations=d["iterations"],
-            converged=d["converged"],
-            violation=d["violation"],
-            restart_index=d.get("restart_index", 0),
-        )
 
 
 def _project_values(v: np.ndarray, alpha: float | None) -> np.ndarray:

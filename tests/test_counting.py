@@ -36,18 +36,21 @@ def random_rational_function(rng, p, n, q=64):
 
 def naive_points(forms, p, n):
     """The point of F_p^n that each form takes at each parameter tuple, by
-    plain enumeration: tuple index sum_j y_j (p^n)^j, point index
-    sum_k x_k p^k, both from digit lists and mod-p arithmetic."""
+    plain enumeration in digit-position-major order: tuple digit t is
+    digit t // k of parameter t % k (k = len(forms[0])), least significant
+    first, and adds c_(t % k) y_t to point digit t // k.  Point index
+    sum_d x_d p^d; points add through a table built from digit lists."""
     size = p**n
-    digits = [[(x // p**k) % p for k in range(n)] for x in range(size)]
+    digits = [[(x // p**d) % p for d in range(n)] for x in range(size)]
     index = {tuple(d): x for x, d in enumerate(digits)}
     add = [[index[tuple((a + b) % p for a, b in zip(da, db))] for db in digits] for da in digits]
-    mul = [[index[tuple(c * a % p for a in da)] for da in digits] for c in range(p)]
+    k = len(forms[0])
     rows = []
     for form in forms:
-        row = [0]  # over the high parameters first; parameter 0 varies fastest
-        for c in reversed(form):
-            row = [add[acc][mul[c % p][y]] for acc in row for y in range(size)]
+        row = [0]  # over the high tuple digits first; tuple digit 0 varies fastest
+        for t in reversed(range(n * k)):
+            d, j = divmod(t, k)
+            row = [add[acc][form[j] * y % p * p**d] for acc in row for y in range(p)]
         rows.append(row)
     return rows
 
@@ -377,7 +380,7 @@ class TestBatchedRows:
                 table[0, 0] = 1
         # a long kernel scan streams past the bounded cache and pins nothing
         monkeypatch.setattr(counting, "CHUNK", 64)
-        t_brute(PHI, constant(3, 1, F(1, 3)))  # 3^7 tuples, 27 inner tuples a chunk
+        t_brute(PHI, constant(3, 1, F(1, 3)))  # 3^7 tuples, 54 a chunk
         tables = list(counting._form_indices(PHI.kernel, 3, 1, "p^(nD)"))
         info = cache.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize
@@ -419,13 +422,13 @@ class TestBruteRows:
 
     def test_one_row_crosses_the_int64_bound(self, monkeypatch):
         rng = np.random.default_rng(61)
-        f = random_rational_function(rng, 3, 2)
-        ks = [int(k) for k in rng.integers(0, 129, size=9)]
-        ks[:2] = 128, 1  # values 1 and 1/128: the bound is 128^9 = 2^63 at t = 9
+        f = random_rational_function(rng, 3, 1)
+        ks = [128, 1, int(rng.integers(0, 129))]  # 1 and 1/128: the bound is 128^9 = 2^63
         exact = tuple(F(k, 128) for k in ks)
-        g = GroupFunction(3, 2, np.array([float(v) for v in exact]), exact)
+        g = GroupFunction(3, 1, np.array([float(v) for v in exact]), exact)
         want = [t_brute(PHI, f), t_brute(PHI, g)]
         seen = self._spy_bounds(monkeypatch)
+        monkeypatch.setattr(counting, "CHUNK", 64)  # 3^7 tuples: 41 chunks
         assert counting._brute_rows(PHI, [f, g]) == want
         assert None in seen and any(b is not None for b in seen)
 
@@ -443,7 +446,7 @@ class TestBruteRows:
         g = random_rational_function(rng, 3, 2, q=1000)
         rows = [f, f.complement(), g]
         want = counting._brute_rows(A4, rows)
-        monkeypatch.setattr(counting, "CHUNK", 4)  # 9^3 tuples: 183 chunks
+        monkeypatch.setattr(counting, "CHUNK", 4)  # 9^3 tuples: 243 chunks
         assert counting._brute_rows(A4, rows) == want
         assert [t_brute(A4, h) for h in rows] == want
 
@@ -451,22 +454,25 @@ class TestBruteRows:
         cache = counting._index_table
         rng = np.random.default_rng(64)
         f = random_rational_function(rng, 3, 1)
-        monkeypatch.setattr(counting, "CHUNK", 64)  # 3^7 tuples: 35 chunks
+        monkeypatch.setattr(counting, "CHUNK", 64)  # 3^7 tuples: 41 chunks
         before = cache.cache_info()
         counting._brute_rows(PHI, [f, f.complement()])
         after = cache.cache_info()
         assert (after.misses, after.currsize) == (before.misses, before.currsize)
 
-    # (p, n, forms, CHUNK): several outer tuples at the real CHUNK; a
-    # parameter wider than CHUNK, streamed and translated; chunks that
-    # translate the inner table by runs of two outer points; outer tables
-    # three levels deep; one parameter streamed on its own
+    # (p, n, forms, CHUNK): one position wider than the real CHUNK, cut
+    # inside; a cut position 0 whose high part runs on into position 1;
+    # cuts with runs of two and of one high tuple per chunk; whole
+    # positions, carry-free across many chunks, of one and of two
+    # parameters; CHUNK below p, so the low table is empty
     SCANS = [
         (5, 1, ((1, 0, 4, 2, 3, 1, 1), (2, 3, 1, 0, 0, 4, 1), (0, 0, 0, 0, 0, 0, 0)), None),
         (5, 2, ((1, 0, 4), (2, 3, 1), (4, 4, 4)), 16),
         (7, 1, ((1, 6, 3, 2), (0, 5, 0, 1)), 1000),
         (3, 2, ((1, 2, 0, 1), (2, 2, 1, 0), (1, 1, 1, 1)), 30),
         (7, 3, ((3,), (6,), (1,)), 100),
+        (3, 3, ((1, 2), (2, 2), (0, 1)), 30),
+        (5, 1, ((1, 2), (3, 4)), 4),
     ]
 
     @pytest.mark.parametrize("p, n, forms, chunk", SCANS)
@@ -558,6 +564,16 @@ class TestDefect:
     def test_geometric_balanced(self):
         rep = defect(PHI, constant(3, 1, F(1, 2)), "geometric", method="brute")
         assert rep.value == 0
+
+    def test_brute_complement_of_float_function_is_exact(self):
+        # each 1 - v read as its own shortest decimal would give [1, 1/2, 9/10]
+        values = np.array([1e-20, 0.5, 0.1])
+        exact = (F(1, 10**20), F(1, 2), F(1, 10))
+        complement = GroupFunction(3, 1, 1.0 - values, tuple(1 - v for v in exact))
+        rep = defect(PHI, GroupFunction(3, 1, values), "common", method="brute")
+        assert rep.t_f == t_brute(PHI, GroupFunction(3, 1, values, exact))
+        assert rep.t_1mf == t_brute(PHI, complement)
+        assert rep.value == rep.t_f + rep.t_1mf - F(1, 2**8)
 
     def test_prevalence_records_density(self):
         f = coset_indicator(3, 1, [1], 1)

@@ -228,8 +228,8 @@ class TestPointIndexing:
 
 class TestFiles:
     def test_json_round_trip_exact(self):
-        f = harmonic.from_values(
-            3, 1, [0.5, 0.25, 1.0], (Fraction(1, 2), Fraction(1, 4), Fraction(1))
+        f = GroupFunction(
+            3, 1, np.array([0.5, 0.25, 1.0]), (Fraction(1, 2), Fraction(1, 4), Fraction(1))
         )
         again = function_from_json(function_to_json(f))
         assert again.exact == f.exact

@@ -9,7 +9,6 @@ from commonsys import counting, harmonic, linsys, optimize
 from commonsys.errors import InfeasibleMean, MalformedDocument, MissingL, TooLarge
 from commonsys.optimize import (
     SearchConfig,
-    SearchResult,
     minimize_defect,
     project_box_mean,
     scan_alpha,
@@ -148,10 +147,6 @@ class TestSearchConfig:
             SearchConfig(property="common", p=3, n=13)
         with pytest.raises(TooLarge):
             SearchConfig(property="common", p=3, n=10**6)
-
-    def test_round_trip(self):
-        cfg = SearchConfig(property="common", p=3, n=2, restarts=4, seed=9)
-        assert SearchConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_geometric_mean_must_be_half(self):
         with pytest.raises(MalformedDocument):
@@ -337,13 +332,6 @@ class TestMinimize:
             )
             mins.append(minimize_defect(schur, cfg).best_defect)
         assert mins[0] <= mins[1] + 1e-6
-
-    def test_result_round_trip(self):
-        cfg = SearchConfig(property="common", p=3, n=1, restarts=2, max_iters=30, seed=8)
-        res = minimize_defect(PHI, cfg)
-        again = SearchResult.from_dict(res.to_dict())
-        assert again.best_defect == res.best_defect
-        assert np.all(again.best.values == res.best.values)
 
 
 class TestScanAlpha:
