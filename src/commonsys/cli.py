@@ -7,7 +7,10 @@ resolved inputs, seed and tool version; output files reference the
 manifest digest so reruns are reproducible byte for byte apart from
 timestamps.
 
-Exit codes: 0 success, 2 input error, 3 verification failure, 4 size cap.
+Exit codes: 0 success, 2 input error, 3 verification failure, 4 size cap;
+every failure prints ``error: ...`` to stderr.  Rational flags (--const,
+--alpha, --alphas) are read like document values: exactly, as a decimal or
+"num/den", with |exponent| <= 1000, and must lie in [0, 1].
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import hashlib
 import json
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from . import __version__, certify, counting, harmonic, linsys, optimize
@@ -45,28 +48,14 @@ class RunManifest:
     outputs: list = field(default_factory=list)
 
     def digest(self) -> str:
-        payload = json.dumps(
-            {
-                "subcommand": self.subcommand,
-                "args": self.args,
-                "inputs": self.inputs,
-                "seed": self.seed,
-                "tool_version": self.tool_version,
-            },
-            sort_keys=True,
-        )
+        """Digest of the resolved run; the outputs it wrote are not part of it."""
+        fields = asdict(self)
+        del fields["outputs"]
+        payload = json.dumps(fields, sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     def to_dict(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "args": self.args,
-            "inputs": self.inputs,
-            "seed": self.seed,
-            "tool_version": self.tool_version,
-            "outputs": self.outputs,
-            "digest": self.digest(),
-        }
+        return {**asdict(self), "digest": self.digest()}
 
 
 def _build_manifest(
@@ -130,26 +119,32 @@ def _resolve_function(args, p: int, manifest: RunManifest) -> harmonic.GroupFunc
             raise MalformedDocument(f"function has p={f.p}, system has p={p}")
         return f
     if args.const is not None:
-        f = harmonic.constant(p, args.n, _fraction(args.const, "constant"))
+        f = harmonic.constant(p, args.n, _unit_fraction(args.const))
     else:
         f = _parse_coset(args.coset, p, args.n)
     manifest.inputs["function"] = counting.function_digest(f)
     return f
 
 
-def _fraction(text: str, what: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise MalformedDocument(f"bad {what} {text!r}") from exc
+def _unit_fraction(text: str) -> Fraction:
+    """A rational flag read like a document value, checked to lie in [0, 1]
+    before any float is formed."""
+    value = harmonic._exact_decimal(text)
+    if not 0 <= value <= 1:
+        raise MalformedDocument(f"value {text[:40]!r} outside [0, 1]")
+    return value
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _emit_json(payload: dict, manifest: RunManifest, out: str | None) -> None:
     payload = {"manifest": manifest.to_dict(), **payload}
     text = json.dumps(payload, indent=2)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write(out, text + "\n")
     print(text)
 
 
@@ -162,8 +157,7 @@ def _emit_table(rows: list[dict], columns: list[str], manifest: RunManifest, out
         lines.append("\t".join(str(row[c]) for c in columns))
     text = "\n".join(lines)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write(out, text + "\n")
     print(text)
 
 
@@ -189,8 +183,8 @@ def cmd_eval(args) -> int:
 def cmd_scan_alpha(args) -> int:
     manifest = _build_manifest(args)
     system = _load_system(args, manifest)
-    if args.alphas:
-        alphas = [_fraction(a, "alpha") for a in args.alphas.split(",")]
+    if args.alphas is not None:
+        alphas = [_unit_fraction(a) for a in args.alphas.split(",")]
     else:
         alphas = optimize.alpha_grid(args.grid)
     rows = optimize.scan_alpha(
@@ -237,38 +231,27 @@ def _save_function_with_digest(f, path: str, manifest: RunManifest) -> None:
         return
     doc = json.loads(harmonic.function_to_json(f))
     doc["manifest_digest"] = manifest.digest()
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+    _write(path, json.dumps(doc))
 
 
 def cmd_verify(args) -> int:
     manifest = _build_manifest(args)
-    try:
-        certs = certify.verify_lemma_suite()
-    except VerificationFailed as exc:
-        print(f"verification FAILED: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+    certs = certify.verify_lemma_suite()
     for i, cert in enumerate(certs, 1):
         print(f"certificate {i}/{len(certs)} verified: {cert.claim}")
     payload = {"certificates": [c.to_dict() for c in certs]}
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump({"manifest": manifest.to_dict(), **payload}, fh, indent=2)
+        _write(args.out, json.dumps({"manifest": manifest.to_dict(), **payload}, indent=2))
         print(f"wrote {args.out}")
     return EXIT_OK
 
 
 def cmd_constants(args) -> int:
     manifest = _build_manifest(args)
-    try:
-        ledger = certify.derive_all()
-    except (VerificationFailed, NoSuchL) as exc:
-        print(f"derivation FAILED: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+    ledger = certify.derive_all()
     print(ledger.summary())
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump({"manifest": manifest.to_dict(), **ledger.to_dict()}, fh, indent=2)
+        _write(args.out, json.dumps({"manifest": manifest.to_dict(), **ledger.to_dict()}, indent=2))
         print(f"wrote {args.out}")
     if args.check_l is not None:
         rows = ledger.replay(args.check_l)
@@ -284,10 +267,12 @@ def cmd_constants(args) -> int:
 
 
 def _rational_arg(text: str) -> float:
+    """`_unit_fraction` for argparse, which turns only ArgumentTypeError,
+    TypeError and ValueError into its usage exit (2)."""
     try:
-        return float(Fraction(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
+        return float(_unit_fraction(text))
+    except MalformedDocument as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def build_parser() -> argparse.ArgumentParser:

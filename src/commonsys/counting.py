@@ -366,6 +366,16 @@ class DefectReport:
         }
 
 
+def check_property(property: str, l: int | None) -> None:
+    """Reject an unknown property, alon without l, and a negative l."""
+    if property not in PROPERTIES:
+        raise MalformedDocument(f"unknown property {property!r}")
+    if property == ALON and l is None:
+        raise MissingL("property 'alon' requires l")
+    if l is not None and l < 0:
+        raise MalformedDocument("l must be >= 0")
+
+
 def defect_value(property: str, t_f, t_1mf, alpha, t: int, l: int | None, one):
     """Signed slack of `property` from the two densities and the mean.
 
@@ -431,14 +441,9 @@ def defect(
     value is sure to have more digits than the interpreter's int-to-str
     limit prints (`_alon_denominator_digits`), before computing either.
     """
-    if property not in PROPERTIES:
-        raise MalformedDocument(f"unknown property {property!r}")
+    check_property(property, l)
     if not f.in_unit_box(tol=1e-12):
         raise MalformedDocument("function values must lie in [0, 1]")
-    if property == ALON and l is None:
-        raise MissingL("property 'alon' requires l")
-    if property == ALON and l < 0:
-        raise MalformedDocument("l must be >= 0")
     _check_compat(system, f)
     t = system.t
     if method == "brute":

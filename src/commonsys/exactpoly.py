@@ -40,6 +40,7 @@ from .qsqrt2 import (
     an_sign,
     format_algebraic,
     parse_algebraic,
+    parse_rational,
 )
 
 MAX_DEGREE = 64
@@ -657,11 +658,11 @@ def _check_sturm(cert: Certificate) -> None:
         # claim reduces a nonnegativity statement to strict positivity of
         # the quotient by (x - center)^2; verify the exact factorization
         base = ExactPoly.from_strings(w["square_factor"]["base"])
-        center = Fraction(w["square_factor"]["center"])
+        center = parse_rational(w["square_factor"]["center"])
         lin = ExactPoly([-center, 1])
         if not (poly * lin * lin == base):
             _fail(cert, "square-factor decomposition does not reproduce the base polynomial")
-    lo, hi = Fraction(w["interval"][0]), Fraction(w["interval"][1])
+    lo, hi = parse_rational(w["interval"][0]), parse_rational(w["interval"][1])
     if not lo < hi:
         _fail(cert, "empty interval")
     chain = [ExactPoly.from_strings(cs) for cs in w["chain"]]
@@ -704,7 +705,7 @@ def _check_sturm(cert: Certificate) -> None:
         else:
             _fail(cert, "negative Sturm count")
     if "bracket" in w:
-        b_lo, b_hi = Fraction(w["bracket"][0]), Fraction(w["bracket"][1])
+        b_lo, b_hi = parse_rational(w["bracket"][0]), parse_rational(w["bracket"][1])
         if not (lo <= b_lo < b_hi <= hi):
             _fail(cert, "bracket not inside the search interval")
         s_a, s_b = an_sign(poly.eval(b_lo)), an_sign(poly.eval(b_hi))
@@ -722,7 +723,7 @@ def _check_bisection(cert: Certificate, poly: ExactPoly, lo: Fraction, hi: Fract
     if list(w["bracket_signs"]) != [s_lo, s_hi]:
         _fail(cert, "bracket signs are not the signs at the search endpoints")
     for idx, (mid, recorded) in enumerate(w["bisection"]):
-        mid = Fraction(mid)
+        mid = parse_rational(mid)
         if not lo < mid < hi:
             _fail(cert, f"bisection step {idx}: {mid} is not inside ({lo}, {hi})")
         s_mid = an_sign(poly.eval(mid))
@@ -732,16 +733,16 @@ def _check_bisection(cert: Certificate, poly: ExactPoly, lo: Fraction, hi: Fract
             lo = mid
         else:
             hi = mid
-    if [lo, hi] != [Fraction(b) for b in w["bracket"]]:
+    if [lo, hi] != [parse_rational(b) for b in w["bracket"]]:
         _fail(cert, "bisection does not end at the recorded bracket")
 
 
 def _check_subdivision(cert: Certificate) -> None:
     w = cert.witness
     poly2 = SparsePoly.from_list(w["poly2"])
-    box = tuple(Fraction(v) for v in w["box"])
+    box = tuple(parse_rational(v) for v in w["box"])
     if not w["result"]:
-        wx, wy = Fraction(w["witness_point"][0]), Fraction(w["witness_point"][1])
+        wx, wy = parse_rational(w["witness_point"][0]), parse_rational(w["witness_point"][1])
         if not (box[0] <= wx <= box[1] and box[2] <= wy <= box[3]):
             _fail(cert, "witness point outside the box")
         if an_sign(poly2.eval(wx, wy)) >= 0:
@@ -793,8 +794,6 @@ _LEMMAS = {
     "alternating_series_exp_lower",
     # |F(a) - F(c)| <= M |a - c| when |dF/da| <= M between a and c
     "mean_value_bound",
-    # u + v >= 2 sqrt(u v) for u, v >= 0
-    "amgm_pair",
     # integer sqrt lower bounds are monotone in the radicand
     "isqrt_monotone",
     # x^k + (1-x)^k >= 2^(1-k): all odd powers of (x - 1/2) cancel in the
@@ -833,15 +832,10 @@ def _check_chain(cert: Certificate) -> None:
                     _fail(cert, f"step {idx}: premise of kind {premise.get('kind')!r}, not 'cmp'")
                 _check_cmp(cert, premise)
         elif kind == "sqrt_lower":
-            x = Fraction(step["x"])
-            v = Fraction(step["value"])
+            x = parse_rational(step["x"])
+            v = parse_rational(step["value"])
             if v < 0 or v * v > x:
                 _fail(cert, f"step {idx}: {v} is not a lower bound for sqrt({x})")
-        elif kind == "sqrt_upper":
-            x = Fraction(step["x"])
-            v = Fraction(step["value"])
-            if v < 0 or v * v < x:
-                _fail(cert, f"step {idx}: {v} is not an upper bound for sqrt({x})")
         elif kind == "monomial_abs_bound":
             bound = parse_algebraic(step["bound"])
             radii = [parse_algebraic(r) for r in step["radii"]]
@@ -850,8 +844,8 @@ def _check_chain(cert: Certificate) -> None:
                 _fail(cert, f"monomial bound {step['bound']} below the exact sum")
         elif kind == "even_binomial_value":
             l = int(step["l"])
-            xsq = Fraction(step["xsq"])
-            value = Fraction(step["value"])
+            xsq = parse_rational(step["xsq"])
+            value = parse_rational(step["value"])
             terms = int(step["terms"])
             if terms > MAX_DEGREE:
                 _fail(cert, f"step {idx}: partial sum longer than {MAX_DEGREE} terms")
@@ -859,7 +853,7 @@ def _check_chain(cert: Certificate) -> None:
                 _fail(cert, "even binomial partial sum does not match")
         elif kind == "poly_eval":
             poly = ExactPoly.from_strings(step["poly"])
-            point = Fraction(step["point"])
+            point = parse_rational(step["point"])
             value = parse_algebraic(step["value"])
             if poly.eval(point) != value:
                 _fail(cert, f"step {idx}: recorded evaluation at {point} is wrong")

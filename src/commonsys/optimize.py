@@ -42,7 +42,6 @@ import numpy as np
 
 from . import counting
 from .counting import (
-    ALON,
     CHUNK,
     COMMON,
     GEOMETRIC,
@@ -53,7 +52,7 @@ from .counting import (
     _t_rows,
     defect_value,
 )
-from .errors import InfeasibleMean, MalformedDocument, MissingL
+from .errors import InfeasibleMean, MalformedDocument
 from .harmonic import GroupFunction, _dot, character_bump, checked_size
 from .linsys import LinearSystem
 
@@ -83,17 +82,16 @@ class SearchConfig:
     violation_tol: float = -1e-6
 
     def __post_init__(self):
-        if self.property not in counting.PROPERTIES:
-            raise MalformedDocument(f"unknown property {self.property!r}")
+        counting.check_property(self.property, self.l)
         if self.restarts < 1:
             raise MalformedDocument("restarts must be >= 1")
+        if self.max_iters < 0:
+            raise MalformedDocument("max_iters must be >= 0")
         if self.seed < 0:
             raise MalformedDocument("seed must be >= 0")
+        if self.n < 1:
+            raise MalformedDocument("n must be >= 1")
         checked_size(self.p, self.n, MAX_SEARCH_POINTS)
-        if self.property == ALON and self.l is None:
-            raise MissingL("property 'alon' requires l")
-        if self.l is not None and self.l < 0:
-            raise MalformedDocument("l must be >= 0")
         if self.property == PREVALENCE and self.mean is None:
             raise MalformedDocument("prevalence search requires a pinned mean")
         if self.property == GEOMETRIC and self.mean is not None and abs(self.mean - 0.5) > 1e-12:
@@ -230,11 +228,12 @@ class _Objective:
         t_f, t_1mf = ts[:rows], ts[rows:]
         if prop == GEOMETRIC:
             return (t_1mf[:, None] * g_f - t_f[:, None] * g_c) / size
-        # alon: alpha enters through the l-th power weights
+        # alon: alpha enters through the l-th power weights; at l = 0 they are
+        # constant, and alpha^(l-1) is undefined at alpha = 0 or 1
         l = self.l
         terms = [
             (
-                l * alpha ** (l - 1) * a - l * (1.0 - alpha) ** (l - 1) * b,
+                l * alpha ** (l - 1) * a - l * (1.0 - alpha) ** (l - 1) * b if l else 0.0,
                 alpha**l,
                 (1.0 - alpha) ** l,
             )

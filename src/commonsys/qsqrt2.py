@@ -259,7 +259,9 @@ def an_sign(x: AlgebraicNumber) -> int:
     return x.sign()
 
 
-_TERM_RE = re.compile(r"^\s*(-?\d+(?:/\d+)?)\s*(?:([+-])\s*(\d+(?:/\d+)?)\s*\*\s*sqrt2)?\s*$")
+_RATIO = r"-?\d+(?:/\d+)?"  # str(Fraction): "n" or "n/d"
+_RATIO_RE = re.compile(_RATIO)
+_TERM_RE = re.compile(rf"^\s*({_RATIO})\s*(?:([+-])\s*(\d+(?:/\d+)?)\s*\*\s*sqrt2)?\s*$")
 
 
 def format_algebraic(x: AlgebraicNumber) -> str:
@@ -290,6 +292,14 @@ def parse_algebraic(text: str) -> AlgebraicNumber:
     return _reduced(an * bd, bn * ad, ad * bd)
 
 
+def parse_rational(text: str) -> Fraction:
+    """Parse the ``n`` or ``n/d`` form str(Fraction) writes, and nothing
+    else: no exponent, so no literal can ask for a huge power of ten."""
+    if not _RATIO_RE.fullmatch(text):
+        raise ValueError(f"cannot parse rational literal: {text!r}")
+    return Fraction(*_literal_ratio(text))
+
+
 def _literal_ratio(text: str) -> tuple[int, int]:
     """(numerator, denominator), unreduced, of an ``n`` or ``n/d`` literal;
     d > 0."""
@@ -308,15 +318,3 @@ def sqrt_lower(x: Fraction, bits: int = 64) -> Fraction:
     scale = 1 << bits
     # sqrt(num/den) = sqrt(num*den)/den >= isqrt(num*den*scale^2)/(scale*den)
     return Fraction(math.isqrt(num * den * scale * scale), scale * den)
-
-
-def sqrt_upper(x: Fraction, bits: int = 64) -> Fraction:
-    """Rational upper bound on sqrt(x) for x >= 0."""
-    if x < 0:
-        raise ValueError("sqrt of negative rational")
-    num, den = x.numerator, x.denominator
-    scale = 1 << bits
-    r = math.isqrt(num * den * scale * scale)
-    if r * r < num * den * scale * scale:
-        r += 1
-    return Fraction(r, scale * den)

@@ -339,6 +339,7 @@ def real_certs(ledger):
         "identity": suite[6],
         "monomial": ledger.certificates["derivative_bound_C4"],
         "binomial": ledger.certificates["condition_growth"],
+        "floor": suite[0],
     }
     assert all(verify_certificate(c) for c in certs.values())
     return certs
@@ -402,6 +403,10 @@ MALFORMED = {
         "monomial",
         lambda w: _step(w, "monomial_abs_bound")["poly"].append([[200000, 0, 0], _ONE]),
     ),
+    # producers write rationals as str(Fraction); an exponent literal is
+    # not read, so it can neither pass for its value nor build 10^k
+    "floor-end-1e0": ("floor", lambda w: w["interval"].__setitem__(1, "1e0")),
+    "floor-end-1e3000000": ("floor", lambda w: w["interval"].__setitem__(1, "1e3000000")),
     "binomial-terms-1e9": (
         "binomial",
         lambda w: _step(w, "even_binomial_value").update(terms=10**9),

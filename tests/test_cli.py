@@ -18,7 +18,12 @@ from commonsys.exactpoly import Certificate, verify_certificate
 
 
 def run_main(capsys, *argv):
-    code = cli.main(list(argv))
+    """Exit code, stdout and stderr of cli.main(argv), counting an argparse
+    rejection as its exit code."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -299,6 +304,27 @@ class TestHostileArguments:
               "--l", str(10**9), "--method", "brute"], 4),
             (["eval", "--system", "ap3", "--const", "1/3", "--property", "alon",
               "--l", "10000", "--method", "brute"], 4),
+            # rational flags: out of [0, 1] before a float overflows, and an
+            # exponent past the document bound before 10^k is built
+            (["eval", "--system", "phi", "--const", "1e400", "--property", "common"], 2),
+            (["eval", "--system", "phi", "--const", "1e-1001", "--property", "common"], 2),
+            (["search", "--system", "phi", "--property", "common", "--alpha", "1e400"], 2),
+            (["search", "--system", "phi", "--property", "common", "--alpha", "1e-1001",
+              "--restarts", "1", "--max-iters", "1"], 2),
+            (["scan-alpha", "--system", "phi", "--property", "common", "--alphas", "1e400"], 2),
+            (["scan-alpha", "--system", "phi", "--property", "common", "--alphas", "1e-1001",
+              "--restarts", "1", "--max-iters", "1"], 2),
+            (["scan-alpha", "--system", "phi", "--property", "common", "--alphas", "",
+              "--restarts", "1", "--max-iters", "1"], 2),
+            # n = 0 reaches the coset and character starts from the third restart
+            (["search", "--system", "phi", "--property", "common", "--n", "0",
+              "--restarts", "4", "--max-iters", "1"], 2),
+            (["scan-alpha", "--system", "phi", "--property", "common", "--n", "0",
+              "--alphas", "1/2", "--restarts", "4", "--max-iters", "1"], 2),
+            (["search", "--system", "phi", "--property", "common", "--max-iters", "-1",
+              "--restarts", "1"], 2),
+            (["eval", "--system", "phi", "--const", "1/2", "--property", "common",
+              "--l", "-3"], 2),
         ],
     )
     def test_documented_exit(self, capsys, argv, code):
@@ -494,8 +520,8 @@ def _argv(draw, tmp):
     if sub == "eval":
         source = draw(st.sampled_from(["--const", "--coset", "--function", "two"]))
         if source in ("--const", "two"):
-            argv += _flag(draw, "--const", ["0.5", "1/3", "0", "1"], ["2", "-1", "1/0", "x"],
-                          optional=False)
+            argv += _flag(draw, "--const", ["0.5", "1/3", "0", "1"],
+                          ["2", "-1", "1/0", "x", "1e400", "1e-1001"], optional=False)
         if source in ("--coset", "two"):
             argv += _flag(draw, "--coset", ["x1=1", "x1+2x2=2"], ["x9=0", "=1", "x1", "y"],
                           optional=False)
@@ -507,14 +533,16 @@ def _argv(draw, tmp):
             giant = n == GIANT_N
         argv += _flag(draw, "--method", ["fourier", "brute", "both"], ["bogus"])
     else:
-        argv += _flag(draw, "--restarts", ["1", "2"], ["-1", "0"])
+        argv += _flag(draw, "--restarts", ["1", "2", "4"], ["-1", "0"])
         argv += _flag(draw, "--max-iters", ["0", "1", "3"], ["-2", "x"])
         argv += _flag(draw, "--seed", ["0", "7"], ["-1", "x"])
         if sub == "search":
-            argv += _flag(draw, "--alpha", ["0.5", "1/3", "0", "1"], ["2", "-1", "1/0", "x"])
+            argv += _flag(draw, "--alpha", ["0.5", "1/3", "0", "1"],
+                          ["2", "-1", "1/0", "x", "1e400", "1e-1001"])
         else:
             argv += _flag(draw, "--grid", ["3"], ["2", "x"])
-            argv += _flag(draw, "--alphas", ["0.5", "1/3,1/2", "0,1"], ["2", "1/0", "x"])
+            argv += _flag(draw, "--alphas", ["0.5", "1/3,1/2", "0,1"],
+                          ["2", "1/0", "x", "1e400", "1e-1001"])
     return argv, giant
 
 

@@ -36,7 +36,6 @@ from commonsys.qsqrt2 import (
     format_algebraic,
     parse_algebraic,
     sqrt_lower,
-    sqrt_upper,
 )
 
 F = Fraction
@@ -229,9 +228,8 @@ class TestAlgebraicNumber:
 
     def test_sqrt_bounds(self):
         for x in (F(2), F(3, 7), F(1, 2**18), F(0)):
-            lo, hi = sqrt_lower(x), sqrt_upper(x)
-            assert lo * lo <= x <= hi * hi
-            assert hi - lo < F(1, 2**40)
+            lo = sqrt_lower(x)
+            assert lo * lo <= x < (lo + F(1, 2**40)) ** 2
 
 
     @given(rationals, rationals, rationals, rationals)
@@ -565,6 +563,13 @@ class TestCertificates:
             witness={"steps": [{"kind": "lemma", "name": "made_up", "premises": []}]},
         )
         assert not verify_certificate(bad)
+
+    def test_steps_no_producer_writes_are_rejected(self):
+        # both hold for these values, but no emitted certificate uses them
+        for step in ({"kind": "sqrt_upper", "x": "2", "value": "3/2"},
+                     {"kind": "lemma", "name": "amgm_pair", "premises": []}):
+            cert = Certificate("unproduced step", "rational_chain", {"steps": [step]})
+            assert not verify_certificate(cert), step
 
     def test_even_binomial_sum_matches_the_fraction_sum(self):
         from math import comb

@@ -189,6 +189,13 @@ class TestObjectiveGradient:
         for x in range(9):
             assert (plus[x] - minus[x]) / (2 * eps) == pytest.approx(grad[x], rel=1e-6, abs=1e-12)
 
+    def test_alon_at_l0_is_common_at_every_mean(self):
+        # alpha^(l-1) is undefined at alpha = 0 or 1 when l = 0
+        stack = np.vstack([np.zeros(9), np.ones(9), np.random.default_rng(5).uniform(size=9)])
+        alon, common = (optimize._Objective(PHI, prop, l, 2)
+                        for prop, l in (("alon", 0), ("common", None)))
+        assert np.array_equal(alon.gradient(stack), common.gradient(stack))
+
     @pytest.mark.parametrize(
         "prop, l, pair", [("common", None, True), ("geometric", None, True),
                           ("alon", 3, True), ("sidorenko", None, False),
