@@ -87,23 +87,22 @@ def _parse_coset(expr: str, p: int, n: int) -> harmonic.GroupFunction:
     if "=" not in expr:
         raise MalformedDocument(f"coset expression {expr!r} needs '='")
     lhs, rhs = expr.split("=", 1)
-    try:
+    try:  # int() also refuses a literal past the interpreter's digit limit
         residue = int(rhs.strip())
+        terms = [
+            (1 if coeff in ("", "+") else -1 if coeff == "-" else int(coeff), int(index))
+            for coeff, index in _COSET_TERM.findall(lhs)
+        ]
     except ValueError as exc:
-        raise MalformedDocument(f"bad coset residue {rhs!r}") from exc
+        raise MalformedDocument(f"bad coset expression {expr[:40]!r}: {exc}") from exc
     coefficients = [0] * n
-    matched = 0
-    for match in _COSET_TERM.finditer(lhs):
-        coeff_text, var_text = match.group(1), match.group(2)
-        coeff = 1 if coeff_text in ("", "+") else (-1 if coeff_text == "-" else int(coeff_text))
-        index = int(var_text)
+    for coeff, index in terms:
         if not 1 <= index <= n:
             raise MalformedDocument(
                 f"coset variable x{index} outside 1..{n}; pass a larger --n"
             )
         coefficients[index - 1] = (coefficients[index - 1] + coeff) % p
-        matched += 1
-    if matched == 0:
+    if not terms:
         raise MalformedDocument(f"no variables found in coset expression {expr!r}")
     return harmonic.coset_indicator(p, n, coefficients, residue)
 
@@ -216,22 +215,11 @@ def cmd_search(args) -> int:
     )
     result = optimize.minimize_defect(system, cfg)
     if args.save_function:
-        _save_function_with_digest(result.best, args.save_function, manifest)
+        harmonic.save_function(result.best, args.save_function, manifest_digest=manifest.digest())
         manifest.outputs.append(args.save_function)
-    payload = {"config": cfg.to_dict(), "result": result.to_dict()}
+    payload = {"config": asdict(cfg), "result": result.to_dict()}
     _emit_json(payload, manifest, args.out)
     return EXIT_OK
-
-
-def _save_function_with_digest(f, path: str, manifest: RunManifest) -> None:
-    """JSON function documents carry the run digest as an extra field; the
-    binary format has a fixed header and cannot reference it."""
-    if path.endswith(".gfpn") or path.endswith(".bin"):
-        harmonic.save_function(f, path)
-        return
-    doc = json.loads(harmonic.function_to_json(f))
-    doc["manifest_digest"] = manifest.digest()
-    _write(path, json.dumps(doc))
 
 
 def cmd_verify(args) -> int:

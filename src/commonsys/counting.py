@@ -18,8 +18,9 @@ Two evaluation routes are kept deliberately independent:
 `t_gradient` gives the first variation of T, assembled on the Fourier
 side over the same blocks by the product rule, and `defect` turns T
 values into the signed slack of a chosen colouring property (negative
-slack certifies a violation) via `defect_value`, shared with the
-optimizer.
+slack certifies a violation) via `defect_value`.  Each property's
+formula and its partial derivatives (`defect_partials`) live only here;
+the optimizer takes both from this module.
 
 Both Fourier routes run on an (R, p^n) stack of functions: one transform
 pass per stack, one gather per block, and a `np.bincount` scatter for the
@@ -88,6 +89,8 @@ SIDORENKO = "sidorenko"
 ALON = "alon"
 PREVALENCE = "prevalence"
 PROPERTIES = (COMMON, GEOMETRIC, SIDORENKO, ALON, PREVALENCE)
+# the properties whose defect reads T(1 - f); sidorenko and prevalence do not
+READS_COMPLEMENT = (COMMON, GEOMETRIC, ALON)
 
 METHOD_BRUTE = "BruteExact"
 METHOD_FOURIER = "Fourier"
@@ -152,6 +155,13 @@ def _form_indices(forms, p: int, n: int, label: str):
     # through the LRU cache, a longer scan would miss on every chunk and
     # leave its last chunks (len(forms) * CHUNK * 8 bytes each) pinned
     return _chunk_tables(forms, p, n)
+
+
+def _widest_table(system: LinearSystem, n: int) -> int:
+    """Entries of the widest index table `_form_indices` yields for a block
+    of `system` on F_p^n: its columns times at most CHUNK tuples."""
+    size = system.p**n
+    return max(len(cols) * min(size ** len(cols[0]), CHUNK) for cols in _block_columns(system))
 
 
 def t_brute(system: LinearSystem, f: GroupFunction) -> Fraction:
@@ -392,6 +402,30 @@ def defect_value(property: str, t_f, t_1mf, alpha, t: int, l: int | None, one):
     if property == SIDORENKO:
         return t_f - alpha**t
     return t_f  # prevalence: the density itself, with the mean recorded
+
+
+def defect_partials(property: str, t_f, t_1mf, alpha, t: int, l: int | None):
+    """(dD/dT(f), dD/dT(1 - f), dD/dalpha) of `defect_value` at each entry of
+    the float arrays t_f, t_1mf and alpha, one entry per function; t_1mf is
+    read only for READS_COMPLEMENT.  Each partial broadcasts against them."""
+    if property == COMMON:
+        return 1.0, 1.0, 0.0
+    if property == GEOMETRIC:
+        return t_1mf, t_f, 0.0
+    if property == SIDORENKO:
+        return 1.0, 0.0, -t * _powers(alpha, t - 1)
+    if property == ALON:
+        w_f, w_c = _powers(alpha, l), _powers(1.0 - alpha, l)
+        if not l:  # the weights are constant, and alpha^(l-1) is undefined at 0 and 1
+            return w_f, w_c, 0.0
+        return w_f, w_c, l * _powers(alpha, l - 1) * t_f - l * _powers(1.0 - alpha, l - 1) * t_1mf
+    return 1.0, 0.0, 0.0  # prevalence
+
+
+def _powers(x: np.ndarray, k: int) -> np.ndarray:
+    """x ** k entry by entry as Python floats: each entry's bits are the scalar
+    power's, whatever numpy's vectorized power or the other entries do."""
+    return np.array([v**k for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 def function_digest(f: GroupFunction) -> str:

@@ -312,12 +312,17 @@ def spectral_sup(g: GroupFunction, tol: float = 1e-9) -> float:
 # Function documents: JSON with exact decimals, or raw binary GFPN
 
 
-def function_to_json(f: GroupFunction) -> str:
+def function_to_json(f: GroupFunction, manifest_digest: str | None = None) -> str:
+    """The JSON function document of f, ending with the digest of the run
+    that made it when one is given."""
     if f.exact is not None:
         vals = [_exact_json_value(v) for v in f.exact]
     else:
         vals = [float(v) for v in f.values]
-    return json.dumps({"p": f.p, "n": f.n, "values": vals})
+    doc = {"p": f.p, "n": f.n, "values": vals}
+    if manifest_digest is not None:
+        doc["manifest_digest"] = manifest_digest
+    return json.dumps(doc)
 
 
 def _exact_json_value(v: Fraction):
@@ -421,10 +426,12 @@ def load_function(path: str) -> GroupFunction:
     return function_from_json(text)
 
 
-def save_function(f: GroupFunction, path: str) -> None:
+def save_function(f: GroupFunction, path: str, manifest_digest: str | None = None) -> None:
+    """Write f as GFPN binary to a .gfpn or .bin path, else as a JSON
+    document; the binary header has no room for the manifest digest."""
     if path.endswith(".gfpn") or path.endswith(".bin"):
         with open(path, "wb") as fh:
             fh.write(function_to_binary(f))
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(function_to_json(f))
+            fh.write(function_to_json(f, manifest_digest))

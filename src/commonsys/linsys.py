@@ -138,9 +138,9 @@ def _validate_rows(rows) -> list[list[int]]:
 
 def parse_system(document: str, name: str | None = None) -> LinearSystem:
     """Parse a JSON system document with fields "p" and "matrix"."""
-    try:
+    try:  # JSONDecodeError, or an integer literal past the digit limit
         data = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise MalformedDocument(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or "p" not in data or "matrix" not in data:
         raise MalformedDocument('document must be an object with "p" and "matrix"')

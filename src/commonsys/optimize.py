@@ -7,11 +7,11 @@ optionally intersected with a fixed-mean slice.  From x with gradient g
 and step length lam, one outer step projects once, d = P(x - lam g) - x,
 and backtracks t = 1, 1/2, ... along the feasible segment x + t d until
 the defect is at most the largest of the last M accepted values plus
-1e-4 t (g . d).  The first lam is `eta0`; after each accepted step s with
+1e-4 t (g . d).  The first lam is `_ETA0`; after each accepted step s with
 gradient change y, lam = s.s / s.y (Barzilai and Borwein 1988), clamped to
 [1e-10, 1e10], or 1e10 when s.y <= 0.  A restart stops when the projected
-gradient x - P(x - g) is below `grad_tol`, when t falls below 1e-12, or
-at a violation.
+gradient x - P(x - g) is below `_GRAD_TOL`, when t falls below 1e-12, or
+at a violation (a defect below `_VIOLATION_TOL`).
 
 Restarts cycle through four initialization families (constant-plus-noise,
 uniform noise, coset indicators, character bumps); character bumps are
@@ -35,7 +35,7 @@ rows of its batch, and the cross-restart reduction is lexicographic in
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -43,13 +43,12 @@ import numpy as np
 from . import counting
 from .counting import (
     CHUNK,
-    COMMON,
     GEOMETRIC,
     PREVALENCE,
-    SIDORENKO,
-    _block_columns,
+    READS_COMPLEMENT,
     _gradient_rows,
     _t_rows,
+    defect_partials,
     defect_value,
 )
 from .errors import InfeasibleMean, MalformedDocument
@@ -59,10 +58,14 @@ from .linsys import LinearSystem
 MAX_SEARCH_POINTS = 1 << 20
 
 # spectral projected gradient: value memory M of the nonmonotone test, its
-# sufficient-decrease factor, and the clamp on the Barzilai-Borwein step
+# sufficient-decrease factor, the first step, the Barzilai-Borwein clamp, and
+# the stops (projected-gradient norm, violating defect)
 _MEMORY = 10
 _SUFFICIENT_DECREASE = 1e-4
+_ETA0 = 0.1
 _LAMBDA_MIN, _LAMBDA_MAX = 1e-10, 1e10
+_GRAD_TOL = 1e-8
+_VIOLATION_TOL = -1e-6
 
 
 @dataclass(frozen=True)
@@ -76,10 +79,7 @@ class SearchConfig:
     mean: float | None = None  # pin E f to this value when set
     restarts: int = 16
     max_iters: int = 300
-    eta0: float = 0.1  # first step length; later steps are Barzilai-Borwein
     seed: int = 0
-    grad_tol: float = 1e-8
-    violation_tol: float = -1e-6
 
     def __post_init__(self):
         counting.check_property(self.property, self.l)
@@ -101,9 +101,6 @@ class SearchConfig:
         if self.property == GEOMETRIC:
             return 0.5
         return self.mean
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -188,9 +185,7 @@ class _Objective:
         self.property = property
         self.l = l
         self.n = n
-        self.t = system.t
-        # sidorenko and prevalence never read T(1 - f)
-        self.pair = property not in (SIDORENKO, PREVALENCE)
+        self.pair = property in READS_COMPLEMENT
 
     def _stack(self, values: np.ndarray) -> np.ndarray:
         """[F; 1 - F] where the defect needs the complements, else F."""
@@ -198,49 +193,25 @@ class _Objective:
 
     def value(self, values: np.ndarray) -> np.ndarray:
         rows = len(values)
-        t_all = _t_rows(self.system, self._stack(values), self.n).tolist()
-        t_c = t_all[rows:] if self.pair else [None] * rows
-        means = values.mean(axis=1).tolist()
-        return np.array(
-            [
-                defect_value(self.property, t_f, t_1mf, alpha, self.t, self.l, 1.0)
-                for t_f, t_1mf, alpha in zip(t_all[:rows], t_c, means)
-            ]
-        )
+        ts = _t_rows(self.system, self._stack(values), self.n).tolist()
+        t_c = ts[rows:] if self.pair else [None] * rows
+        return np.array([defect_value(self.property, t_f, t_1mf, alpha, self.system.t, self.l, 1.0)
+                         for t_f, t_1mf, alpha in zip(ts, t_c, values.mean(axis=1).tolist())])
 
     def gradient(self, values: np.ndarray) -> np.ndarray:
         """Gradient of the defect per row, from one gradient pass that also
-        yields T of every row of the stack."""
+        yields T of every row of the stack: f(x) moves T(f) by G_f(x) / p^n,
+        T(1 - f) by -G_(1-f)(x) / p^n and the mean by 1 / p^n."""
         rows, size = values.shape
-        prop = self.property
         grads, ts = _gradient_rows(self.system, self._stack(values), self.n)
-        g_f = grads[:rows]
-        if prop == PREVALENCE:
-            return g_f / size
-        alphas = values.mean(axis=1).tolist()
-        t = self.t
-        if prop == SIDORENKO:
-            shift = np.array([t * alpha ** (t - 1) for alpha in alphas])
-            return (g_f - shift[:, None]) / size
-        g_c = grads[rows:]
-        if prop == COMMON:
-            return (g_f - g_c) / size
-        t_f, t_1mf = ts[:rows], ts[rows:]
-        if prop == GEOMETRIC:
-            return (t_1mf[:, None] * g_f - t_f[:, None] * g_c) / size
-        # alon: alpha enters through the l-th power weights; at l = 0 they are
-        # constant, and alpha^(l-1) is undefined at alpha = 0 or 1
-        l = self.l
-        terms = [
-            (
-                l * alpha ** (l - 1) * a - l * (1.0 - alpha) ** (l - 1) * b if l else 0.0,
-                alpha**l,
-                (1.0 - alpha) ** l,
-            )
-            for alpha, a, b in zip(alphas, t_f.tolist(), t_1mf.tolist())
-        ]
-        scalar, w_f, w_c = np.array(terms).T[:, :, None]
-        return (scalar + w_f * g_f - w_c * g_c) / size
+        d_f, d_c, d_alpha = defect_partials(
+            self.property, ts[:rows, None], ts[rows:, None] if self.pair else None,
+            values.mean(axis=1, keepdims=True), self.system.t, self.l,
+        )
+        g = d_alpha + d_f * grads[:rows]
+        if self.pair:
+            g -= d_c * grads[rows:]
+        return g / size
 
 
 def _initial_point(cfg: SearchConfig, k: int, rng) -> np.ndarray:
@@ -266,11 +237,7 @@ def _batch_rows(system: LinearSystem, n: int) -> int:
     """Restarts per lockstep batch: at most CHUNK // widest rows, where
     widest is the larger of p^n and the widest block index table, so a
     batch's stacks stay within a few CHUNK-sized arrays."""
-    size = system.p**n
-    widest = max(
-        [size]
-        + [len(cols) * min(size ** len(cols[0]), CHUNK) for cols in _block_columns(system)]
-    )
+    widest = max(system.p**n, counting._widest_table(system, n))
     return max(1, CHUNK // widest)
 
 
@@ -300,7 +267,7 @@ def _run_restart(system: LinearSystem, cfg: SearchConfig, ks, trace: list | None
     val = obj.value(x)
     grad = np.empty_like(x)  # the gradient at each row's accepted point
     moved = np.empty_like(x)  # each row's last accepted step s
-    lam = np.full(len(ks), cfg.eta0)
+    lam = np.full(len(ks), _ETA0)
     history = np.full((len(ks), _MEMORY), -np.inf)  # ring buffer of accepted values
     history[:, 0] = val
     iters = np.zeros(len(ks), dtype=np.int64)
@@ -310,7 +277,7 @@ def _run_restart(system: LinearSystem, cfg: SearchConfig, ks, trace: list | None
         for row, v in zip(trace, val.tolist()):
             row.append(v)
     for outer in range(cfg.max_iters):
-        running &= ~(val < cfg.violation_tol)
+        running &= ~(val < _VIOLATION_TOL)
         live = np.flatnonzero(running)
         if not live.size:
             break
@@ -323,7 +290,7 @@ def _run_restart(system: LinearSystem, cfg: SearchConfig, ks, trace: list | None
             lam[live[curved]] = np.clip(ss[curved] / sy[curved], _LAMBDA_MIN, _LAMBDA_MAX)
         grad[live] = g
         pg = x[live] - _project_values(x[live] - g, alpha)
-        flat = np.sqrt(_row_dots(pg, pg)) < cfg.grad_tol
+        flat = np.sqrt(_row_dots(pg, pg)) < _GRAD_TOL
         converged[live[flat]] = True
         running[live[flat]] = False
         live, g = live[~flat], g[~flat]
@@ -374,7 +341,7 @@ def minimize_defect(system: LinearSystem, cfg: SearchConfig) -> SearchResult:
         best_defect=revalidated,
         iterations=total_iters,
         converged=converged,
-        violation=revalidated < cfg.violation_tol,
+        violation=revalidated < _VIOLATION_TOL,
         restart_index=k,
     )
 

@@ -19,7 +19,7 @@ from commonsys.certify import (
     verify_lemma_suite,
 )
 from commonsys.errors import VerificationFailed
-from commonsys.exactpoly import subdivision_positive_on_box, verify_certificate
+from commonsys.exactpoly import Certificate, subdivision_positive_on_box, verify_certificate
 from commonsys.qsqrt2 import AlgebraicNumber, an_sign, sqrt_lower
 
 F = Fraction
@@ -328,6 +328,50 @@ class TestCheckerSoundness:
                     assert verify_certificate(broken) is False, name
                     checked += 1
         assert checked
+
+
+# witness keys the checker leaves unread, all free text; the list is exact,
+# so a key that starts or stops being read must be named here
+UNREAD_WITNESS_KEYS = {"note"}
+
+
+class _ReadTracker(dict):
+    """A witness object that records which of its keys are never read."""
+
+    def __init__(self, data: dict, trackers: list):
+        super().__init__((k, _tracked(v, trackers)) for k, v in data.items())
+        self.unread = set(data)
+        trackers.append(self)
+
+    def __getitem__(self, key):
+        self.unread.discard(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.unread.discard(key)
+        return super().get(key, default)
+
+
+def _tracked(value, trackers: list):
+    if isinstance(value, dict):
+        return _ReadTracker(value, trackers)
+    if isinstance(value, (list, tuple)):
+        return [_tracked(v, trackers) for v in value]
+    return value
+
+
+class TestWitnessKeysAreRead:
+    def test_checker_reads_every_key_but_free_text(self, ledger):
+        certs = [*verify_lemma_suite(), *ledger.certificates.values()]
+        assert len(certs) == 22
+        unread = set()
+        for cert in certs:
+            trackers = []
+            tracked = Certificate(cert.claim, cert.method, _tracked(cert.witness, trackers))
+            assert verify_certificate(tracked), cert.claim
+            for tracker in trackers:
+                unread |= tracker.unread
+        assert unread == UNREAD_WITNESS_KEYS
 
 
 @pytest.fixture(scope="module")

@@ -274,6 +274,19 @@ class TestHostileDocuments:
         code, _, _ = self._eval(capsys, path)
         assert code == 0
 
+    def test_integer_past_the_digit_limit(self, capsys, tmp_path):
+        # json.loads raises a plain ValueError here, not a JSONDecodeError
+        huge = "1" * 5000
+        system = tmp_path / "s.json"
+        system.write_text('{"p": 3, "matrix": [[1, 2, %s]]}' % huge)
+        code, _, err = run_main(capsys, "eval", "--system", str(system), "--const", "1/2",
+                                "--property", "common")
+        assert code == 2 and "error" in err
+        function = tmp_path / "f.json"
+        function.write_text('{"p": 3, "n": %s, "values": [0]}' % huge)
+        code, _, err = self._eval(capsys, function)
+        assert code == 2 and "error" in err
+
     def test_unsupported_modulus(self, capsys, tmp_path):
         for p in (0, 1, 2, 4):
             path = tmp_path / "f.json"
@@ -325,6 +338,11 @@ class TestHostileArguments:
               "--restarts", "1"], 2),
             (["eval", "--system", "phi", "--const", "1/2", "--property", "common",
               "--l", "-3"], 2),
+            # a coset coefficient or variable index past the int digit limit
+            (["eval", "--system", "phi", "--coset", "1" * 5000 + "x1=1",
+              "--property", "common"], 2),
+            (["eval", "--system", "phi", "--coset", "x" + "1" * 5000 + "=1",
+              "--property", "common"], 2),
         ],
     )
     def test_documented_exit(self, capsys, argv, code):

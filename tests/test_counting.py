@@ -557,6 +557,41 @@ class TestDefect:
         with pytest.raises(MissingL):
             defect(PHI, constant(3, 1, F(1, 2)), "alon")
 
+    @pytest.mark.parametrize("prop, l", [("common", None), ("geometric", None), ("sidorenko", None),
+                                         ("alon", 0), ("alon", 3), ("prevalence", None)])
+    def test_partials_are_the_derivatives_of_the_defect(self, prop, l):
+        t, h = 5, 1e-6
+        # T(f), T(1 - f) and alpha of two functions; alpha = 1 is an end of [0, 1]
+        point = [np.array([0.03, 0.2]), np.array([0.02, 0.1]), np.array([0.4, 1.0])]
+        if prop not in counting.READS_COMPLEMENT:
+            point[1] = None  # neither the defect nor its partials may read it
+        partials = counting.defect_partials(prop, *point, t, l)
+        for i, partial in enumerate(partials):
+            if point[i] is None:
+                assert partial == 0.0
+                continue
+            up, down = list(point), list(point)
+            up[i] = point[i] + h
+            down[i] = point[i] - h
+            slope = (counting.defect_value(prop, *up, t, l, 1.0)
+                     - counting.defect_value(prop, *down, t, l, 1.0)) / (2 * h)
+            np.testing.assert_allclose(np.broadcast_to(partial, slope.shape), slope,
+                                       rtol=1e-6, atol=1e-9)
+
+    @pytest.mark.parametrize("prop, l", [("sidorenko", None), ("alon", 3)])
+    def test_partials_take_scalar_powers(self, prop, l):
+        # numpy's vectorized power can differ from the scalar one in the last bit
+        t = 5
+        t_f, t_1mf, alpha = np.random.default_rng(3).uniform(0, 1, (3, 64))
+        got = [np.broadcast_to(d, alpha.shape).tolist()
+               for d in counting.defect_partials(prop, t_f, t_1mf, alpha, t, l)]
+        for i, (x, y, a) in enumerate(zip(t_f.tolist(), t_1mf.tolist(), alpha.tolist())):
+            if prop == "sidorenko":
+                want = (1.0, 0.0, -t * a ** (t - 1))
+            else:
+                want = (a**l, (1.0 - a) ** l, l * a ** (l - 1) * x - l * (1.0 - a) ** (l - 1) * y)
+            assert tuple(column[i] for column in got) == want
+
     def test_geometric_needs_balanced_mean(self):
         with pytest.raises(MeanConstraintViolated):
             defect(PHI, constant(3, 1, F(1, 3)), "geometric")

@@ -279,9 +279,11 @@ class TestMinimize:
          (PHI, "common", None, 1 / 3), (linsys.preset("schur"), "prevalence", None, 1 / 3)],
     )
     @pytest.mark.parametrize("eta0", [0.1, 1000.0])  # 1000: most steps backtrack
-    def test_each_batched_restart_matches_its_batch_of_one(self, system, prop, l, mean, eta0):
+    def test_each_batched_restart_matches_its_batch_of_one(self, system, prop, l, mean, eta0,
+                                                           monkeypatch):
+        monkeypatch.setattr(optimize, "_ETA0", eta0)
         cfg = SearchConfig(property=prop, p=3, n=2, l=l, mean=mean, restarts=5,
-                           max_iters=25, eta0=eta0, seed=31)
+                           max_iters=25, seed=31)
         batch = optimize._run_restart(system, cfg, range(cfg.restarts))
         for k, (val, kk, f, iters, converged) in enumerate(batch):
             (one_val, _, one_f, one_iters, one_converged), = optimize._run_restart(
