@@ -19,8 +19,9 @@ Two evaluation routes are kept deliberately independent:
 side over the same blocks by the product rule, and `defect` turns T
 values into the signed slack of a chosen colouring property (negative
 slack certifies a violation) via `defect_value`.  Each property's
-formula and its partial derivatives (`defect_partials`) live only here;
-the optimizer takes both from this module.
+formula, its partial derivatives (`defect_partials`) and the means it is
+defined at (`check_mean`) live only here; the optimizer takes all three
+from this module.
 
 Both Fourier routes run on an (R, p^n) stack of functions: one transform
 pass per stack, one gather per block, and a `np.bincount` scatter for the
@@ -91,6 +92,9 @@ PREVALENCE = "prevalence"
 PROPERTIES = (COMMON, GEOMETRIC, SIDORENKO, ALON, PREVALENCE)
 # the properties whose defect reads T(1 - f); sidorenko and prevalence do not
 READS_COMPLEMENT = (COMMON, GEOMETRIC, ALON)
+# the geometric property is defined at mean 1/2; a mean this close, as a
+# float or a colouring's rounded values give it, counts as 1/2
+GEOMETRIC_MEAN_TOL = Fraction(1, 10**9)
 
 METHOD_BRUTE = "BruteExact"
 METHOD_FOURIER = "Fourier"
@@ -386,6 +390,19 @@ def check_property(property: str, l: int | None) -> None:
         raise MalformedDocument("l must be >= 0")
 
 
+def check_mean(property: str, mean) -> None:
+    """Reject a mean the property is not defined at: geometric needs 1/2
+    (within GEOMETRIC_MEAN_TOL), and prevalence needs a pinned mean, with
+    `mean` None for an unpinned one."""
+    if mean is None:
+        if property == PREVALENCE:
+            raise MeanConstraintViolated("the prevalence property requires a pinned mean")
+    elif property == GEOMETRIC and abs(mean - Fraction(1, 2)) > GEOMETRIC_MEAN_TOL:
+        raise MeanConstraintViolated(
+            f"the geometric property is defined only at mean 1/2, got {float(mean)}"
+        )
+
+
 def defect_value(property: str, t_f, t_1mf, alpha, t: int, l: int | None, one):
     """Signed slack of `property` from the two densities and the mean.
 
@@ -415,10 +432,9 @@ def defect_partials(property: str, t_f, t_1mf, alpha, t: int, l: int | None):
     if property == SIDORENKO:
         return 1.0, 0.0, -t * _powers(alpha, t - 1)
     if property == ALON:
-        w_f, w_c = _powers(alpha, l), _powers(1.0 - alpha, l)
-        if not l:  # the weights are constant, and alpha^(l-1) is undefined at 0 and 1
-            return w_f, w_c, 0.0
-        return w_f, w_c, l * _powers(alpha, l - 1) * t_f - l * _powers(1.0 - alpha, l - 1) * t_1mf
+        if not l:  # the weights are 1, and alpha^(l-1) is undefined at 0 and 1
+            return 1.0, 1.0, 0.0
+        return _alon_partials(t_f, t_1mf, alpha, l)
     return 1.0, 0.0, 0.0  # prevalence
 
 
@@ -426,6 +442,17 @@ def _powers(x: np.ndarray, k: int) -> np.ndarray:
     """x ** k entry by entry as Python floats: each entry's bits are the scalar
     power's, whatever numpy's vectorized power or the other entries do."""
     return np.array([v**k for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def _alon_partials(t_f, t_1mf, alpha, l: int) -> np.ndarray:
+    """The alon partials, stacked on a new first axis, from one pass that
+    takes alpha^l, (1 - alpha)^l, alpha^(l-1) and (1 - alpha)^(l-1) of each
+    entry as Python floats, as `_powers` does."""
+    rows = []
+    for a, x, y in zip(alpha.ravel().tolist(), t_f.ravel().tolist(), t_1mf.ravel().tolist()):
+        b = 1.0 - a
+        rows.append((a**l, b**l, l * a ** (l - 1) * x - l * b ** (l - 1) * y))
+    return np.array(rows).T.reshape(3, *alpha.shape)
 
 
 def function_digest(f: GroupFunction) -> str:
@@ -502,10 +529,7 @@ def defect(
         method_name = METHOD_FOURIER
     else:
         raise MalformedDocument(f"unknown method {method!r}")
-    if property == GEOMETRIC and abs(alpha - Fraction(1, 2)) > Fraction(1, 10**9):
-        raise MeanConstraintViolated(
-            f"geometric defect needs mean 1/2, got {float(alpha)}"
-        )
+    check_mean(property, alpha)
     value = defect_value(property, t_f, t_1mf, alpha, t, l, one)
     return DefectReport(
         system=system.ident(),

@@ -33,8 +33,9 @@ class TooLarge(CommonsysError):
     """Requested enumeration exceeds the configured size cap."""
 
 
-class MeanConstraintViolated(CommonsysError):
-    """Function mean violates the property's mean requirement."""
+class MeanConstraintViolated(MalformedDocument):
+    """A function's mean, or a pinned mean, violates the property's mean
+    requirement."""
 
 
 class MissingL(CommonsysError):

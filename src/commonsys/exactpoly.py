@@ -18,6 +18,15 @@ Every certificate a producer returns has already been checked: the
 producers build it through one checked constructor, which returns it with
 ``verified`` True or raises VerificationFailed.  Floating point never
 enters a witness.
+
+The polynomial kernels -- `ExactPoly.eval`, `SparsePoly.eval`,
+`SparsePoly.monomial_abs_bound` and `SparsePoly.shift` -- run on integer
+numerators: the coefficients are brought over one common denominator and
+the point or centre is an integer pair u + v*sqrt(2) over its own
+denominator, so a Horner pass or a Taylor shift takes only integer
+multiply-adds, and each result is reduced once, by one three-way gcd,
+into its canonical AlgebraicNumber.  As every value has one canonical
+form, the witnesses are the bytes per-operation arithmetic would give.
 """
 
 from __future__ import annotations
@@ -35,10 +44,10 @@ from .errors import (
 )
 from .qsqrt2 import (
     AlgebraicNumber,
-    ONE,
     ZERO,
     an_sign,
     format_algebraic,
+    from_numerators,
     parse_algebraic,
     parse_rational,
 )
@@ -124,11 +133,25 @@ class ExactPoly:
         return ExactPoly([c * i for i, c in enumerate(self.coeffs)][1:])
 
     def eval(self, x) -> AlgebraicNumber:
-        x = _an(x)
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """Exact value at x by one Horner pass on integers, reduced once.
+
+        With coefficients (a_k + b_k*sqrt2)/D and x = g/w for the integer
+        pair g = u + v*sqrt2, D w^K P(x) = sum_k (a_k + b_k*sqrt2) g^k w^(K-k)
+        at degree K; the Horner accumulator is that sum's numerator pair.
+        """
+        if not self.coeffs:
+            return ZERO
+        nums, den = _over_common_denominator(self.coeffs)
+        u, v, w = _an(x).numerators()
+        a, b = nums[-1]
+        scale = 1  # w^(K-k) at coefficient k
+        for ca, cb in nums[-2::-1]:
+            scale *= w
+            if v:
+                a, b = a * u + 2 * b * v + ca * scale, a * v + b * u + cb * scale
+            else:
+                a, b = a * u + ca * scale, b * u + cb * scale
+        return from_numerators(a, b, den * scale)
 
     def divmod(self, divisor: ExactPoly) -> tuple[ExactPoly, ExactPoly]:
         if divisor.is_zero():
@@ -394,34 +417,60 @@ class SparsePoly:
         return SparsePoly._from_valid(self.nvars, terms)
 
     def shift(self, var: int, center) -> SparsePoly:
-        """Substitute x_var -> center + x_var.  The binomial weights
-        comb(k, j) * center^(k-j) are built once per distinct exponent k."""
-        powers = _powers(_an(center), self._top(var))
-        weights = {}
-        terms = []
+        """Substitute x_var -> center + x_var, by one Taylor shift on
+        integers per group of terms that share their other exponents.
+
+        A group is R(x) = sum_k (a_k + b_k*sqrt2)/D x^k of degree K in x_var.
+        With center = g/w for the integer pair g = u + v*sqrt2,
+        D w^K R(g/w + x) = S(w x), where S is the integer-pair polynomial
+        sum_k (a_k + b_k*sqrt2) w^(K-k) z^k shifted by g.  Horner's scheme
+        for the Taylor shift (von zur Gathen and Gerhard, 1997) forms S in
+        K(K+1)/2 multiply-adds by g, and output coefficient j is
+        s_j / (D w^(K-j)), reduced once.
+        """
+        u, v, w = _an(center).numerators()
+        groups = {}
         for e, c in self.terms.items():
-            k = e[var]
-            if k not in weights:
-                weights[k] = [powers[k - j] * comb(k, j) for j in range(k + 1)]
-            terms.extend((_put(e, var, j), c * w) for j, w in enumerate(weights[k]))
+            groups.setdefault(_put(e, var, 0), {})[e[var]] = c
+        terms = []
+        for rest, row in groups.items():
+            top = max(row)
+            nums, den = _over_common_denominator(row.values())
+            ra, rb = [0] * (top + 1), [0] * (top + 1)
+            for k, (a, b) in zip(row, nums):
+                scale = w ** (top - k)
+                ra[k], rb[k] = a * scale, b * scale
+            for i in range(top):
+                for j in range(top - 1, i - 1, -1):
+                    a, b = ra[j + 1], rb[j + 1]
+                    if v:
+                        ra[j] += a * u + 2 * b * v
+                        rb[j] += a * v + b * u
+                    else:
+                        ra[j] += a * u
+                        rb[j] += b * u
+            for j in range(top, -1, -1):
+                terms.append((_put(rest, var, j), from_numerators(ra[j], rb[j], den)))
+                den *= w
         return SparsePoly._from_valid(self.nvars, terms)
 
     def eval(self, *point) -> AlgebraicNumber:
-        """Exact value at `point`; each variable's powers are built once."""
-        if self.terms and len(point) != self.nvars:
-            raise ValueError(f"{len(point)} coordinates for {self.nvars} variables")
-        powers = [_powers(_an(x), self._top(i)) for i, x in enumerate(point)]
-        acc = ZERO
-        for e, c in self.terms.items():
-            for row, k in zip(powers, e):
-                if k:
-                    c = c * row[k]
-            acc = acc + c
-        return acc
+        """Exact value at `point` by one pass on integers, reduced once.
 
-    def _top(self, var: int) -> int:
-        """The highest exponent of x_var over the terms (0 for none)."""
-        return max((e[var] for e in self.terms), default=0)
+        With coefficients (a + b*sqrt2)/D and x_i = g_i/w_i, every term is
+        scaled by prod_i w_i^(K_i), K_i the top exponent of x_i: the factor
+        x_i^k becomes the integer pair g_i^k w_i^(K_i - k), built once per
+        coordinate, and the value is the sum of the terms' numerator pairs
+        over D prod_i w_i^(K_i).
+        """
+        return _eval_integers(*self._integers(), point)
+
+    def _integers(self) -> tuple[list, int, list]:
+        """([(exponent, a, b), ...], D, tops): the terms over their common
+        denominator D, and each variable's top exponent."""
+        nums, den = _over_common_denominator(self.terms.values())
+        terms = [(e, a, b) for e, (a, b) in zip(self.terms, nums)]
+        return terms, den, [max(k) for k in zip(*self.terms)]
 
     def interval_eval(self, *intervals: ExactInterval) -> ExactInterval:
         """Interval range bound by dense Horner: the first variable is
@@ -448,10 +497,15 @@ class SparsePoly:
         return horner(self.terms, 0)
 
     def monomial_abs_bound(self, radii) -> AlgebraicNumber:
-        """sum |c| * prod radii^exponents; bounds |P| when |x_i| <= radii[i]."""
-        return SparsePoly._from_valid(
-            self.nvars, [(e, abs(c)) for e, c in self.terms.items()]
-        ).eval(*radii)
+        """sum |c| * prod radii^exponents; bounds |P| when |x_i| <= radii[i].
+        Evaluated like `eval`, on the numerator pairs of the terms with the
+        signs of the negative ones flipped."""
+        terms, den, tops = self._integers()
+        flipped = [
+            (e, a, b) if c.sign() >= 0 else (e, -a, -b)
+            for (e, a, b), c in zip(terms, self.terms.values())
+        ]
+        return _eval_integers(flipped, den, tops, radii)
 
     def to_list(self) -> list:
         return [[list(e), format_algebraic(c)] for e, c in sorted(self.terms.items())]
@@ -477,12 +531,49 @@ def _collect(pairs) -> dict:
     return {e: c for e, c in out.items() if c != ZERO}
 
 
-def _powers(x: AlgebraicNumber, top: int) -> list:
-    """[x^0, x^1, ..., x^top], each by one multiplication."""
-    out = [ONE]
+def _over_common_denominator(values) -> tuple[list, int]:
+    """([(a, b), ...], D): each AlgebraicNumber as (a + b*sqrt2)/D, over
+    the lcm D of their denominators."""
+    triples = [x.numerators() for x in values]
+    den = lcm(*(d for _, _, d in triples))
+    return [(a * (den // d), b * (den // d)) for a, b, d in triples], den
+
+
+def _eval_integers(terms: list, den: int, tops: list, point) -> AlgebraicNumber:
+    """The value at `point` of the terms [(exponent, a, b), ...] over `den`
+    (`SparsePoly._integers`), as `SparsePoly.eval` describes."""
+    if not terms:
+        return ZERO
+    if len(point) != len(tops):
+        raise ValueError(f"{len(point)} coordinates for {len(tops)} variables")
+    rows = []
+    for x, top in zip(point, tops):
+        row, w_top = _power_row(*_an(x).numerators(), top)
+        rows.append(row)
+        den *= w_top
+    total_a = total_b = 0
+    for e, a, b in terms:
+        for row, k in zip(rows, e):
+            pa, pb = row[k]
+            if pb:
+                a, b = a * pa + 2 * b * pb, a * pb + b * pa
+            else:
+                a, b = a * pa, b * pa
+        total_a += a
+        total_b += b
+    return from_numerators(total_a, total_b, den)
+
+
+def _power_row(u: int, v: int, w: int, top: int) -> tuple[list, int]:
+    """([g^k w^(top-k) for k = 0..top], w^top) for the integer pair
+    g = u + v*sqrt2, as integer pairs."""
+    g_powers, w_powers = [(1, 0)], [1]
     for _ in range(top):
-        out.append(out[-1] * x)
-    return out
+        a, b = g_powers[-1]
+        g_powers.append((a * u + 2 * b * v, a * v + b * u))
+        w_powers.append(w_powers[-1] * w)
+    row = [(a * w_powers[top - k], b * w_powers[top - k]) for k, (a, b) in enumerate(g_powers)]
+    return row, w_powers[-1]
 
 
 def _put(e: tuple, var: int, k: int) -> tuple:

@@ -44,7 +44,6 @@ from . import counting
 from .counting import (
     CHUNK,
     GEOMETRIC,
-    PREVALENCE,
     READS_COMPLEMENT,
     _gradient_rows,
     _t_rows,
@@ -92,10 +91,7 @@ class SearchConfig:
         if self.n < 1:
             raise MalformedDocument("n must be >= 1")
         checked_size(self.p, self.n, MAX_SEARCH_POINTS)
-        if self.property == PREVALENCE and self.mean is None:
-            raise MalformedDocument("prevalence search requires a pinned mean")
-        if self.property == GEOMETRIC and self.mean is not None and abs(self.mean - 0.5) > 1e-12:
-            raise MalformedDocument("the geometric property is defined only at mean 1/2")
+        counting.check_mean(self.property, self.mean)
 
     def pinned_mean(self) -> float | None:
         if self.property == GEOMETRIC:

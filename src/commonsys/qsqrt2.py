@@ -151,6 +151,11 @@ class AlgebraicNumber:
             k >>= 1
         return out
 
+    def numerators(self) -> tuple[int, int, int]:
+        """(an, bn, d) with the value (an + bn*sqrt2)/d in its canonical form,
+        for kernels that work on integers and reduce once per result."""
+        return self._an, self._bn, self._d
+
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}."""
         return _sign(self._an, self._bn)
@@ -208,6 +213,12 @@ def _reduced(an: int, bn: int, d: int) -> AlgebraicNumber:
     if g != 1:
         return _raw(an // g, bn // g, d // g)
     return _raw(an, bn, d)
+
+
+def from_numerators(an: int, bn: int, d: int) -> AlgebraicNumber:
+    """The number (an + bn*sqrt2)/d for any integers with d > 0, in its
+    canonical form."""
+    return _reduced(an, bn, d)
 
 
 def _sum(x: AlgebraicNumber, cn: int, dn: int, e: int) -> AlgebraicNumber:

@@ -182,6 +182,19 @@ class TestSearch:
         else:
             assert "mean 1/2" in err
 
+    @pytest.mark.parametrize("mean, code", [("0.5000000001", 0), ("0.500001", 2)])
+    def test_eval_and_search_share_the_geometric_mean_rule(self, capsys, mean, code):
+        # 1/2 + 1e-10 is within the one tolerance and 1/2 + 1e-6 is not, for
+        # a colouring's mean in eval and a pinned mean in search alike
+        evaluated, _, _ = run_main(
+            capsys, "eval", "--system", "phi", "--const", mean, "--property", "geometric",
+        )
+        searched, _, _ = run_main(
+            capsys, "search", "--system", "phi", "--property", "geometric", "--alpha", mean,
+            "--restarts", "1", "--max-iters", "1",
+        )
+        assert evaluated == searched == code
+
 
 # p^GIANT_N is a multi-megabyte integer, so a traced peak below 1 MB shows
 # that a giant n was refused before the power was formed

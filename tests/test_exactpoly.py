@@ -1,7 +1,7 @@
 import copy
 from decimal import Decimal, getcontext
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import numpy as np
 import pytest
@@ -353,6 +353,123 @@ class TestSparsePoly:
                 moved[var] = moved[var] - center
                 assert shifted.eval(*moved) == poly.eval(*point)
                 assert shifted.shift(var, -center) == poly
+
+
+# per-term oracles for the integer-numerator kernels: one AlgebraicNumber
+# operation per product, with its own reduction, and the binomial expansion
+# of every term for the shift
+def _oracle_shift(poly, var, center):
+    terms = []
+    for e, c in poly.terms.items():
+        k = e[var]
+        for j in range(k + 1):
+            terms.append((e[:var] + (j,) + e[var + 1 :], c * comb(k, j) * center ** (k - j)))
+    return SparsePoly(poly.nvars, terms)
+
+
+def _oracle_eval(poly, point):
+    acc = AlgebraicNumber(0, 0)
+    for e, c in poly.terms.items():
+        for x, k in zip(point, e):
+            c = c * x**k
+        acc = acc + c
+    return acc
+
+
+def _oracle_abs_bound(poly, radii):
+    return _oracle_eval(SparsePoly(poly.nvars, {e: abs(c) for e, c in poly.terms.items()}), radii)
+
+
+def _oracle_horner(poly, x):
+    acc = AlgebraicNumber(0, 0)
+    for c in reversed(poly.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _assert_canonical_poly(poly):
+    for c in poly.terms.values():
+        assert c != 0
+        _assert_canonical(c)
+
+
+rationals_or_surds = st.builds(AlgebraicNumber, rationals, st.one_of(st.just(F(0)), rationals))
+
+
+@st.composite
+def sparse_polys(draw, max_vars=3):
+    """A polynomial in 1..max_vars variables with mixed-sign Q(sqrt(2))
+    coefficients; the last variable has no terms when `idle` is drawn."""
+    nvars = draw(st.integers(1, max_vars))
+    idle = draw(st.booleans()) and nvars > 1
+    width = nvars - 1 if idle else nvars
+    exponents = st.tuples(*[st.integers(0, 7)] * width).map(lambda e: e + (0,) * (nvars - width))
+    terms = draw(st.lists(st.tuples(exponents, rationals_or_surds), max_size=10))
+    return SparsePoly(nvars, terms)
+
+
+class TestIntegerKernels:
+    """The integer-numerator kernels against the per-term oracles above."""
+
+    @given(sparse_polys(), st.data(), rationals_or_surds)
+    @settings(max_examples=60, deadline=None)
+    def test_shift_matches_the_binomial_oracle(self, poly, data, center):
+        var = data.draw(st.integers(0, poly.nvars - 1))
+        for c in (center, center.a, -center):  # Q(sqrt(2)), rational and negated centres
+            shifted = poly.shift(var, c)
+            assert shifted == _oracle_shift(poly, var, c)
+            _assert_canonical_poly(shifted)
+
+    @given(st.integers(1, 3), st.data(), rationals_or_surds, st.integers(0, 9), st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_shift_cancels_to_the_monomial(self, nvars, data, center, k, m):
+        # (x_var - c)^k * x_other^m shifted by c is x_var^k * x_other^m: every
+        # other term of the expansion cancels to zero and must be dropped
+        var = data.draw(st.integers(0, nvars - 1))
+        other = (var + 1) % nvars
+        x = SparsePoly.variable(nvars, var)
+        poly = (x - center) ** k
+        if other != var:
+            poly = poly * SparsePoly.variable(nvars, other) ** m
+        shifted = poly.shift(var, center)
+        want = tuple(k * (i == var) + m * (i == other != var) for i in range(nvars))
+        assert shifted.terms == {want: AlgebraicNumber(1, 0)}
+        assert shifted == _oracle_shift(poly, var, center)
+
+    @given(sparse_polys(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_eval_and_abs_bound_match_the_per_term_oracle(self, poly, data):
+        point = data.draw(st.lists(rationals_or_surds, min_size=poly.nvars, max_size=poly.nvars))
+        value = poly.eval(*point)
+        assert value == _oracle_eval(poly, point)
+        _assert_canonical(value)
+        bound = poly.monomial_abs_bound(point)
+        assert bound == _oracle_abs_bound(poly, point)
+        _assert_canonical(bound)
+        rational_point = [x.a for x in point]
+        assert poly.eval(*rational_point) == _oracle_eval(poly, rational_point)
+
+    def test_zero_polynomial_and_idle_variable(self):
+        zero = SparsePoly(2, [])
+        for c in (F(-3, 4), AlgebraicNumber(1, -1)):
+            assert zero.shift(0, c) == zero
+            assert zero.eval(c, c) == zero.monomial_abs_bound([c, c]) == AlgebraicNumber(0, 0)
+        # x_1 does not occur: its shift is the identity and its coordinate a factor of 1
+        poly = SparsePoly(2, {(3, 0): AlgebraicNumber(1, -1), (0, 0): F(-2, 3)})
+        assert poly.shift(1, AlgebraicNumber(F(5, 7), 2)) == poly
+        for y in (F(0), F(-9, 2), AlgebraicNumber(0, 3)):
+            assert poly.eval(F(1, 2), y) == AlgebraicNumber(F(1, 8) - F(2, 3), F(-1, 8))
+        assert poly.monomial_abs_bound([1, 5]) == AlgebraicNumber(-1 + F(2, 3), 1)
+        assert ExactPoly([]).eval(AlgebraicNumber(2, 1)) == AlgebraicNumber(0, 0)
+
+    @given(st.lists(rationals_or_surds, max_size=12), rationals_or_surds)
+    @settings(max_examples=60, deadline=None)
+    def test_exact_poly_eval_matches_horner(self, coeffs, x):
+        poly = ExactPoly(coeffs)
+        for point in (x, -x, x.a, x.a.numerator):
+            value = poly.eval(point)
+            assert value == _oracle_horner(poly, point)
+            _assert_canonical(value)
 
 
 class TestSturm:
