@@ -9,15 +9,8 @@ derive certified explicit constants.
 __version__ = "0.1.0"
 
 from .counting import DefectReport, alon_witness, defect, t_brute, t_fourier, t_gradient
-from .harmonic import GroupFunction, Spectrum, dft, idft, spectral_sup
-from .linsys import (
-    LinearSystem,
-    add_free_variables,
-    factor_disjoint,
-    is_translation_invariant,
-    parse_system,
-    preset,
-)
+from .harmonic import GroupFunction, Spectrum, dft, spectral_sup
+from .linsys import LinearSystem, add_free_variables, factor_disjoint, parse_system, preset
 from .optimize import SearchConfig, SearchResult, minimize_defect, project_box_mean, scan_alpha
 from .certify import ConstantLedger, derive_all, verify_lemma_suite
 from .qsqrt2 import AlgebraicNumber, an_sign
@@ -51,8 +44,6 @@ __all__ = [
     "derive_all",
     "dft",
     "factor_disjoint",
-    "idft",
-    "is_translation_invariant",
     "isolate_positive_root",
     "minimize_defect",
     "parse_system",

@@ -8,7 +8,10 @@ manifest digest so reruns are reproducible byte for byte apart from
 timestamps.
 
 Exit codes: 0 success, 2 input error, 3 verification failure, 4 size cap;
-every failure prints ``error: ...`` to stderr.  Rational flags (--const,
+every failure prints ``error: ...`` to stderr.  Input errors are found
+first: `eval` checks the colouring's mean against the property (exit 2)
+before it counts, so an invalid mean exits 2 even where the count would
+also pass the size cap.  Rational flags (--const,
 --alpha, --alphas) are read like document values: exactly, as a decimal or
 "num/den", with |exponent| <= 1000, and must lie in [0, 1].
 """

@@ -23,11 +23,23 @@ formula, its partial derivatives (`defect_partials`) and the means it is
 defined at (`check_mean`) live only here; the optimizer takes all three
 from this module.
 
-Both Fourier routes run on an (R, p^n) stack of functions: one transform
-pass per stack, one gather per block, and a `np.bincount` scatter for the
-gradient.  Every defect is a function of the pair (T(f), T(1 - f)), so
-`defect`, `alon_witness` and the optimizer evaluate [f, 1 - f] as one
-stack; `t_fourier`/`t_gradient` are its one-row case.
+Both Fourier routes run on an (R, p^n) stack of functions, with one
+transform pass per stack.  `_block_plan` groups a block's columns by
+direction up to a scalar: a column c*d reads fhat(c (lambda . d)), which
+is (D_c fhat)(lambda . d) for the spectrum D_c fhat permuted by the
+dilation x -> c x.  So the block sum is the sum over lambda of
+prod_d P_d(lambda . d), where P_d is the product of (D_c fhat)^m_c over
+the m_c columns equal to c*d.  Every preset block and every single
+equation is rank 1: its one direction has lambda . d = lambda, so its sum
+is the sum of P_d, and each term of its gradient is moved back by one
+gather at the dilation by -1/c, which also takes the negation the inverse
+transform needs.  A wider block gathers each P_d at its direction's index
+table and scatters its gradient once per direction.  Powers are repeated
+elementwise multiplication and every lambda-sum is `_row_sums`, so a
+row's bits do not depend on its stack.  Every defect is a function of the
+pair (T(f), T(1 - f)), so `defect`, `alon_witness` and the optimizer
+evaluate [f, 1 - f] as one stack; `t_fourier`/`t_gradient` are its
+one-row case.
 
 The exact route pairs f and 1 - f the same way: `defect(method="brute")`
 scans the kernel once for both, taking both rows' exact product sums
@@ -41,11 +53,12 @@ CHUNK tuples per table.  Tuples are enumerated digit-position-major:
 tuple digit t is digit t // k of parameter t % k, so a point's digit d
 depends only on the tuple digits of position d, and
 `harmonic._form_table` is the one builder, over any range of tuple
-digits.  A table that fits in one chunk (every m = 1 block up to
-p^n = CHUNK) comes from a small bounded cache of read-only arrays, so
-repeated evaluations on the same blocks build it once.  A longer scan
-streams past the cache: each chunk is the table of the low digits, built
-once per scan, plus the point of each high tuple, in one broadcast add.
+digits.  A table that fits in one chunk (a dilation table up to
+p^n = CHUNK, a wider block's table up to p^(nm) = CHUNK) comes from a
+small bounded cache of read-only arrays, so repeated evaluations on the
+same blocks build it once.  A longer scan streams past the cache: each
+chunk is the table of the low digits, built once per scan, plus the
+point of each high tuple, in one broadcast add.
 The two parts share a point digit only when one position is wider than
 CHUNK, and there the carry is taken back with one masked subtract.
 """
@@ -69,20 +82,16 @@ from .errors import (
     MissingL,
     TooLarge,
 )
-from .harmonic import (
-    GroupFunction,
-    _dft_rows,
-    _form_table,
-    _idft_rows,
-    negation_permutation,
-)
-from .linsys import LinearSystem, factor_disjoint
+from .harmonic import GroupFunction, _dft_rows, _form_table, _idft_rows
+from .linsys import SUPPORTED_PRIMES, LinearSystem, factor_disjoint
 
 ENUMERATION_CAP = 10**8
 # cap on l * bits(denominator of alpha) for the exact alon defect: its alpha^l
 # terms are exact rationals, and their arithmetic grows quadratically in size
 EXACT_POWER_BITS = 1 << 22
 CHUNK = 1 << 16
+# the forms x -> c x for c = 1 .. p - 1: one index table holds every dilation
+_DILATIONS = {p: tuple((c,) for c in range(1, p)) for p in SUPPORTED_PRIMES}
 
 COMMON = "common"
 GEOMETRIC = "geometric"
@@ -113,8 +122,9 @@ def _index_table(forms, p: int, n: int) -> np.ndarray:
     (F_p^n)^k, k = len(forms[0]), in the digit-position-major order of
     `harmonic._form_table`, as a read-only (len(forms), p^(nk)) array.
 
-    The cache holds the one-chunk tables of the few blocks a search
-    evaluates on every call; a longer scan streams through `_chunk_tables`.
+    The cache holds the one-chunk tables a search uses on every call: the
+    dilation tables of F_p^n (one entry, `_DILATIONS`) and the tables of
+    a wider block; a longer scan streams through `_chunk_tables`.
     """
     table = _form_table(forms, p, range(n * len(forms[0])))
     table.flags.writeable = False
@@ -162,10 +172,14 @@ def _form_indices(forms, p: int, n: int, label: str):
 
 
 def _widest_table(system: LinearSystem, n: int) -> int:
-    """Entries of the widest index table `_form_indices` yields for a block
-    of `system` on F_p^n: its columns times at most CHUNK tuples."""
-    size = system.p**n
-    return max(len(cols) * min(size ** len(cols[0]), CHUNK) for cols in _block_columns(system))
+    """Entries per row of the widest gather the row-space kernel makes for
+    a block of `system` on F_p^n: its directions times at most CHUNK
+    lambda-tuples (one direction on p^n points for a rank-1 block)."""
+    size, p = system.p**n, system.p
+    return max(
+        len(_block_plan(cols, p)[0]) * min(size ** len(cols[0]), CHUNK)
+        for cols in _block_columns(system)
+    )
 
 
 def t_brute(system: LinearSystem, f: GroupFunction) -> Fraction:
@@ -240,63 +254,161 @@ def _row_sums(terms: np.ndarray) -> np.ndarray:
     return np.cumsum(terms, axis=-1)[..., -1]
 
 
-def _block_sums(columns, fhat: np.ndarray, p: int, n: int) -> np.ndarray:
-    """Row-space sum of one block for each row of fhat:
-    sum over lambda of prod_i fhat(lambda . column_i)."""
-    total = np.zeros(fhat.shape[0], dtype=np.complex128)
-    for table in _form_indices(columns, p, n, "p^(nm)"):
-        total += _row_sums(fhat[:, table].prod(axis=1))
+@lru_cache(maxsize=None)
+def _block_plan(columns, p: int):
+    """A block's columns grouped by direction up to a scalar: the directions
+    in order of first appearance, each scaled so that its first nonzero
+    entry is 1, and for each direction d its (c, m_c) pairs, m_c the number
+    of columns equal to c * d.  The empty columns of a block with no rows
+    share the empty direction, with c = 1."""
+    groups: dict = {}
+    for column in columns:
+        lead = next((v for v in column if v), 1)
+        inverse = pow(lead, p - 2, p)
+        counts = groups.setdefault(tuple(v * inverse % p for v in column), {})
+        counts[lead] = counts.get(lead, 0) + 1
+    return tuple(groups), tuple(tuple(counts.items()) for counts in groups.values())
+
+
+def _dilate(x: np.ndarray, c: int, p: int, n: int) -> np.ndarray:
+    """D_c x: each row of x read at c*h for every point h of F_p^n, by one
+    gather at the dilation table (x itself at c = 1).  Up to p^n = CHUNK
+    the tables of every c in F_p^* are one entry of the bounded cache, so
+    a block with many coefficients does not evict its own tables; past
+    CHUNK the one table is built afresh."""
+    c %= p
+    if c == 1:
+        return x
+    if p**n > CHUNK:
+        return x[:, _form_table(((c,),), p, range(n))[0]]
+    return x[:, _index_table(_DILATIONS[p], p, n)[c - 1]]
+
+
+def _product(factors):
+    """Left-to-right elementwise product of the arrays in `factors`, where
+    None stands for 1; None when every factor is None."""
+    out = None
+    for x in factors:
+        if x is not None:
+            out = x if out is None else out * x
+    return out
+
+
+def _others(factors: list) -> list:
+    """For each i, the product of the factors other than factors[i] (None
+    for 1): the running product of those before it times that of those
+    after it, so k factors take about 3k multiplications, not k^2."""
+    before, after = [None], [None]
+    for x in factors[:-1]:
+        before.append(_product([before[-1], x]))
+    for x in factors[:0:-1]:
+        after.append(_product([x, after[-1]]))
+    return [_product([a, b]) for a, b in zip(before, reversed(after))]
+
+
+def _direction_powers(columns, spectra: dict, p: int, n: int):
+    """The block's directions, for each direction d its (c, m_c, low, power)
+    terms, power = (D_c fhat)^m_c and low = (D_c fhat)^(m_c - 1) (None
+    for 1), and its power product P_d = prod_c (D_c fhat)^m_c.
+
+    `spectra` maps each coefficient to D_c fhat, with fhat at 1; a
+    dilation missing from it is gathered once and kept there, so blocks
+    that share a coefficient share its gather."""
+    directions, groups = _block_plan(columns, p)
+    factors, products = [], []
+    for group in groups:
+        row = []
+        for c, m in group:
+            x = spectra.get(c)
+            if x is None:
+                x = spectra[c] = _dilate(spectra[1], c, p, n)
+            low = _product([x] * (m - 1))  # by repeated multiplication
+            row.append((c, m, low, x if low is None else low * x))
+        factors.append(row)
+        products.append(_product(power for *_, power in row))
+    return directions, factors, products
+
+
+def _block_sums(columns, spectra: dict, p: int, n: int) -> np.ndarray:
+    """Row-space sum of one block for each row of fhat = spectra[1]:
+    sum over lambda of prod_i fhat(lambda . column_i)
+    = sum over lambda of prod_d P_d(lambda . d), by direction d.  A rank-1
+    block has one direction, with lambda . d = lambda, so its sum is that
+    of P_d; a wider block gathers each P_d at its direction's index table."""
+    directions, _, products = _direction_powers(columns, spectra, p, n)
+    if len(directions[0]) == 1:
+        return _row_sums(products[0])
+    total = np.zeros(len(products[0]), dtype=np.complex128)
+    for table in _form_indices(directions, p, n, "p^(nm)"):
+        total += _row_sums(_product(x[:, idx] for x, idx in zip(products, table)))
     return total
+
+
+def _block_gradient(columns, spectra: dict, p: int, n: int):
+    """Block sums per row, and the Fourier-side first variation of each,
+    dB/dfhat at -h for every frequency h (`spectra` as in `_block_sums`).
+
+    With R_d(x) the sum, over the lambda with lambda . d = x, of the other
+    directions' power products (1 for a rank-1 block), the derivative is
+    sum over d and c of Q_(d,c)(-h / c), where
+    Q_(d,c) = m_c (D_c fhat)^(m_c - 1) prod_(c' != c) (D_c' fhat)^m_c' R_d;
+    so each term is one gather at the dilation by -1/c.  A wider block
+    scatters R_d once per direction, from the same tables as its sum."""
+    directions, factors, products = _direction_powers(columns, spectra, p, n)
+    rows, size = spectra[1].shape
+    if len(directions[0]) == 1:
+        sums = _row_sums(products[0])
+        weights = [None]
+    else:
+        sums = np.zeros(rows, dtype=np.complex128)
+        flat = [np.zeros(rows * size, dtype=np.complex128) for _ in directions]
+        offsets = (np.arange(rows) * size)[:, None]
+        for table in _form_indices(directions, p, n, "p^(nm)"):
+            gathered = [x[:, idx] for x, idx in zip(products, table)]
+            sums += _row_sums(_product(gathered))
+            for d, (acc, others) in enumerate(zip(flat, _others(gathered))):
+                if others is None:  # a block with no rows: one direction
+                    others = np.ones_like(gathered[d])
+                where = (table[d] + offsets).ravel()
+                acc += np.bincount(where, others.real.ravel(), rows * size)
+                acc += 1j * np.bincount(where, others.imag.ravel(), rows * size)
+        weights = [acc.reshape(rows, size) for acc in flat]
+    grad = None
+    for row, weight in zip(factors, weights):
+        others = _others([power for *_, power in row])
+        for (c, m, low, _), rest in zip(row, others):
+            q = _product([low, rest, weight])
+            if q is None:  # a rank-1 block of one column
+                q = np.ones_like(spectra[1])
+            term = _dilate(q, -pow(c, p - 2, p), p, n)
+            if m > 1:
+                term = m * term
+            grad = term if grad is None else grad + term
+    return sums, grad
 
 
 def _t_rows(system: LinearSystem, values: np.ndarray, n: int) -> np.ndarray:
     """T of each row of an (R, p^n) stack of functions: the product of the
     block lambda-sums over the variable-disjoint blocks, real part."""
-    fhat = _dft_rows(values, system.p, n)
-    total = np.ones(values.shape[0], dtype=np.complex128)
-    for columns in _block_columns(system):
-        total *= _block_sums(columns, fhat, system.p, n)
-    return total.real
-
-
-def _block_gradient(columns, fhat: np.ndarray, p: int, n: int):
-    """Block sums per row, and the Fourier-side first variation of each
-    (the sum over lambda of the leave-one-out products, scattered onto
-    the frequencies they omit)."""
-    rows, size = fhat.shape
-    offsets = (np.arange(rows) * size)[:, None, None]
-    sums = np.zeros(rows, dtype=np.complex128)
-    acc = np.zeros(rows * size, dtype=np.complex128)
-    for table in _form_indices(columns, p, n, "p^(nm)"):
-        gathered = fhat[:, table]
-        # leave-one-out products via prefix/suffix scans
-        prefix = np.empty_like(gathered)
-        prefix[:, 0] = 1.0
-        np.cumprod(gathered[:, :-1], axis=1, out=prefix[:, 1:])
-        suffix = np.empty_like(gathered)
-        suffix[:, -1] = 1.0
-        np.cumprod(gathered[:, :0:-1], axis=1, out=suffix[:, -2::-1])
-        sums += _row_sums(prefix[:, -1] * gathered[:, -1])
-        loo = (prefix * suffix).ravel()
-        where = (table + offsets).ravel()
-        acc += np.bincount(where, loo.real, rows * size)
-        acc += 1j * np.bincount(where, loo.imag, rows * size)
-    return sums, acc.reshape(rows, size)
+    spectra = {1: _dft_rows(values, system.p, n)}
+    blocks = _block_columns(system)
+    return _product(_block_sums(columns, spectra, system.p, n) for columns in blocks).real
 
 
 def _gradient_rows(system: LinearSystem, values: np.ndarray, n: int):
     """(G, T) for each row of an (R, p^n) stack; G as in `t_gradient`,
     assembled block by block with the product rule."""
     p = system.p
-    fhat = _dft_rows(values, p, n)
-    acc = np.zeros(fhat.shape, dtype=np.complex128)
-    t_prev = np.ones(fhat.shape[0], dtype=np.complex128)
+    spectra = {1: _dft_rows(values, p, n)}
+    acc = t_prev = None
     for columns in _block_columns(system):
-        t_b, acc_b = _block_gradient(columns, fhat, p, n)
-        acc = acc * t_b[:, None] + t_prev[:, None] * acc_b
-        t_prev = t_prev * t_b
-    flipped = acc[:, negation_permutation(p, n)]
-    return _idft_rows(flipped, p, n).real, t_prev.real
+        t_b, acc_b = _block_gradient(columns, spectra, p, n)
+        if acc is None:
+            acc, t_prev = acc_b, t_b
+        else:
+            acc = acc * t_b[:, None] + t_prev[:, None] * acc_b
+            t_prev = t_prev * t_b
+    return _idft_rows(acc, p, n).real, t_prev.real
 
 
 def _pair_rows(f: GroupFunction) -> np.ndarray:
@@ -501,6 +613,9 @@ def defect(
     raises TooLarge once alpha^l would pass EXACT_POWER_BITS, or once the
     value is sure to have more digits than the interpreter's int-to-str
     limit prints (`_alon_denominator_digits`), before computing either.
+    The mean is checked (`check_mean`) before either, and before any T, so
+    an input the property is not defined at is refused without a scan,
+    also where the scan would pass the size cap.
     """
     check_property(property, l)
     if not f.in_unit_box(tol=1e-12):
@@ -511,6 +626,7 @@ def defect(
         # fix f's exact values once, so that 1 - f is their exact complement
         f = GroupFunction(f.p, f.n, f.values, f.exact_values())
         alpha = f.exact_mean()
+        check_mean(property, alpha)
         rows = [f, f.complement()]
         if property == ALON:
             if l * alpha.denominator.bit_length() > EXACT_POWER_BITS:
@@ -523,13 +639,13 @@ def defect(
         one = Fraction(1)
         method_name = METHOD_BRUTE
     elif method == "fourier":
-        t_f, t_1mf = _t_rows(system, _pair_rows(f), f.n).tolist()
         alpha = f.mean()
+        check_mean(property, alpha)
+        t_f, t_1mf = _t_rows(system, _pair_rows(f), f.n).tolist()
         one = 1.0
         method_name = METHOD_FOURIER
     else:
         raise MalformedDocument(f"unknown method {method!r}")
-    check_mean(property, alpha)
     value = defect_value(property, t_f, t_1mf, alpha, t, l, one)
     return DefectReport(
         system=system.ident(),

@@ -124,14 +124,6 @@ def _form_table(forms, p: int, digits: range) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=None)
-def negation_permutation(p: int, n: int) -> np.ndarray:
-    """Index permutation sending x to -x (coordinatewise mod p)."""
-    out = _form_table(((p - 1,),), p, range(n))[0]
-    out.flags.writeable = False
-    return out
-
-
 def index_to_point(index: int, p: int, n: int) -> tuple[int, ...]:
     digits = []
     for _ in range(n):
@@ -295,10 +287,6 @@ def _idft_rows(coeffs: np.ndarray, p: int, n: int) -> np.ndarray:
 
 def dft(f: GroupFunction) -> Spectrum:
     return Spectrum(f.p, f.n, _dft_rows(f.values, f.p, f.n))
-
-
-def idft(s: Spectrum) -> GroupFunction:
-    return GroupFunction(s.p, s.n, _idft_rows(s.coeffs, s.p, s.n).real)
 
 
 def spectral_sup(g: GroupFunction, tol: float = 1e-9) -> float:

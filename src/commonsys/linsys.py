@@ -1,6 +1,6 @@
 """Homogeneous linear systems over F_p: validation, kernel
-parameterization, translation invariance, free variables, and
-factorization into variable-disjoint blocks.
+parameterization, free variables, and factorization into
+variable-disjoint blocks.
 
 A system is an m x t full-rank matrix over F_p with t > m.  Its solution
 set is parameterized by D = t - m free parameters; the i-th variable is
@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import MalformedDocument, NoFreeVariables, NotOddPrime, RankDeficient
 
@@ -147,11 +146,6 @@ def parse_system(document: str, name: str | None = None) -> LinearSystem:
     return LinearSystem.from_matrix(data["p"], data["matrix"], name=name)
 
 
-def is_translation_invariant(system: LinearSystem) -> bool:
-    """True iff constant tuples solve the system: every row sums to 0 mod p."""
-    return all(sum(row) % system.p == 0 for row in system.matrix)
-
-
 def add_free_variables(system: LinearSystem, l: int) -> LinearSystem:
     """Append l variables constrained by nothing; D grows by l."""
     if l < 0:
@@ -265,16 +259,3 @@ def load_system(source: str, p: int = 3) -> LinearSystem:
         raise MalformedDocument(f"cannot read system {source!r}: {exc}") from exc
     return parse_system(text, name=source)
 
-
-def enumerate_scalar_kernel(system: LinearSystem) -> Iterable[tuple[int, ...]]:
-    """All solutions with n = 1 (entries in F_p), via the parameterization."""
-    p, d = system.p, system.num_params
-    for idx in range(p**d):
-        params = []
-        v = idx
-        for _ in range(d):
-            params.append(v % p)
-            v //= p
-        yield tuple(
-            sum(c * y for c, y in zip(form, params)) % p for form in system.kernel
-        )

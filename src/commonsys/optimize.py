@@ -22,10 +22,10 @@ The restarts run in lockstep as the rows of one array: each outer step
 takes one gradient pass over the rows still running, and each
 backtracking round evaluates every row still searching at once, while
 each row keeps its own step length, value history and stop state.  A
-batch holds at most CHUNK // widest rows (widest: p^n or the widest block
-index table), so memory stays bounded at large p^n.  The projection onto a fixed-mean
-slice is exact: a breakpoint search per row (Kiwiel 2008), not a
-bisection.
+batch holds at most CHUNK // widest rows (widest: p^n, or a block's
+directions times its lambda-tuples per chunk), so memory stays bounded at
+large p^n.  The projection onto a fixed-mean slice is exact: a breakpoint
+search per row (Kiwiel 2008), not a bisection.
 
 Everything is deterministic given the config seed: restart k draws from
 default_rng([seed, k]), a row's arithmetic does not depend on the other
@@ -231,8 +231,10 @@ def _initial_point(cfg: SearchConfig, k: int, rng) -> np.ndarray:
 
 def _batch_rows(system: LinearSystem, n: int) -> int:
     """Restarts per lockstep batch: at most CHUNK // widest rows, where
-    widest is the larger of p^n and the widest block index table, so a
-    batch's stacks stay within a few CHUNK-sized arrays."""
+    widest is the larger of p^n and the kernel's widest gather
+    (`counting._widest_table`), so each of a batch's stacks, spectra,
+    dilated spectra and powers, or one chunk of gathered power products,
+    holds at most CHUNK entries."""
     widest = max(system.p**n, counting._widest_table(system, n))
     return max(1, CHUNK // widest)
 

@@ -96,6 +96,28 @@ class TestEval:
         )
         assert code == 4
 
+    # an invalid mean exits 2 before any count, also where the count would
+    # pass the size cap (phi at n = 3: p^(nD) = 3^21); a valid one still
+    # reaches the count, and its cap
+    @pytest.mark.parametrize("method, scan", [("brute", "_brute_rows"), ("fourier", "_t_rows")])
+    @pytest.mark.parametrize("const, n, code", [("0.3", "2", 2), ("0.3", "3", 2), ("0.5", "3", 4)])
+    def test_mean_is_checked_before_the_count(self, capsys, monkeypatch, method, scan, const, n,
+                                              code):
+        if method == "fourier" and code == 4:
+            code = 0  # the row-space sum has no cap at this size
+        calls = []
+        real = getattr(counting, scan)
+        monkeypatch.setattr(counting, scan, lambda *a: calls.append(a) or real(*a))
+        got, _, err = run_main(
+            capsys,
+            "eval", "--system", "phi", "--const", const, "--n", n,
+            "--property", "geometric", "--method", method,
+        )
+        assert got == code
+        assert len(calls) == (code != 2)
+        if code == 2:
+            assert "mean 1/2" in err
+
     def test_conflicting_function_sources(self, capsys):
         code, _, _ = run_main(
             capsys,

@@ -71,6 +71,52 @@ def random_system(rng, p, n, cap=10**5, max_t=9):
             continue
 
 
+def loo_block_gradient(columns, fhat, p, n):
+    """The per-column kernel that the dilation kernel replaced, kept as its
+    oracle: one gather of fhat per column at the block's index tables,
+    leave-one-out products from prefix and suffix `cumprod` scans, and a
+    `bincount` scatter onto the frequencies they omit.  Returns the block
+    sum of each row and dB/dfhat(h) at every frequency h."""
+    rows, size = fhat.shape
+    offsets = (np.arange(rows) * size)[:, None, None]
+    sums = np.zeros(rows, dtype=np.complex128)
+    acc = np.zeros(rows * size, dtype=np.complex128)
+    for table in counting._form_indices(columns, p, n, "p^(nm)"):
+        gathered = fhat[:, table]
+        prefix = np.empty_like(gathered)
+        prefix[:, 0] = 1.0
+        np.cumprod(gathered[:, :-1], axis=1, out=prefix[:, 1:])
+        suffix = np.empty_like(gathered)
+        suffix[:, -1] = 1.0
+        np.cumprod(gathered[:, :0:-1], axis=1, out=suffix[:, -2::-1])
+        sums += (prefix[:, -1] * gathered[:, -1]).sum(axis=-1)
+        loo = (prefix * suffix).ravel()
+        where = (table + offsets).ravel()
+        acc += np.bincount(where, loo.real, rows * size)
+        acc += 1j * np.bincount(where, loo.imag, rows * size)
+    return sums, acc.reshape(rows, size)
+
+
+def loo_rows(system, values, n):
+    """(G, T) of each row of `values` by the per-column oracle kernel, the
+    blocks joined by the product rule as in `counting._gradient_rows`."""
+    p = system.p
+    fhat = harmonic._dft_rows(values, p, n)
+    acc = np.zeros(fhat.shape, dtype=np.complex128)
+    t_prev = np.ones(fhat.shape[0], dtype=np.complex128)
+    for columns in counting._block_columns(system):
+        t_b, acc_b = loo_block_gradient(columns, fhat, p, n)
+        acc = acc * t_b[:, None] + t_prev[:, None] * acc_b
+        t_prev = t_prev * t_b
+    negation = harmonic._form_table(((p - 1,),), p, range(n))[0]
+    return harmonic._idft_rows(acc[:, negation], p, n).real, t_prev.real
+
+
+# one block with m = 2 and three directions, (1,0) and (0,1) holding two
+# coefficients each: columns (1,0), (2,0), (0,1), (0,3), (1,1)
+COUPLED = linsys.LinearSystem.from_matrix(5, [[1, 2, 0, 0, 1], [0, 0, 1, 3, 1]])
+
+
 class TestBrute:
     def test_a4_point_indicator(self):
         # only the all-zero solution lies in {0}: 1 of 27 kernel points
@@ -128,7 +174,7 @@ class TestFourier:
         coeffs = harmonic.dft(g).coeffs
         want = np.sum(np.abs(coeffs) ** 4 * coeffs)
         (columns,) = counting._block_columns(A5)
-        (got,) = counting._block_sums(columns, coeffs[None], 3, 2)
+        (got,) = counting._block_sums(columns, {1: coeffs[None]}, 3, 2)
         assert abs(got.imag) <= 1e-9
         assert got.real == pytest.approx(want.real, abs=1e-12)
 
@@ -200,7 +246,7 @@ class TestProduct:
         rng = np.random.default_rng(14)
         f = GroupFunction(3, 1, rng.uniform(0, 1, 3))
         (columns,) = counting._block_columns(A5)
-        (block,) = counting._block_sums(columns, harmonic.dft(f).coeffs[None], 3, 1)
+        (block,) = counting._block_sums(columns, {1: harmonic.dft(f).coeffs[None]}, 3, 1)
         assert t_fourier(A5, f) == block.real
         assert t_fourier(PHI, f) == pytest.approx(t_fourier(A4, f) * t_fourier(A5, f), abs=1e-12)
 
@@ -368,17 +414,27 @@ class TestBatchedRows:
         cache = counting._index_table
         f = GroupFunction(3, 2, np.full(9, 0.5))
         t_fourier(PHI, f)
+        t_gradient(PHI, f)
         before = cache.cache_info()
+        built, handed = [], []
+        form_table = counting._form_table
+        monkeypatch.setattr(counting, "_form_table", lambda *a: built.append(a) or form_table(*a))
+        monkeypatch.setattr(counting, "_index_table", lambda *a: handed.append(cache(*a)) or handed[-1])
+        # repeat evaluations on phi build no table: its dilations are cached
         t_fourier(PHI, f)
         t_gradient(PHI, f)
-        after = cache.cache_info()
-        assert after.misses == before.misses and after.hits > before.hits
-        (columns, _) = counting._block_columns(PHI)
-        for table in counting._form_indices(columns, 3, 2, "p^(nm)"):
+        assert built == [] and handed and cache.cache_info().misses == before.misses
+        # every table the cache hands out, to a rank-1 or a wider block, is read-only
+        rng = np.random.default_rng(43)
+        t_gradient(COUPLED, GroupFunction(5, 1, rng.uniform(0, 1, 5)))
+        assert any(table.shape[0] == 3 for table in handed)  # the coupled block's directions
+        for table in handed:
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0, 0] = 1
+        monkeypatch.undo()
         # a long kernel scan streams past the bounded cache and pins nothing
+        after = cache.cache_info()
         monkeypatch.setattr(counting, "CHUNK", 64)
         t_brute(PHI, constant(3, 1, F(1, 3)))  # 3^7 tuples, 54 a chunk
         tables = list(counting._form_indices(PHI.kernel, 3, 1, "p^(nD)"))
@@ -389,6 +445,104 @@ class TestBatchedRows:
         whole = counting._index_table.__wrapped__(PHI.kernel, 3, 1)
         assert not whole.flags.writeable
         assert np.array_equal(np.concatenate(tables, axis=1), whole)
+
+
+class TestDilationKernel:
+    """The row-space kernel against the per-column oracle `loo_rows`, and
+    what it no longer does."""
+
+    # the F_5 quadruple; a single equation whose coefficients include p - 1
+    # twice; a4 and phi at p = 3 and 5; free variables beside schur, a block
+    # with no rows; a block of one column
+    SYSTEMS = [
+        linsys.LinearSystem.from_matrix(5, [[1, 1, 1, 1]]),
+        linsys.LinearSystem.from_matrix(7, [[1, 6, 2, 6, 3]]),
+        linsys.preset("a4", 3),
+        linsys.preset("a4", 5),
+        PHI,
+        linsys.preset("phi", 5),
+        linsys.add_free_variables(linsys.preset("schur"), 2),
+        linsys.LinearSystem.from_matrix(3, [[1, 0, 0], [0, 1, 1]]),
+    ]
+
+    @staticmethod
+    def _check(system, n, rng):
+        rows = rng.uniform(0, 1, (3, system.p**n))
+        want_g, want_t = loo_rows(system, rows, n)
+        ts = counting._t_rows(system, rows, n)
+        grads, gts = counting._gradient_rows(system, rows, n)
+        assert np.max(np.abs(ts - want_t) / np.abs(want_t)) <= 1e-12
+        assert np.max(np.abs(gts - want_t) / np.abs(want_t)) <= 1e-12
+        assert np.max(np.abs(grads - want_g)) <= 1e-12 * np.max(np.abs(want_g))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("system", SYSTEMS, ids=lambda s: str(s.p) + ":" + str(s.matrix))
+    def test_matches_the_per_column_oracle(self, system, n):
+        self._check(system, n, np.random.default_rng([system.p, system.t, n]))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_coupled_block_matches_the_per_column_oracle(self, n):
+        self._check(COUPLED, n, np.random.default_rng([5, n]))
+
+    def test_coupled_block_streams(self, monkeypatch):
+        # 25^2 lambda-tuples in chunks of 16, and dilation tables past CHUNK
+        rng = np.random.default_rng(44)
+        rows = rng.uniform(0, 1, (3, 25))
+        want = (counting._t_rows(COUPLED, rows, 2), *counting._gradient_rows(COUPLED, rows, 2))
+        monkeypatch.setattr(counting, "CHUNK", 16)
+        assert len(list(counting._form_indices(((1, 0), (0, 1), (1, 1)), 5, 2, "p^(nm)"))) > 1
+        got = (counting._t_rows(COUPLED, rows, 2), *counting._gradient_rows(COUPLED, rows, 2))
+        for a, b in zip(got, want):
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+        self._check(COUPLED, 2, rng)
+
+    def test_block_plan_groups_columns_by_direction(self):
+        (columns,) = counting._block_columns(COUPLED)
+        directions, groups = counting._block_plan(columns, 5)
+        assert directions == ((1, 0), (0, 1), (1, 1))
+        assert groups == (((1, 1), (2, 1)), ((1, 1), (3, 1)), ((1, 1),))
+        a4, a5 = counting._block_columns(PHI)
+        assert counting._block_plan(a4, 3) == (((1,),), (((1, 2), (2, 2)),))
+        assert counting._block_plan(a5, 3) == (((1,),), (((1, 3), (2, 2)),))
+
+    def test_rank_one_gradient_neither_scans_nor_scatters(self, monkeypatch):
+        calls = []
+        for name in ("bincount", "cumprod"):
+            real = getattr(np, name)
+            monkeypatch.setattr(
+                np, name, lambda *a, _real=real, _name=name, **k: calls.append(_name) or _real(*a, **k)
+            )
+        rng = np.random.default_rng(45)
+        t_gradient(PHI, GroupFunction(3, 2, rng.uniform(0, 1, 9)))
+        assert calls == []
+        # a wider block scatters once per direction, real and imaginary part
+        t_gradient(COUPLED, GroupFunction(5, 1, rng.uniform(0, 1, 5)))
+        assert calls == ["bincount"] * 6
+
+
+class TestCoupledBlock:
+    """T and G of COUPLED against exact enumeration and finite differences."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_brute(self, n):
+        rng = np.random.default_rng([46, n])
+        f = random_rational_function(rng, 5, n)
+        assert t_fourier(COUPLED, f) == pytest.approx(float(t_brute(COUPLED, f)), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_finite_difference(self, n):
+        rng = np.random.default_rng([47, n])
+        size = 5**n
+        f = GroupFunction(5, n, rng.uniform(0.2, 0.8, size))
+        grad = t_gradient(COUPLED, f).values
+        eps = 1e-5
+        for x in range(size):
+            delta = np.zeros(size)
+            delta[x] = 1.0
+            plus = t_fourier(COUPLED, GroupFunction(5, n, f.values + eps * delta))
+            minus = t_fourier(COUPLED, GroupFunction(5, n, f.values - eps * delta))
+            fd = (plus - minus) / (2 * eps)
+            assert fd == pytest.approx(grad[x] / size, rel=1e-6, abs=1e-12)
 
 
 class TestBruteRows:

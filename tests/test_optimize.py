@@ -304,7 +304,9 @@ class TestMinimize:
         assert results[0] == results[1] == results[2]
 
     def test_restarts_run_in_bounded_batches(self, monkeypatch):
-        assert optimize._batch_rows(PHI, 2) == counting.CHUNK // 45  # a5's table: 5 x 9
+        assert optimize._batch_rows(PHI, 2) == counting.CHUNK // 9  # rank 1: one direction on 9 points
+        coupled = linsys.LinearSystem.from_matrix(5, [[1, 2, 0, 0, 1], [0, 0, 1, 3, 1]])
+        assert optimize._batch_rows(coupled, 2) == counting.CHUNK // (3 * 25**2)  # 3 directions
         assert optimize._batch_rows(PHI, 12) == 1  # 3^12 points exceed CHUNK
         sizes = []
         run = optimize._run_restart
