@@ -34,16 +34,21 @@ from .exactpoly import (
     STRICTLY_NEGATIVE,
     STRICTLY_POSITIVE,
     SparsePoly,
-    _certified,
-    _sturm_witness,
+    cmp_step,
     even_binomial_sum,
+    even_binomial_value_step,
     isolate_positive_root,
+    lemma_step,
+    monomial_abs_bound_step,
+    poly_eval_step,
+    poly_identity_step,
     rational_chain_certificate,
-    sturm_chain,
+    sqrt_lower_step,
+    square_factor_sign_on_interval,
     sturm_sign_on_interval,
     subdivision_positive_on_box,
 )
-from .qsqrt2 import AlgebraicNumber, an_sign, format_algebraic, sqrt_lower
+from .qsqrt2 import AlgebraicNumber, sqrt_lower
 
 F = Fraction
 INV_SQRT2 = AlgebraicNumber(0, F(1, 2))  # 1/sqrt(2)
@@ -134,19 +139,6 @@ def _rational_above(v: AlgebraicNumber, digits: int = 10) -> Fraction:
     return x
 
 
-def _fmt(x) -> str:
-    if isinstance(x, AlgebraicNumber):
-        return format_algebraic(x)
-    return format_algebraic(AlgebraicNumber(F(x), 0))
-
-
-def _cmp(lhs, op, rhs, note="") -> dict:
-    step = {"kind": "cmp", "lhs": _fmt(lhs), "op": op, "rhs": _fmt(rhs)}
-    if note:
-        step["note"] = note
-    return step
-
-
 # ---------------------------------------------------------------------------
 # Lemma suite: the seven inequality/identity claims behind the argument
 
@@ -164,23 +156,12 @@ LEMMA_SUITE_NAMES = (
 
 def _certify_convexity_floor(k: int) -> Certificate:
     """x^k + (1-x)^k >= 2^(1-k) on [0,1] via the exact square factor at 1/2."""
-    base = convexity_floor_poly(k)
-    lin = ExactPoly([-F(1, 2), 1])
-    quotient, rem = base.divmod(lin * lin)
-    if not rem.is_zero():
-        raise VerificationFailed(f"degree-{k} convexity floor: square factor does not divide")
-    # the quotient's Sturm witness plus the square factor, checked once
-    witness = _sturm_witness(quotient, sturm_chain(quotient), F(0), F(1))
-    witness["square_factor"] = {
-        "base": base.to_strings(),
-        "center": "1/2",
-    }
-    claim = (
+    verdict, cert = square_factor_sign_on_interval(convexity_floor_poly(k), F(1, 2), 0, 1)
+    cert.claim = (
         f"x^{k} + (1-x)^{k} - 2^(1-{k}) is nonnegative on [0,1] "
         f"(it is (x-1/2)^2 times a strictly positive polynomial)"
     )
-    cert = _certified(claim, "sturm", witness)
-    if witness["verdict"] != STRICTLY_POSITIVE:
+    if verdict != STRICTLY_POSITIVE:
         raise VerificationFailed(f"degree-{k} convexity floor quotient not positive", cert)
     return cert
 
@@ -200,13 +181,11 @@ def _lemma_suite(box_cert: Certificate) -> list[Certificate]:
     certs.append(_certify_convexity_floor(9))
 
     # (ii) a^5 + a^4 (1-a) collapses to a^4, which is nonnegative
-    lhs = [[5, _fmt(1)], [4, _fmt(1)], [5, _fmt(-1)]]
-    rhs = [[4, _fmt(1)]]
     cert = rational_chain_certificate(
         "a^5 + a^4(1-a) equals a^4 and is nonnegative on [0, 1/2]",
         [
-            {"kind": "poly_identity", "lhs": lhs, "rhs": rhs},
-            {"kind": "lemma", "name": "even_power_nonneg", "premises": []},
+            poly_identity_step([((5,), 1), ((4,), 1), ((5,), -1)], [((4,), 1)]),
+            lemma_step("even_power_nonneg"),
         ],
     )
     certs.append(cert)
@@ -227,15 +206,7 @@ def _lemma_suite(box_cert: Certificate) -> list[Certificate]:
     value = poly.eval(F(9, 20))
     cert = rational_chain_certificate(
         "the prevalence value polynomial is positive at 9/20",
-        [
-            {
-                "kind": "poly_eval",
-                "poly": poly.to_strings(),
-                "point": "9/20",
-                "value": format_algebraic(value),
-            },
-            _cmp(value, ">", 0),
-        ],
+        [poly_eval_step(poly, F(9, 20), value), cmp_step(value, ">", 0)],
     )
     certs.append(cert)
 
@@ -252,22 +223,17 @@ def _lemma_suite(box_cert: Certificate) -> list[Certificate]:
     # (vii) the balanced product factorizes: uncollected distributive
     # expansions of both sides agree term by term
     h = F(1, 2)
+    def expand(left, right):
+        return [((i1 + i2, j1 + j2), ca * cb) for i1, j1, ca in left for i2, j2, cb in right]
+
     left_a = [(0, 0, h**9), (1, 0, h**5), (0, 1, h**4), (1, 1, F(1))]
     left_b = [(0, 0, h**9), (1, 0, h**5), (0, 1, -(h**4)), (1, 1, F(-1))]
-    lhs_terms = []
-    for i1, j1, ca in left_a:
-        for i2, j2, cb in left_b:
-            lhs_terms.append([i1 + i2, j1 + j2, _fmt(ca * cb)])
     sq = [(0, 0, h**8), (1, 0, 2 * h**4), (2, 0, F(1))]
     last = [(0, 0, h**10), (0, 2, F(-1))]
-    rhs_terms = []
-    for i1, j1, ca in sq:
-        for i2, j2, cb in last:
-            rhs_terms.append([i1 + i2, j1 + j2, _fmt(ca * cb)])
     cert = rational_chain_certificate(
         "(2^-9 + 2^-5 T4 + 2^-4 T5 + T4 T5)(2^-9 + 2^-5 T4 - 2^-4 T5 - T4 T5) "
         "= (2^-4 + T4)^2 (2^-10 - T5^2) as polynomials in (T4, T5)",
-        [{"kind": "poly_identity", "lhs": lhs_terms, "rhs": rhs_terms}],
+        [poly_identity_step(expand(left_a, left_b), expand(sq, last))],
     )
     certs.append(cert)
 
@@ -288,14 +254,9 @@ def derive_c0() -> tuple[Fraction, Certificate]:
     cert = rational_chain_certificate(
         f"c0 = {c0} is positive and below the prevalence polynomial value at 9/20",
         [
-            {
-                "kind": "poly_eval",
-                "poly": poly.to_strings(),
-                "point": "9/20",
-                "value": format_algebraic(value),
-            },
-            _cmp(c0, "<", value),
-            _cmp(c0, ">", 0),
+            poly_eval_step(poly, F(9, 20), value),
+            cmp_step(c0, "<", value),
+            cmp_step(c0, ">", 0),
         ],
     )
     return c0, cert
@@ -325,8 +286,8 @@ def derive_c1() -> tuple[Fraction, dict[str, Certificate]]:
     below_cert = rational_chain_certificate(
         f"c1 = {c1} lies strictly below the positive root of the binding slice",
         [
-            _cmp(c1, "<", bracket_lo),
-            _cmp(slice_poly.eval(c1), ">", 0),
+            cmp_step(c1, "<", bracket_lo),
+            cmp_step(slice_poly.eval(c1), ">", 0),
         ],
     )
     return c1, {"root": root_cert, "box": box_cert, "below": below_cert}
@@ -351,21 +312,21 @@ def derive_c2_c3_C4() -> tuple[Fraction, Fraction, Fraction, dict[str, Certifica
         f"c2 = {c2} is the largest dyadic with denominator 2^10 keeping "
         f"(1/2+c2)^4/2 <= 7/100",
         [
-            _cmp(t4max, "<=", F(7, 100)),
-            _cmp((F(1, 2) + c2 + F(1, 1024)) ** 4 / 2, ">", F(7, 100)),
+            cmp_step(t4max, "<=", F(7, 100)),
+            cmp_step((F(1, 2) + c2 + F(1, 1024)) ** 4 / 2, ">", F(7, 100)),
         ],
     )
 
     # admissible T5 range: |T5| <= ((1/2+c2)/sqrt2 + 2 c2) T4max
     kappa = AlgebraicNumber(2 * c2, (F(1, 2) + c2) / 2)
-    t5max = kappa * AlgebraicNumber(t4max, 0)
+    t5max = kappa * t4max
     admissible_cert = rational_chain_certificate(
         f"admissible box: 0 <= T4 <= {t4max} and |T5| <= kappa*T4max with "
         f"kappa = (1/2+c2)/sqrt2 + 2 c2",
         [
-            _cmp(AlgebraicNumber(t4max, 0), "==", AlgebraicNumber((F(1, 2) + c2) ** 4 / 2, 0)),
-            _cmp(t5max, "==", kappa * AlgebraicNumber(t4max, 0)),
-            _cmp(kappa, ">", 0),
+            cmp_step(t4max, "==", (F(1, 2) + c2) ** 4 / 2),
+            cmp_step(t5max, "==", kappa * t4max),
+            cmp_step(kappa, ">", 0),
         ],
     )
 
@@ -393,33 +354,18 @@ def derive_c2_c3_C4() -> tuple[Fraction, Fraction, Fraction, dict[str, Certifica
     )
     c3 = mu / 8
 
-    # C4: strip-wise monomial bound on the mean derivative of the product
+    # C4: strip-wise monomial bound on the mean derivative of the product,
+    # one bound c4a over all strips
     derivative = pair_product_trivariate().diff(0)
-    strips = 8
-    strip_steps = []
-    worst = AlgebraicNumber(0, 0)
-    t4max_an = AlgebraicNumber(t4max, 0)
-    for s in range(strips):
-        lo = F(1, 2) - c2 + 2 * c2 * F(s, strips)
-        hi = F(1, 2) - c2 + 2 * c2 * F(s + 1, strips)
+    n_strips, strips = 8, []
+    for s in range(n_strips):
+        lo = F(1, 2) - c2 + 2 * c2 * F(s, n_strips)
+        hi = F(1, 2) - c2 + 2 * c2 * F(s + 1, n_strips)
         center, radius = (lo + hi) / 2, (hi - lo) / 2
-        shifted = derivative.shift(0, center)
-        bound = shifted.monomial_abs_bound(
-            [AlgebraicNumber(radius, 0), t4max_an, t5max]
-        )
-        if an_sign(bound - worst) > 0:
-            worst = bound
-        strip_steps.append(
-            {
-                "kind": "monomial_abs_bound",
-                "poly": shifted.to_list(),
-                "radii": [_fmt(radius), _fmt(t4max_an), format_algebraic(t5max)],
-                "bound": None,  # patched below once the max is known
-            }
-        )
+        strips.append((derivative.shift(0, center), [radius, t4max, t5max]))
+    worst = max(poly.monomial_abs_bound(radii) for poly, radii in strips)
     c4a = _rational_above(worst, digits=9)
-    for step in strip_steps:
-        step["bound"] = _fmt(c4a)
+    strip_steps = [monomial_abs_bound_step(poly, radii, c4a) for poly, radii in strips]
     # pointwise T5^2 relaxation: replacing T5^2 <= T4^2/8 costs at most
     # (2^-4 + T4max)^2 T4max^2 (1+c2)/2 per unit of |mean - 1/2|
     c4b = (F(1, 16) + t4max) ** 2 * t4max**2 * (1 + c2) / 2
@@ -429,8 +375,8 @@ def derive_c2_c3_C4() -> tuple[Fraction, Fraction, Fraction, dict[str, Certifica
         f"admissible box (derivative part {c4a} plus relaxation part {c4b})",
         strip_steps
         + [
-            {"kind": "lemma", "name": "mean_value_bound", "premises": []},
-            _cmp(c4, ">=", AlgebraicNumber(c4a + c4b, 0)),
+            lemma_step("mean_value_bound"),
+            cmp_step(c4, ">=", c4a + c4b),
         ],
     )
     return c2, c3, c4, {
@@ -502,9 +448,9 @@ def derive_l0(
     c6_cert = rational_chain_certificate(
         f"c6 = {c6} is positive and below 2*sqrt(2^-18 + {margin}) - 2^-8",
         [
-            {"kind": "sqrt_lower", "x": str(radicand), "value": str(root_lower)},
-            _cmp(c6, "<=", AlgebraicNumber(2 * root_lower - F(1, 256), 0)),
-            _cmp(c6, ">", 0),
+            sqrt_lower_step(radicand, root_lower),
+            cmp_step(c6, "<=", 2 * root_lower - F(1, 256)),
+            cmp_step(c6, ">", 0),
         ],
     )
 
@@ -524,12 +470,10 @@ def derive_l0(
     c5_cert = rational_chain_certificate(
         f"c5 = {c5}: the limiting factor exp(-2 c5^2)(1 + 2^8 c6) exceeds 1",
         [
-            {
-                "kind": "lemma",
-                "name": "alternating_series_exp_lower",
-                "premises": [_cmp(y, ">=", 0), _cmp(y, "<=", 1)],
-            },
-            _cmp(series * (1 + 256 * c6), ">", 1),
+            lemma_step(
+                "alternating_series_exp_lower", [cmp_step(y, ">=", 0), cmp_step(y, "<=", 1)]
+            ),
+            cmp_step(series * (1 + 256 * c6), ">", 1),
         ],
     )
 
@@ -559,66 +503,46 @@ def derive_l0(
             f"for all l >= l0={l0}: c5/sqrt(l) <= min(c2, 1/6) "
             f"(so the three mean regimes cover [0,1])",
             [
-                {"kind": "sqrt_lower", "x": str(F(l0)), "value": str(s_lo)},
-                _cmp(c5, "<=", min(c2, F(1, 6)) * s_lo),
-                {
-                    "kind": "lemma",
-                    "name": "isqrt_monotone",
-                    "premises": [],
-                    "note": "sqrt lower bounds grow with l, so the condition persists",
-                },
+                sqrt_lower_step(l0, s_lo),
+                cmp_step(c5, "<=", min(c2, F(1, 6)) * s_lo),
+                lemma_step(
+                    "isqrt_monotone",
+                    note="sqrt lower bounds grow with l, so the condition persists",
+                ),
             ],
         ),
         "condition_derivative": rational_chain_certificate(
             f"for all l >= l0={l0}: C4 c5/sqrt(l) <= c3 c1^4 / 2",
             [
-                {"kind": "sqrt_lower", "x": str(F(l0)), "value": str(s_lo)},
-                _cmp(C4 * c5, "<=", margin * s_lo),
-                {"kind": "lemma", "name": "isqrt_monotone", "premises": []},
+                sqrt_lower_step(l0, s_lo),
+                cmp_step(C4 * c5, "<=", margin * s_lo),
+                lemma_step("isqrt_monotone"),
             ],
         ),
         "condition_decay": rational_chain_certificate(
             f"for all l >= {l0}: (1 - 4c5^2/l)^(l/2) (1 + 2^8 c6) >= 1, "
             f"via (1-a/l)^l >= 1-a",
             [
-                {
-                    "kind": "lemma",
-                    "name": "bernoulli_lower",
-                    "premises": [_cmp(a, ">=", 0), _cmp(a, "<=", 1)],
-                },
-                _cmp((1 - a) * (1 + 256 * c6) ** 2, ">=", 1),
+                lemma_step("bernoulli_lower", [cmp_step(a, ">=", 0), cmp_step(a, "<=", 1)]),
+                cmp_step((1 - a) * (1 + 256 * c6) ** 2, ">=", 1),
             ],
         ),
         "condition_growth": rational_chain_certificate(
             f"for all l >= l0={l0}: c0 (1 + 2c5/sqrt(l))^l >= 2^-8, via the "
             f"even binomial lower bound with {BINOMIAL_TERMS} terms",
             [
-                {
-                    "kind": "even_binomial_value",
-                    "l": l0,
-                    "xsq": str(4 * c5 * c5 / l0),
-                    "terms": BINOMIAL_TERMS,
-                    "value": str(growth_value),
-                },
-                {"kind": "lemma", "name": "even_binomial_lower_bound", "premises": []},
-                {
-                    "kind": "lemma",
-                    "name": "binomial_term_monotone_in_l",
-                    "premises": [_cmp(F(l0), ">=", F(2 * BINOMIAL_TERMS))],
-                },
-                _cmp(c0 * growth_value, ">=", F(1, 256)),
+                even_binomial_value_step(l0, 4 * c5 * c5 / l0, BINOMIAL_TERMS, growth_value),
+                lemma_step("even_binomial_lower_bound"),
+                lemma_step(
+                    "binomial_term_monotone_in_l", [cmp_step(l0, ">=", 2 * BINOMIAL_TERMS)]
+                ),
+                cmp_step(c0 * growth_value, ">=", F(1, 256)),
             ],
         ),
         "case1_convexity": rational_chain_certificate(
             f"x^(l+9) + (1-x)^(l+9) >= 2^(-l-8) on [0,1] for every l >= 0: "
             f"odd powers of (x-1/2) cancel in the symmetric sum",
-            [
-                {
-                    "kind": "lemma",
-                    "name": "symmetric_power_sum_lower",
-                    "premises": [_cmp(F(l0 + 9), ">=", 2)],
-                }
-            ],
+            [lemma_step("symmetric_power_sum_lower", [cmp_step(l0 + 9, ">=", 2)])],
         ),
         "gain_c6": c6_cert,
         "decay_rate_c5": c5_cert,

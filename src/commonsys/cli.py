@@ -302,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--n", type=int, default=1)
     p_scan.add_argument("--property", required=True, choices=counting.PROPERTIES)
     p_scan.add_argument("--l", type=int, default=None)
-    p_scan.add_argument("--grid", type=int, default=11, help="grid resolution (>= 3)")
+    p_scan.add_argument("--grid", type=int, default=11, help="grid resolution (3 to 10^5)")
     p_scan.add_argument("--alphas", default=None, help="explicit grid, e.g. 0.5 or 1/3,1/2")
     p_scan.add_argument("--restarts", type=int, default=8)
     p_scan.add_argument("--max-iters", type=int, default=200)

@@ -14,10 +14,16 @@ quantity using only exact field arithmetic and comparisons:
 * ``rational_chain`` -- a list of exact comparisons, polynomial identities
                      and named elementary lemmas with checked premises.
 
+The witness format is decided here alone: beside the producers, each
+rational-chain step kind the checker reads has one writer (`cmp_step`,
+`lemma_step`, ...), which takes exact values.
+
 Every certificate a producer returns has already been checked: the
 producers build it through one checked constructor, which returns it with
-``verified`` True or raises VerificationFailed.  Floating point never
-enters a witness.
+``verified`` True or raises VerificationFailed.  A certificate read back
+with `Certificate.from_dict` is unverified until `check_certificate`
+passes on it.  Floating point never enters a witness: a float
+coefficient, evaluation point or step value raises TypeError.
 
 The polynomial kernels -- `ExactPoly.eval`, `SparsePoly.eval`,
 `SparsePoly.monomial_abs_bound` and `SparsePoly.shift` -- run on integer
@@ -58,13 +64,12 @@ MAX_SUBDIVISION_DEPTH = 40
 STRICTLY_POSITIVE = "StrictlyPositive"
 STRICTLY_NEGATIVE = "StrictlyNegative"
 HAS_ROOT = "HasRoot"
-INDETERMINATE = "Indeterminate"
 
 
 def _an(x) -> AlgebraicNumber:
-    if isinstance(x, AlgebraicNumber):
-        return x
-    return AlgebraicNumber(x if isinstance(x, (int, Fraction)) else Fraction(x))
+    """x itself, or the AlgebraicNumber of an int, a Fraction or a rational
+    literal; like AlgebraicNumber, a float raises TypeError."""
+    return x if isinstance(x, AlgebraicNumber) else AlgebraicNumber(x)
 
 
 class ExactPoly:
@@ -258,6 +263,22 @@ def sturm_sign_on_interval(poly: ExactPoly, lo, hi):
     witness = _sturm_witness(poly, sturm_chain(poly), lo, hi)
     verdict = witness["verdict"]
     claim = f"sign of polynomial on [{lo}, {hi}] is {verdict}"
+    return verdict, _certified(claim, "sturm", witness)
+
+
+def square_factor_sign_on_interval(base: ExactPoly, center, lo, hi):
+    """(verdict, Certificate) of the Sturm sign of base / (x - center)^2 on
+    [lo, hi], with the square factor recorded for the checker to multiply
+    back; StrictlyPositive certifies base >= 0 there.  VerificationFailed
+    when (x - center)^2 does not divide base."""
+    center = Fraction(center)
+    quotient, rem = base.divmod(ExactPoly([center**2, -2 * center, 1]))
+    if not rem.is_zero():
+        raise VerificationFailed(f"(x - {center})^2 does not divide the polynomial")
+    witness = _sturm_witness(quotient, sturm_chain(quotient), Fraction(lo), Fraction(hi))
+    witness["square_factor"] = {"base": base.to_strings(), "center": str(center)}
+    verdict = witness["verdict"]
+    claim = f"sign of polynomial over (x - {center})^2 on [{lo}, {hi}] is {verdict}"
     return verdict, _certified(claim, "sturm", witness)
 
 
@@ -675,12 +696,9 @@ class Certificate:
 
     @classmethod
     def from_dict(cls, d) -> "Certificate":
-        return cls(
-            claim=d["claim"],
-            method=d["method"],
-            witness=d["witness"],
-            verified=bool(d.get("verified", False)),
-        )
+        """A certificate read back from its document, unverified whatever
+        the document says: only `check_certificate` makes it verified."""
+        return cls(claim=d["claim"], method=d["method"], witness=d["witness"])
 
 
 def _certified(claim: str, method: str, witness: dict) -> Certificate:
@@ -688,7 +706,6 @@ def _certified(claim: str, method: str, witness: dict) -> Certificate:
     returned with verified=True, or VerificationFailed is raised."""
     cert = Certificate(claim=claim, method=method, witness=witness)
     check_certificate(cert)
-    cert.verified = True
     return cert
 
 
@@ -697,11 +714,13 @@ def rational_chain_certificate(claim: str, steps: list[dict]) -> Certificate:
 
 
 def check_certificate(cert: Certificate) -> None:
-    """Re-verify a certificate from its witness alone; raises
-    VerificationFailed on failure, a malformed witness included."""
+    """Re-verify a certificate from its witness alone and set `verified`
+    to the outcome; raises VerificationFailed on failure, a malformed
+    witness included."""
     # a witness is outside input (often read back from JSON): a missing
     # key, a wrong type, a bad literal or an out-of-range exponent is a
     # failed check, not a crash
+    cert.verified = False
     try:
         if cert.method == "sturm":
             _check_sturm(cert)
@@ -715,6 +734,7 @@ def check_certificate(cert: Certificate) -> None:
         ArithmeticError, AttributeError, LookupError, TypeError, ValueError, ZeroPolynomial
     ) as err:
         _fail(cert, f"malformed witness: {err!r}")
+    cert.verified = True
 
 
 def verify_certificate(cert: Certificate) -> bool:
@@ -900,6 +920,62 @@ def even_binomial_sum(l: int, xsq: Fraction, terms: int) -> Fraction:
     a, d = xsq.numerator, xsq.denominator
     total = sum(comb(l, 2 * j) * a**j * d ** (terms - j) for j in range(terms + 1))
     return Fraction(total, d ** max(terms, 0))
+
+
+# ---------------------------------------------------------------------------
+# Rational-chain steps, one writer per kind `_check_chain` reads: values are
+# coerced like coefficients (a float raises TypeError) and written as
+# format_algebraic does, or as str(Fraction) where the checker reads a
+# rational.
+
+
+def _literal(x) -> str:
+    return format_algebraic(_an(x))
+
+
+def _rational(x) -> str:
+    return str(AlgebraicNumber(x).a)
+
+
+def cmp_step(lhs, op: str, rhs) -> dict:
+    """lhs op rhs, with op one of <, <=, ==, >=, >."""
+    return {"kind": "cmp", "lhs": _literal(lhs), "op": op, "rhs": _literal(rhs)}
+
+
+def lemma_step(name: str, premises=(), note: str = "") -> dict:
+    """A lemma of `_LEMMAS` with `cmp_step` premises; `note` is free text."""
+    step = {"kind": "lemma", "name": name, "premises": list(premises)}
+    return {**step, "note": note} if note else step
+
+
+def sqrt_lower_step(x, value) -> dict:
+    """value <= sqrt(x), for rationals."""
+    return {"kind": "sqrt_lower", "x": _rational(x), "value": _rational(value)}
+
+
+def poly_eval_step(poly: ExactPoly, point, value) -> dict:
+    """poly(point) == value at a rational point."""
+    return {"kind": "poly_eval", "poly": poly.to_strings(), "point": _rational(point),
+            "value": _literal(value)}
+
+
+def poly_identity_step(lhs, rhs) -> dict:
+    """Two lists of (exponent tuple, coefficient) terms are one polynomial;
+    repeated exponents add up, so a side may be an uncollected expansion."""
+    lhs, rhs = ([[*e, _literal(c)] for e, c in terms] for terms in (lhs, rhs))
+    return {"kind": "poly_identity", "lhs": lhs, "rhs": rhs}
+
+
+def monomial_abs_bound_step(poly: SparsePoly, radii, bound) -> dict:
+    """bound >= poly.monomial_abs_bound(radii)."""
+    return {"kind": "monomial_abs_bound", "poly": poly.to_list(),
+            "radii": [_literal(r) for r in radii], "bound": _literal(bound)}
+
+
+def even_binomial_value_step(l: int, xsq, terms: int, value) -> dict:
+    """value == even_binomial_sum(l, xsq, terms)."""
+    return {"kind": "even_binomial_value", "l": l, "xsq": _rational(xsq), "terms": terms,
+            "value": _rational(value)}
 
 
 def _check_chain(cert: Certificate) -> None:

@@ -69,27 +69,6 @@ def _inverse_matrix(p: int) -> np.ndarray:
     return np.conj(_forward_matrix(p))
 
 
-def _digits(index: np.ndarray, p: int, n: int):
-    """Base-p digits 0..n-1 of the int64 index array `index`, least
-    significant first, one array per coordinate.  v - (v // p) * p is
-    v % p, and numpy takes `//` by a scalar several times faster than `%`."""
-    for _ in range(n):
-        quot = index // p
-        digit = quot * p
-        yield np.subtract(index, digit, out=digit)
-        index = quot
-
-
-def _dot(p: int, n: int, coefficients) -> np.ndarray:
-    """sum_i coefficients[i] x_i at every point x of F_p^n, as int64; each
-    coefficient is reduced mod p first, so the sum cannot overflow."""
-    size = checked_size(p, n)
-    total = np.zeros(size, dtype=np.int64)
-    for c, x in zip(coefficients, _digits(np.arange(size), p, n)):
-        total += (c % p) * x
-    return total
-
-
 def _outer_sum(high: np.ndarray, low: np.ndarray) -> np.ndarray:
     """out[i, a*S + s] = high[i, a] + low[i, s], S = low.shape[1]."""
     return (high[:, :, None] + low[:, None, :]).reshape(len(high), -1)
@@ -224,7 +203,10 @@ def coset_indicator(p: int, n: int, coefficients, residue: int) -> GroupFunction
     coefficients = list(coefficients)
     if len(coefficients) != n:
         raise MalformedDocument(f"expected {n} coefficients, got {len(coefficients)}")
-    return _mask_indicator(p, n, _dot(p, n, coefficients) % p == residue % p)
+    checked_size(p, n)
+    # sum_i c_i x_i mod p at every x: one form over n one-digit parameters
+    values = _form_table(([c % p for c in coefficients],), p, range(n))[0]
+    return _mask_indicator(p, n, values == residue % p)
 
 
 def character_bump(p: int, n: int, h_index: int, phase: int, eps: float) -> GroupFunction:
@@ -235,7 +217,7 @@ def character_bump(p: int, n: int, h_index: int, phase: int, eps: float) -> Grou
     size = checked_size(p, n)
     if not 0 <= h_index < size:
         raise MalformedDocument(f"character index {h_index} outside 0..{size - 1}")
-    r = (_dot(p, n, index_to_point(h_index, p, n)) + phase) % p
+    r = (_form_table((index_to_point(h_index, p, n),), p, range(n))[0] + phase) % p
     return GroupFunction(p, n, 0.5 + eps * np.cos(2.0 * np.pi * r / p))
 
 

@@ -50,11 +50,14 @@ from .counting import (
     defect_partials,
     defect_value,
 )
-from .errors import InfeasibleMean, MalformedDocument
-from .harmonic import GroupFunction, _dot, character_bump, checked_size
+from .errors import InfeasibleMean, MalformedDocument, TooLarge
+from .harmonic import GroupFunction, _form_table, character_bump, checked_size
 from .linsys import LinearSystem
 
 MAX_SEARCH_POINTS = 1 << 20
+# means in one `alpha_grid`; each costs a Fraction (about 120 bytes) before
+# any search runs, and every one of them is then a full search
+MAX_GRID_POINTS = 10**5
 
 # spectral projected gradient: value memory M of the nonmonotone test, its
 # sufficient-decrease factor, the first step, the Barzilai-Borwein clamp, and
@@ -222,7 +225,7 @@ def _initial_point(cfg: SearchConfig, k: int, rng) -> np.ndarray:
         residue = int(rng.integers(cfg.p))
         unit = [int(i == coord) for i in range(cfg.n)]
         # coset_indicator(...).values, without its exact Fraction tuple
-        return (_dot(cfg.p, cfg.n, unit) % cfg.p == residue).astype(np.float64)
+        return (_form_table((unit,), cfg.p, range(cfg.n))[0] == residue).astype(np.float64)
     h = int(rng.integers(1, size))
     phase = int(rng.integers(cfg.p))
     eps = 0.45 * float(rng.uniform(0.6, 1.0))
@@ -380,7 +383,10 @@ def scan_alpha(
 
 
 def alpha_grid(resolution: int):
-    """Evenly spaced means including both endpoints; resolution >= 3."""
+    """Evenly spaced means including both endpoints; 3 <= resolution <=
+    MAX_GRID_POINTS (TooLarge above it)."""
     if resolution < 3:
         raise MalformedDocument("grid resolution must be >= 3")
+    if resolution > MAX_GRID_POINTS:
+        raise TooLarge(f"grid resolution {resolution} exceeds the cap {MAX_GRID_POINTS}")
     return [Fraction(i, resolution - 1) for i in range(resolution)]

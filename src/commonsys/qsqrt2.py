@@ -262,7 +262,6 @@ def _coerce(x):
 
 ZERO = AlgebraicNumber(0, 0)
 ONE = AlgebraicNumber(1, 0)
-SQRT2 = AlgebraicNumber(0, 1)
 
 
 def an_sign(x: AlgebraicNumber) -> int:

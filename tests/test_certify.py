@@ -19,7 +19,12 @@ from commonsys.certify import (
     verify_lemma_suite,
 )
 from commonsys.errors import VerificationFailed
-from commonsys.exactpoly import Certificate, subdivision_positive_on_box, verify_certificate
+from commonsys.exactpoly import (
+    Certificate,
+    SparsePoly,
+    subdivision_positive_on_box,
+    verify_certificate,
+)
 from commonsys.qsqrt2 import AlgebraicNumber, an_sign, sqrt_lower
 
 F = Fraction
@@ -242,6 +247,56 @@ class TestL0:
     def test_summary_renders(self, ledger):
         text = ledger.summary()
         assert "l0" in text and "ok " in text and "FAIL" not in text
+
+
+class TestCertifiedValues:
+    """The certified numbers themselves, apart from the witness bytes the
+    digests pin: a change of format moves a digest but none of these."""
+
+    def test_ledger_constants(self, ledger):
+        names = ("c0", "c1", "c2", "c3", "C4", "c5", "c6", "l0")
+        assert {name: getattr(ledger, name) for name in names} == {
+            "c0": F(142941, 2500000000),
+            "c1": F(551, 4096),
+            "c2": F(57, 512),
+            "c3": F(29451, 800000000),
+            "C4": F(1077227, 1000000000),
+            "c5": F(37, 10000),
+            "c6": F(24101, 7812500000),
+            "l0": 441563,
+        }
+
+    def test_lemma_suite_statements(self):
+        def rationals(items):
+            return [F(v) for v in items]
+
+        def identity_sides(cert):
+            step = next(s for s in cert.witness["steps"] if s["kind"] == "poly_identity")
+            return SparsePoly.from_list(step["lhs"]), SparsePoly.from_list(step["rhs"])
+
+        floor, drop, low_mean, prevalence, box, margin, factorization = verify_lemma_suite()
+        # (i) the square factor (x - 1/2)^2 on [0, 1]
+        assert rationals(floor.witness["interval"]) == [0, 1]
+        assert F(floor.witness["square_factor"]["center"]) == F(1, 2)
+        assert floor.witness["verdict"] == "StrictlyPositive"
+        # (ii) both sides are a^4
+        assert identity_sides(drop) == (SparsePoly(1, {(4,): 1}),) * 2
+        # (iii) and (vi): the Sturm intervals and signs
+        assert rationals(low_mean.witness["interval"]) == [0, F(1, 2)]
+        assert low_mean.witness["verdict"] == "StrictlyNegative"
+        assert rationals(margin.witness["interval"]) == [0, F(7, 100)]
+        assert margin.witness["verdict"] == "StrictlyPositive"
+        # (iv) the evaluation point
+        assert [F(s["point"]) for s in prevalence.witness["steps"] if s["kind"] == "poly_eval"] == [
+            F(9, 20)
+        ]
+        # (v) the box up to c1
+        assert rationals(box.witness["box"]) == [F(1, 3), F(2, 3), 0, F(551, 4096)]
+        assert box.witness["result"] is True
+        # (vii) both sides are (2^-4 + T4)^2 (2^-10 - T5^2)
+        t4, t5 = SparsePoly.variable(2, 0), SparsePoly.variable(2, 1)
+        product = (t4 + F(1, 16)) ** 2 * (1 - t5**2 * 1024) * F(1, 1024)
+        assert identity_sides(factorization) == (product, product)
 
 
 def _tamper(cert):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from commonsys import certify, cli, counting, harmonic
+from commonsys import certify, cli, counting, harmonic, optimize
 from commonsys.exactpoly import Certificate, verify_certificate
 
 
@@ -280,6 +280,16 @@ class TestOversizedDimension:
         _refused_before_power(
             capsys, "search", "--system", "phi", "--n", str(self.BIG_N), "--property", "common",
         )
+
+
+def test_scan_grid_past_the_cap_is_refused_before_it_is_formed(capsys):
+    # the dimension is oversized too, so code that formed the grid first
+    # stops right after it instead of searching 10^5 means
+    grid = optimize.MAX_GRID_POINTS + 1
+    code, peak = _run_traced(["scan-alpha", "--system", "phi", "--property", "common",
+                              "--n", str(GIANT_N), "--grid", str(grid)])
+    assert code == 4 and "grid resolution" in capsys.readouterr().err
+    assert peak < 1 << 20, peak
 
 
 class TestHostileDocuments:

@@ -23,9 +23,17 @@ from commonsys.exactpoly import (
     ExactPoly,
     SparsePoly,
     check_certificate,
+    cmp_step,
     even_binomial_sum,
+    even_binomial_value_step,
     isolate_positive_root,
+    lemma_step,
+    monomial_abs_bound_step,
+    poly_eval_step,
+    poly_identity_step,
     rational_chain_certificate,
+    sqrt_lower_step,
+    square_factor_sign_on_interval,
     sturm_sign_on_interval,
     subdivision_positive_on_box,
     verify_certificate,
@@ -272,6 +280,18 @@ class TestExactPoly:
         q, r = a.divmod(b)
         assert q * b + r == a
         assert r.degree < b.degree
+
+    def test_floats_are_refused(self):
+        # a float would enter as its dyadic value, not the decimal it shows
+        with pytest.raises(TypeError):
+            ExactPoly([0.1])
+        with pytest.raises(TypeError):
+            ExactPoly([1]).eval(0.5)
+        with pytest.raises(TypeError):
+            SparsePoly(1, {(1,): 0.1})
+        with pytest.raises(TypeError):
+            SparsePoly(1, {(1,): 1}).scale(0.5)
+        assert ExactPoly(["1/10", F(1, 3), 2]) == ExactPoly([F(1, 10), F(1, 3), 2])
 
     def test_degree_cap(self):
         with pytest.raises(ValueError):
@@ -711,4 +731,83 @@ class TestCertificates:
         p = ExactPoly([-2, 0, 1])
         _, cert = sturm_sign_on_interval(p, 1, 2)
         again = Certificate.from_dict(cert.to_dict())
-        assert verify_certificate(again)
+        assert not again.verified
+        check_certificate(again)
+        assert again.verified
+
+    def test_read_back_document_does_not_vouch_for_itself(self):
+        _, cert = sturm_sign_on_interval(ExactPoly([-2, 0, 1]), 1, 2)
+        document = copy.deepcopy(cert.to_dict())
+        document["witness"]["verdict"] = STRICTLY_NEGATIVE
+        assert document["verified"] is True
+        tampered = Certificate.from_dict(document)
+        assert tampered.verified is False
+        assert verify_certificate(tampered) is False and tampered.verified is False
+
+    def test_step_writers_use_the_wire_forms(self):
+        h = F(1, 2)
+        assert cmp_step(h, "<", AlgebraicNumber(0, 1)) == {
+            "kind": "cmp", "lhs": "1/2 + 0*sqrt2", "op": "<", "rhs": "0 + 1*sqrt2"
+        }
+        assert lemma_step("isqrt_monotone", note="why") == {
+            "kind": "lemma", "name": "isqrt_monotone", "premises": [], "note": "why"
+        }
+        assert sqrt_lower_step(2, F(7, 5)) == {"kind": "sqrt_lower", "x": "2", "value": "7/5"}
+        poly = ExactPoly([-2, 0, 1])
+        assert poly_eval_step(poly, h, F(-7, 4)) == {
+            "kind": "poly_eval",
+            "poly": poly.to_strings(),
+            "point": "1/2",
+            "value": "-7/4 + 0*sqrt2",
+        }
+        assert poly_identity_step([((1, 0), 1), ((1, 0), -h)], [((1, 0), h)]) == {
+            "kind": "poly_identity",
+            "lhs": [[1, 0, "1 + 0*sqrt2"], [1, 0, "-1/2 + 0*sqrt2"]],
+            "rhs": [[1, 0, "1/2 + 0*sqrt2"]],
+        }
+        poly2 = SparsePoly(2, {(1, 0): -1, (0, 2): h})
+        assert monomial_abs_bound_step(poly2, [h, AlgebraicNumber(0, 1)], 2) == {
+            "kind": "monomial_abs_bound",
+            "poly": poly2.to_list(),
+            "radii": ["1/2 + 0*sqrt2", "0 + 1*sqrt2"],
+            "bound": "2 + 0*sqrt2",
+        }
+        value = even_binomial_sum(100, F(1, 3), 4)
+        assert even_binomial_value_step(100, F(1, 3), 4, value) == {
+            "kind": "even_binomial_value", "l": 100, "xsq": "1/3", "terms": 4, "value": str(value)
+        }
+        # every step the writers make is one the checker accepts
+        rational_chain_certificate("writers", [
+            cmp_step(h, "<", AlgebraicNumber(0, 1)),
+            lemma_step("bernoulli_lower", [cmp_step(h, ">=", 0)]),
+            sqrt_lower_step(2, F(7, 5)),
+            poly_eval_step(poly, h, F(-7, 4)),
+            poly_identity_step([((1, 0), 1), ((1, 0), -h)], [((1, 0), h)]),
+            monomial_abs_bound_step(poly2, [h, AlgebraicNumber(0, 1)], 2),
+            even_binomial_value_step(100, F(1, 3), 4, value),
+        ])
+
+    def test_step_writers_refuse_floats(self):
+        for write in (
+            lambda: cmp_step(0.5, "<", 1),
+            lambda: sqrt_lower_step(2.0, 1),
+            lambda: poly_eval_step(ExactPoly([1]), 0.5, 1),
+            lambda: poly_identity_step([((1,), 0.5)], [((1,), F(1, 2))]),
+            lambda: monomial_abs_bound_step(SparsePoly(1, {(1,): 1}), [0.5], 1),
+            lambda: even_binomial_value_step(10, 0.25, 2, 1),
+        ):
+            with pytest.raises(TypeError):
+                write()
+
+    def test_square_factor_certificate(self):
+        # (x - 1/2)^2 (x^2 + 1) >= 0 on [0, 1]
+        base = ExactPoly([F(1, 4), -1, F(5, 4), -1, 1])
+        verdict, cert = square_factor_sign_on_interval(base, F(1, 2), 0, 1)
+        assert verdict == STRICTLY_POSITIVE and cert.verified
+        assert cert.witness["square_factor"] == {"base": base.to_strings(), "center": "1/2"}
+        assert cert.witness["poly"] == ExactPoly([1, 0, 1]).to_strings()
+        broken = copy.deepcopy(cert)
+        broken.witness["square_factor"]["center"] = "1/3"
+        assert not verify_certificate(broken)
+        with pytest.raises(VerificationFailed, match="does not divide"):
+            square_factor_sign_on_interval(base, F(1, 3), 0, 1)

@@ -369,3 +369,9 @@ class TestScanAlpha:
     def test_grid_resolution_floor(self):
         with pytest.raises(MalformedDocument):
             optimize.alpha_grid(2)
+
+    def test_grid_resolution_cap(self):
+        cap = optimize.MAX_GRID_POINTS
+        assert len(optimize.alpha_grid(3)) == 3
+        with pytest.raises(TooLarge):
+            optimize.alpha_grid(cap + 1)
