@@ -27,7 +27,7 @@ from decimal import Decimal
 from fractions import Fraction
 from math import comb
 
-from .errors import NoSuchL, VerificationFailed
+from .errors import NoSuchL, TooLarge, VerificationFailed
 from .exactpoly import (
     Certificate,
     ExactPoly,
@@ -580,12 +580,20 @@ class ConstantLedger(LConditions):
             )
             return rows
         for name, slack in self.slacks(l).items():
+            try:
+                approx = float(slack)
+            except OverflowError:  # the growth slack passes 1e308 near l = 10^20
+                approx = math.inf if slack > 0 else -math.inf
+            try:
+                text = str(slack)
+            except ValueError:  # beyond the interpreter's int-to-str digit limit
+                raise TooLarge(f"the {name} slack has too many digits to print") from None
             rows.append(
                 {
                     "condition": name,
                     "satisfied": slack >= 0,
-                    "slack": str(slack),
-                    "slack_float": float(slack),
+                    "slack": text,
+                    "slack_float": approx,
                 }
             )
         return rows

@@ -11,9 +11,10 @@ Exit codes: 0 success, 2 input error, 3 verification failure, 4 size cap;
 every failure prints ``error: ...`` to stderr.  Input errors are found
 first: `eval` checks the colouring's mean against the property (exit 2)
 before it counts, so an invalid mean exits 2 even where the count would
-also pass the size cap.  Rational flags (--const,
---alpha, --alphas) are read like document values: exactly, as a decimal or
-"num/den", with |exponent| <= 1000, and must lie in [0, 1].
+also pass the size cap, and `scan-alpha` checks its search settings at
+the first mean (0 for a grid) before it forms the grid.  Rational flags
+(--const, --alpha, --alphas) are read like document values: exactly, as a
+decimal or "num/den", with |exponent| <= 1000, and must lie in [0, 1].
 """
 
 from __future__ import annotations
@@ -182,23 +183,25 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _search_config(args, p: int, mean: float | None) -> optimize.SearchConfig:
+    """The search `search` and `scan-alpha` describe, checked when built."""
+    return optimize.SearchConfig(
+        property=args.property, p=p, n=args.n, l=args.l, mean=mean,
+        restarts=args.restarts, max_iters=args.max_iters, seed=args.seed,
+    )
+
+
 def cmd_scan_alpha(args) -> int:
     manifest = _build_manifest(args)
     system = _load_system(args, manifest)
+    # the config is checked at the first mean, before a grid is formed
     if args.alphas is not None:
         alphas = [_unit_fraction(a) for a in args.alphas.split(",")]
+        cfg = _search_config(args, system.p, float(alphas[0]))
     else:
+        cfg = _search_config(args, system.p, 0.0)
         alphas = optimize.alpha_grid(args.grid)
-    rows = optimize.scan_alpha(
-        system,
-        args.property,
-        alphas,
-        n=args.n,
-        restarts=args.restarts,
-        max_iters=args.max_iters,
-        seed=args.seed,
-        l=args.l,
-    )
+    rows = optimize.scan_alpha(system, cfg, alphas)
     _emit_table(rows, ["alpha", "best_defect", "violation"], manifest, args.out)
     return EXIT_OK
 
@@ -206,16 +209,7 @@ def cmd_scan_alpha(args) -> int:
 def cmd_search(args) -> int:
     manifest = _build_manifest(args)
     system = _load_system(args, manifest)
-    cfg = optimize.SearchConfig(
-        property=args.property,
-        p=system.p,
-        n=args.n,
-        l=args.l,
-        mean=args.alpha,
-        restarts=args.restarts,
-        max_iters=args.max_iters,
-        seed=args.seed,
-    )
+    cfg = _search_config(args, system.p, args.alpha)
     result = optimize.minimize_defect(system, cfg)
     if args.save_function:
         harmonic.save_function(result.best, args.save_function, manifest_digest=manifest.digest())

@@ -20,8 +20,8 @@ side over the same blocks by the product rule, and `defect` turns T
 values into the signed slack of a chosen colouring property (negative
 slack certifies a violation) via `defect_value`.  Each property's
 formula, its partial derivatives (`defect_partials`) and the means it is
-defined at (`check_mean`) live only here; the optimizer takes all three
-from this module.
+defined at, with the mean a search pins (`check_mean`), live only here;
+the optimizer takes all three from this module and names no property.
 
 Both Fourier routes run on an (R, p^n) stack of functions, with one
 transform pass per stack.  `_block_plan` groups a block's columns by
@@ -502,10 +502,11 @@ def check_property(property: str, l: int | None) -> None:
         raise MalformedDocument("l must be >= 0")
 
 
-def check_mean(property: str, mean) -> None:
+def check_mean(property: str, mean) -> float | None:
     """Reject a mean the property is not defined at: geometric needs 1/2
     (within GEOMETRIC_MEAN_TOL), and prevalence needs a pinned mean, with
-    `mean` None for an unpinned one."""
+    `mean` None for an unpinned one.  Returns the mean a search pins: 0.5
+    for geometric, else `mean`."""
     if mean is None:
         if property == PREVALENCE:
             raise MeanConstraintViolated("the prevalence property requires a pinned mean")
@@ -513,6 +514,7 @@ def check_mean(property: str, mean) -> None:
         raise MeanConstraintViolated(
             f"the geometric property is defined only at mean 1/2, got {float(mean)}"
         )
+    return 0.5 if property == GEOMETRIC else mean
 
 
 def defect_value(property: str, t_f, t_1mf, alpha, t: int, l: int | None, one):

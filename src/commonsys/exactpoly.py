@@ -23,7 +23,8 @@ producers build it through one checked constructor, which returns it with
 ``verified`` True or raises VerificationFailed.  A certificate read back
 with `Certificate.from_dict` is unverified until `check_certificate`
 passes on it.  Floating point never enters a witness: a float
-coefficient, evaluation point or step value raises TypeError.
+coefficient, evaluation point, interval or box end, precision or step
+value raises TypeError.
 
 The polynomial kernels -- `ExactPoly.eval`, `SparsePoly.eval`,
 `SparsePoly.monomial_abs_bound` and `SparsePoly.shift` -- run on integer
@@ -70,6 +71,12 @@ def _an(x) -> AlgebraicNumber:
     """x itself, or the AlgebraicNumber of an int, a Fraction or a rational
     literal; like AlgebraicNumber, a float raises TypeError."""
     return x if isinstance(x, AlgebraicNumber) else AlgebraicNumber(x)
+
+
+def _q(x) -> Fraction:
+    """The Fraction of an int, a Fraction or a rational literal; a float
+    raises TypeError, as in `_an`."""
+    return AlgebraicNumber(x).a
 
 
 class ExactPoly:
@@ -255,7 +262,7 @@ def sturm_sign_on_interval(poly: ExactPoly, lo, hi):
     claimed only when the Sturm root count on the interval is zero; a root
     anywhere on the closed interval (endpoints included) yields HasRoot.
     """
-    lo, hi = Fraction(lo), Fraction(hi)
+    lo, hi = _q(lo), _q(hi)
     if lo >= hi:
         raise ValueError("need lo < hi")
     if poly.is_zero():
@@ -271,11 +278,11 @@ def square_factor_sign_on_interval(base: ExactPoly, center, lo, hi):
     [lo, hi], with the square factor recorded for the checker to multiply
     back; StrictlyPositive certifies base >= 0 there.  VerificationFailed
     when (x - center)^2 does not divide base."""
-    center = Fraction(center)
+    center = _q(center)
     quotient, rem = base.divmod(ExactPoly([center**2, -2 * center, 1]))
     if not rem.is_zero():
         raise VerificationFailed(f"(x - {center})^2 does not divide the polynomial")
-    witness = _sturm_witness(quotient, sturm_chain(quotient), Fraction(lo), Fraction(hi))
+    witness = _sturm_witness(quotient, sturm_chain(quotient), _q(lo), _q(hi))
     witness["square_factor"] = {"base": base.to_strings(), "center": str(center)}
     verdict = witness["verdict"]
     claim = f"sign of polynomial over (x - {center})^2 on [{lo}, {hi}] is {verdict}"
@@ -289,8 +296,8 @@ def isolate_positive_root(poly: ExactPoly, search, precision):
     endpoint signs must differ.  Returns ((a, b), Certificate) with
     b - a <= precision and a sign change across [a, b].
     """
-    lo, hi = Fraction(search[0]), Fraction(search[1])
-    precision = Fraction(precision)
+    lo, hi = _q(search[0]), _q(search[1])
+    precision = _q(precision)
     if poly.is_zero():
         raise ZeroPolynomial("root isolation of the zero polynomial")
     witness = _sturm_witness(poly, sturm_chain(poly), lo, hi)
@@ -611,7 +618,7 @@ def subdivision_positive_on_box(poly2: SparsePoly, box, max_depth: int):
     """
     if max_depth > MAX_SUBDIVISION_DEPTH:
         raise ValueError(f"max_depth capped at {MAX_SUBDIVISION_DEPTH}")
-    x_lo, x_hi, y_lo, y_hi = (Fraction(v) for v in box)
+    x_lo, x_hi, y_lo, y_hi = (_q(v) for v in box)
     box0 = (x_lo, x_hi, y_lo, y_hi)
 
     def probe_points(b):
@@ -933,10 +940,6 @@ def _literal(x) -> str:
     return format_algebraic(_an(x))
 
 
-def _rational(x) -> str:
-    return str(AlgebraicNumber(x).a)
-
-
 def cmp_step(lhs, op: str, rhs) -> dict:
     """lhs op rhs, with op one of <, <=, ==, >=, >."""
     return {"kind": "cmp", "lhs": _literal(lhs), "op": op, "rhs": _literal(rhs)}
@@ -950,12 +953,12 @@ def lemma_step(name: str, premises=(), note: str = "") -> dict:
 
 def sqrt_lower_step(x, value) -> dict:
     """value <= sqrt(x), for rationals."""
-    return {"kind": "sqrt_lower", "x": _rational(x), "value": _rational(value)}
+    return {"kind": "sqrt_lower", "x": str(_q(x)), "value": str(_q(value))}
 
 
 def poly_eval_step(poly: ExactPoly, point, value) -> dict:
     """poly(point) == value at a rational point."""
-    return {"kind": "poly_eval", "poly": poly.to_strings(), "point": _rational(point),
+    return {"kind": "poly_eval", "poly": poly.to_strings(), "point": str(_q(point)),
             "value": _literal(value)}
 
 
@@ -974,8 +977,8 @@ def monomial_abs_bound_step(poly: SparsePoly, radii, bound) -> dict:
 
 def even_binomial_value_step(l: int, xsq, terms: int, value) -> dict:
     """value == even_binomial_sum(l, xsq, terms)."""
-    return {"kind": "even_binomial_value", "l": l, "xsq": _rational(xsq), "terms": terms,
-            "value": _rational(value)}
+    return {"kind": "even_binomial_value", "l": l, "xsq": str(_q(xsq)), "terms": terms,
+            "value": str(_q(value))}
 
 
 def _check_chain(cert: Certificate) -> None:

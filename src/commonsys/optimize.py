@@ -35,7 +35,7 @@ rows of its batch, and the cross-restart reduction is lexicographic in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -43,7 +43,6 @@ import numpy as np
 from . import counting
 from .counting import (
     CHUNK,
-    GEOMETRIC,
     READS_COMPLEMENT,
     _gradient_rows,
     _t_rows,
@@ -94,12 +93,8 @@ class SearchConfig:
         if self.n < 1:
             raise MalformedDocument("n must be >= 1")
         checked_size(self.p, self.n, MAX_SEARCH_POINTS)
+        _check_unit(self.mean)
         counting.check_mean(self.property, self.mean)
-
-    def pinned_mean(self) -> float | None:
-        if self.property == GEOMETRIC:
-            return 0.5
-        return self.mean
 
 
 @dataclass
@@ -129,8 +124,6 @@ def _project_values(v: np.ndarray, alpha: float | None) -> np.ndarray:
     onto [0,1]^N, intersected with {mean = alpha} when alpha is set."""
     if alpha is None:
         return np.clip(v, 0.0, 1.0)
-    if not 0.0 <= alpha <= 1.0:
-        raise InfeasibleMean(f"target mean {alpha} outside [0, 1]")
     alpha = float(alpha)
     if alpha in (0.0, 1.0):  # the slice is the single constant function
         return np.full(v.shape, alpha)
@@ -169,8 +162,15 @@ def _breakpoint_projection(rows: np.ndarray, alpha: float) -> np.ndarray:
     return np.clip(rows - np.clip(mu, lo, hi), 0.0, 1.0)
 
 
+def _check_unit(mean) -> None:
+    """Refuse a mean outside [0, 1]; run where a mean enters, not per projection."""
+    if mean is not None and not 0.0 <= mean <= 1.0:
+        raise InfeasibleMean(f"target mean {mean} outside [0, 1]")
+
+
 def project_box_mean(v, p: int, n: int, alpha: float | None = None) -> GroupFunction:
     """Euclidean projection onto [0,1]^(p^n), optionally with mean alpha."""
+    _check_unit(alpha)
     arr = np.asarray(v, dtype=np.float64)
     return GroupFunction(p, n, _project_values(arr, alpha))
 
@@ -259,7 +259,7 @@ def _run_restart(system: LinearSystem, cfg: SearchConfig, ks, trace: list | None
     one list per restart receives its starting and accepted defects.
     """
     ks = list(ks)
-    alpha = cfg.pinned_mean()
+    alpha = counting.check_mean(cfg.property, cfg.mean)
     obj = _Objective(system, cfg.property, cfg.l, cfg.n)
     x = _project_values(
         np.stack([_initial_point(cfg, k, np.random.default_rng([cfg.seed, k])) for k in ks]),
@@ -347,38 +347,15 @@ def minimize_defect(system: LinearSystem, cfg: SearchConfig) -> SearchResult:
     )
 
 
-def scan_alpha(
-    system: LinearSystem,
-    property: str,
-    alphas,
-    n: int = 1,
-    restarts: int = 8,
-    max_iters: int = 200,
-    seed: int = 0,
-    l: int | None = None,
-) -> list[dict]:
-    """Minimize the defect with the mean pinned to each grid value."""
+def scan_alpha(system: LinearSystem, cfg: SearchConfig, alphas) -> list[dict]:
+    """Minimize the defect with the mean pinned to each grid value: search i
+    is `cfg` with mean alphas[i] and seed cfg.seed + i."""
     rows = []
     for i, alpha in enumerate(alphas):
         alpha = float(alpha)
-        cfg = SearchConfig(
-            property=property,
-            p=system.p,
-            n=n,
-            l=l,
-            mean=alpha,
-            restarts=restarts,
-            max_iters=max_iters,
-            seed=seed + i,
-        )
-        result = minimize_defect(system, cfg)
-        rows.append(
-            {
-                "alpha": alpha,
-                "best_defect": result.best_defect,
-                "violation": result.violation,
-            }
-        )
+        result = minimize_defect(system, replace(cfg, mean=alpha, seed=cfg.seed + i))
+        rows.append({"alpha": alpha, "best_defect": result.best_defect,
+                     "violation": result.violation})
     return rows
 
 

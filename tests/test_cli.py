@@ -283,11 +283,11 @@ class TestOversizedDimension:
 
 
 def test_scan_grid_past_the_cap_is_refused_before_it_is_formed(capsys):
-    # the dimension is oversized too, so code that formed the grid first
-    # stops right after it instead of searching 10^5 means
+    # valid settings: the one refusal is the grid's, and its 10^5 Fractions
+    # would take about 12 MB had it been formed
     grid = optimize.MAX_GRID_POINTS + 1
     code, peak = _run_traced(["scan-alpha", "--system", "phi", "--property", "common",
-                              "--n", str(GIANT_N), "--grid", str(grid)])
+                              "--grid", str(grid)])
     assert code == 4 and "grid resolution" in capsys.readouterr().err
     assert peak < 1 << 20, peak
 
@@ -388,6 +388,14 @@ class TestHostileArguments:
               "--property", "common"], 2),
             (["eval", "--system", "phi", "--coset", "x" + "1" * 5000 + "=1",
               "--property", "common"], 2),
+            # scan-alpha checks its settings at the grid's first mean, 0,
+            # so an input error wins over the grid cap (exit 4)
+            (["scan-alpha", "--system", "phi", "--property", "common", "--n", "0",
+              "--grid", "100001"], 2),
+            (["scan-alpha", "--system", "phi", "--property", "common", "--restarts", "0",
+              "--grid", "100001"], 2),
+            (["scan-alpha", "--system", "phi", "--property", "geometric",
+              "--grid", "100001"], 2),
         ],
     )
     def test_documented_exit(self, capsys, argv, code):
@@ -475,6 +483,15 @@ class TestVerifyAndConstants:
         code, out, _ = run_main(capsys, "constants", "--check-l", "100")
         assert code == 3
         assert "FAIL" in out
+
+    def test_check_l_past_the_float_range(self, capsys):
+        # the growth slack passes 1e308 near l = 10^20: shown as inf
+        code, out, _ = run_main(capsys, "constants", "--check-l", str(10**20))
+        assert code == 0
+        assert "growth       slack inf" in out.splitlines()[-1]
+        # at 10^200 its exact value passes the int-to-str digit limit
+        code, _, err = run_main(capsys, "constants", "--check-l", str(10**200))
+        assert code == 4 and "digits" in err
 
 
 class TestProcessLevel:

@@ -799,6 +799,25 @@ class TestCertificates:
             with pytest.raises(TypeError):
                 write()
 
+    def test_producers_refuse_floats(self):
+        # Fraction(0.1) would certify the dyadic 3602879701896397/2^55, not 1/10
+        poly = ExactPoly([1, 0, 1])
+        square = ExactPoly([F(1, 4), -1, F(5, 4), -1, 1])  # (x - 1/2)^2 (x^2 + 1)
+        box_poly = SparsePoly(2, {(0, 0): 1})
+        for produce in (
+            lambda: sturm_sign_on_interval(poly, 0.1, 1),
+            lambda: sturm_sign_on_interval(poly, 0, 1.0),
+            lambda: square_factor_sign_on_interval(square, 0.5, 0, 1),
+            lambda: square_factor_sign_on_interval(square, F(1, 2), 0.0, 1),
+            lambda: isolate_positive_root(ExactPoly([-2, 0, 1]), (1.0, 2), F(1, 100)),
+            lambda: isolate_positive_root(ExactPoly([-2, 0, 1]), (1, 2), 0.01),
+            lambda: subdivision_positive_on_box(box_poly, (0, 0.1, 0, 1), max_depth=2),
+        ):
+            with pytest.raises(TypeError):
+                produce()
+        verdict, cert = sturm_sign_on_interval(poly, "1/10", 1)
+        assert verdict == STRICTLY_POSITIVE and cert.witness["interval"] == ["1/10", "1"]
+
     def test_square_factor_certificate(self):
         # (x - 1/2)^2 (x^2 + 1) >= 0 on [0, 1]
         base = ExactPoly([F(1, 4), -1, F(5, 4), -1, 1])

@@ -1,4 +1,7 @@
+import ast
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,7 +154,13 @@ class TestSearchConfig:
     def test_geometric_mean_must_be_half(self):
         with pytest.raises(MalformedDocument):
             SearchConfig(property="geometric", p=3, n=1, mean=0.3)
-        assert SearchConfig(property="geometric", p=3, n=1, mean=0.5).pinned_mean() == 0.5
+        assert counting.check_mean("geometric", 0.5 + 1e-12) == 0.5
+        assert counting.check_mean("geometric", None) == 0.5
+
+    def test_mean_outside_the_unit_interval_is_refused_when_built(self):
+        for mean in (1.5, -0.25, float("nan")):
+            with pytest.raises(InfeasibleMean):
+                SearchConfig(property="common", p=3, n=1, mean=mean)
 
 
 class TestInitialPoint:
@@ -347,22 +356,27 @@ class TestMinimize:
 
 class TestScanAlpha:
     def test_geometric_grid_must_be_half(self):
+        cfg = SearchConfig(property="geometric", p=3, n=1, restarts=1, max_iters=5)
         with pytest.raises(MalformedDocument):
-            scan_alpha(PHI, "geometric", [F(1, 3)], restarts=1, max_iters=5)
+            scan_alpha(PHI, cfg, [F(1, 3)])
 
     def test_geometric_single_row(self):
-        rows = scan_alpha(PHI, "geometric", [F(1, 2)], restarts=2, max_iters=30, seed=6)
+        cfg = SearchConfig(property="geometric", p=3, n=1, restarts=2, max_iters=30, seed=6)
+        rows = scan_alpha(PHI, cfg, [F(1, 2)])
         assert len(rows) == 1 and rows[0]["alpha"] == 0.5
 
+    def test_search_i_is_the_config_at_mean_i_and_seed_plus_i(self):
+        cfg = SearchConfig(property="prevalence", p=3, n=2, mean=0.5, restarts=2,
+                           max_iters=20, seed=5)
+        alphas = [F(1, 4), F(1, 2)]
+        for i, row in enumerate(scan_alpha(PHI, cfg, alphas)):
+            result = minimize_defect(PHI, replace(cfg, mean=float(alphas[i]), seed=5 + i))
+            assert row == {"alpha": float(alphas[i]), "best_defect": result.best_defect,
+                           "violation": result.violation}
+
     def test_three_term_progression_stays_common(self):
-        rows = scan_alpha(
-            linsys.preset("ap3"),
-            "common",
-            optimize.alpha_grid(5),
-            restarts=4,
-            max_iters=80,
-            seed=17,
-        )
+        cfg = SearchConfig(property="common", p=3, n=1, restarts=4, max_iters=80, seed=17)
+        rows = scan_alpha(linsys.preset("ap3"), cfg, optimize.alpha_grid(5))
         assert len(rows) == 5
         assert all(r["best_defect"] >= -1e-6 for r in rows)
 
@@ -375,3 +389,21 @@ class TestScanAlpha:
         assert len(optimize.alpha_grid(3)) == 3
         with pytest.raises(TooLarge):
             optimize.alpha_grid(cap + 1)
+
+
+def test_optimize_names_no_property():
+    # every property rule comes from counting, so a new property or a new
+    # mean rule needs no optimizer change
+    constants = {"COMMON", "GEOMETRIC", "SIDORENKO", "ALON", "PREVALENCE"}
+    named = []
+    for node in ast.walk(ast.parse(Path(optimize.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and node.id in constants:
+            named.append(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr in constants:
+            named.append(node.attr)
+        elif isinstance(node, ast.alias) and node.name in constants:
+            named.append(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value in counting.PROPERTIES:
+            named.append(repr(node.value))
+    assert not named, named
