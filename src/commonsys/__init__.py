@@ -4,58 +4,43 @@ Evaluate the solution-density functional T exactly or on the Fourier
 side, search for colourings that violate commonness-type properties,
 verify the underlying polynomial inequalities in exact arithmetic, and
 derive certified explicit constants.
+
+Importing the package loads none of its modules: each public name is
+imported from its home module on first access (PEP 562), so a caller
+that only needs the exact half (`qsqrt2`, `exactpoly`, `certify`) never
+loads numpy.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .counting import DefectReport, alon_witness, defect, t_brute, t_fourier, t_gradient
-from .harmonic import GroupFunction, Spectrum, dft, spectral_sup
-from .linsys import LinearSystem, add_free_variables, factor_disjoint, parse_system, preset
-from .optimize import SearchConfig, SearchResult, minimize_defect, project_box_mean, scan_alpha
-from .certify import ConstantLedger, derive_all, verify_lemma_suite
-from .qsqrt2 import AlgebraicNumber, an_sign
-from .exactpoly import (
-    Certificate,
-    ExactPoly,
-    SparsePoly,
-    isolate_positive_root,
-    sturm_sign_on_interval,
-    subdivision_positive_on_box,
-    verify_certificate,
-)
+# home module of each public name
+_HOME = {
+    name: module
+    for module, names in {
+        "counting": "DefectReport alon_witness defect t_brute t_fourier t_gradient",
+        "harmonic": "GroupFunction Spectrum dft spectral_sup",
+        "linsys": "LinearSystem add_free_variables factor_disjoint parse_system preset",
+        "optimize": "SearchConfig SearchResult minimize_defect project_box_mean scan_alpha",
+        "certify": "ConstantLedger derive_all verify_lemma_suite",
+        "qsqrt2": "AlgebraicNumber an_sign",
+        "exactpoly": "Certificate ExactPoly SparsePoly isolate_positive_root "
+        "sturm_sign_on_interval subdivision_positive_on_box verify_certificate",
+    }.items()
+    for name in names.split()
+}
 
-__all__ = [
-    "__version__",
-    "AlgebraicNumber",
-    "Certificate",
-    "ConstantLedger",
-    "DefectReport",
-    "ExactPoly",
-    "GroupFunction",
-    "LinearSystem",
-    "SearchConfig",
-    "SearchResult",
-    "SparsePoly",
-    "Spectrum",
-    "add_free_variables",
-    "alon_witness",
-    "an_sign",
-    "defect",
-    "derive_all",
-    "dft",
-    "factor_disjoint",
-    "isolate_positive_root",
-    "minimize_defect",
-    "parse_system",
-    "preset",
-    "project_box_mean",
-    "scan_alpha",
-    "spectral_sup",
-    "sturm_sign_on_interval",
-    "subdivision_positive_on_box",
-    "t_brute",
-    "t_fourier",
-    "t_gradient",
-    "verify_certificate",
-    "verify_lemma_suite",
-]
+__all__ = ["__version__", *sorted(_HOME)]
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOME})

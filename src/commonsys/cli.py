@@ -15,11 +15,19 @@ also pass the size cap, and `scan-alpha` checks its search settings at
 the first mean (0 for a grid) before it forms the grid.  Rational flags
 (--const, --alpha, --alphas) are read like document values: exactly, as a
 decimal or "num/den", with |exponent| <= 1000, and must lie in [0, 1].
+
+Start-up loads only numpy-free modules (`linsys`, `certify`), so --version,
+--help, argument errors, verify and constants never import numpy; eval,
+search and scan-alpha load `counting`, `harmonic` and `optimize` as one
+unit, and so does reading a rational flag.  `certify` is not deferred: the
+benchmark's tracer (perfbench/spans.py) reads every layer from sys.modules
+before a cycle that may run no verify.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import re
@@ -27,7 +35,7 @@ import sys
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
-from . import __version__, certify, counting, harmonic, linsys, optimize
+from . import __version__, certify, linsys
 from .errors import (
     CommonsysError,
     MalformedDocument,
@@ -40,6 +48,17 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_VERIFY = 3
 EXIT_SIZE = 4
+
+# the numeric half, which imports numpy: set by `_load_numeric`
+counting = harmonic = optimize = None
+
+
+def _load_numeric() -> None:
+    """Import counting, harmonic and optimize together, for the subcommands
+    that compute with them and for `_unit_fraction`, which argparse calls;
+    a second call binds the same modules again."""
+    global counting, harmonic, optimize
+    from . import counting, harmonic, optimize
 
 
 @dataclass
@@ -132,6 +151,7 @@ def _resolve_function(args, p: int, manifest: RunManifest) -> harmonic.GroupFunc
 def _unit_fraction(text: str) -> Fraction:
     """A rational flag read like a document value, checked to lie in [0, 1]
     before any float is formed."""
+    _load_numeric()
     value = harmonic._exact_decimal(text)
     if not 0 <= value <= 1:
         raise MalformedDocument(f"value {text[:40]!r} outside [0, 1]")
@@ -260,7 +280,9 @@ def _rational_arg(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="commonsys",
         description="Solution-density functionals of linear systems over F_p^n: "
@@ -283,9 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--const", default=None, help="constant colouring value, e.g. 0.5")
     p_eval.add_argument("--coset", default=None, help='coset indicator, e.g. "x1=1"')
     p_eval.add_argument("--n", type=int, default=1, help="dimension for --const/--coset")
-    p_eval.add_argument(
-        "--property", required=True, choices=counting.PROPERTIES
-    )
+    p_eval.add_argument("--property", required=True, choices=linsys.PROPERTIES)
     p_eval.add_argument("--l", type=int, default=None, help="free variables for alon")
     p_eval.add_argument("--method", choices=["brute", "fourier", "both"], default="fourier")
     add_common(p_eval)
@@ -294,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan-alpha", help="optimizer sweep over pinned means")
     add_system_args(p_scan)
     p_scan.add_argument("--n", type=int, default=1)
-    p_scan.add_argument("--property", required=True, choices=counting.PROPERTIES)
+    p_scan.add_argument("--property", required=True, choices=linsys.PROPERTIES)
     p_scan.add_argument("--l", type=int, default=None)
     p_scan.add_argument("--grid", type=int, default=11, help="grid resolution (3 to 10^5)")
     p_scan.add_argument("--alphas", default=None, help="explicit grid, e.g. 0.5 or 1/3,1/2")
@@ -306,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search = sub.add_parser("search", help="one defect-minimization run")
     add_system_args(p_search)
     p_search.add_argument("--n", type=int, default=1)
-    p_search.add_argument("--property", required=True, choices=counting.PROPERTIES)
+    p_search.add_argument("--property", required=True, choices=linsys.PROPERTIES)
     p_search.add_argument("--l", type=int, default=None)
     p_search.add_argument("--alpha", type=_rational_arg, default=None, help="pin the mean (decimal or a/b)")
     p_search.add_argument("--restarts", type=int, default=16)
@@ -328,8 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    if args.func in (cmd_eval, cmd_scan_alpha, cmd_search):
+        _load_numeric()
     try:
         return args.func(args)
     except TooLarge as exc:

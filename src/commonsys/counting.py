@@ -83,22 +83,22 @@ from .errors import (
     TooLarge,
 )
 from .harmonic import GroupFunction, _dft_rows, _form_table, _idft_rows
-from .linsys import SUPPORTED_PRIMES, LinearSystem, factor_disjoint
+from .linsys import (
+    ALON, COMMON, GEOMETRIC, PREVALENCE, PROPERTIES, SIDORENKO, SUPPORTED_PRIMES, LinearSystem,
+    factor_disjoint,
+)
 
 ENUMERATION_CAP = 10**8
 # cap on l * bits(denominator of alpha) for the exact alon defect: its alpha^l
 # terms are exact rationals, and their arithmetic grows quadratically in size
 EXACT_POWER_BITS = 1 << 22
+# past l floor(log2 n) bits, n the larger numerator of alpha and 1 - alpha, an exact
+# alon defect sure to be too long to print is refused; below, it forms in milliseconds
+UNPRINTABLE_CHECK_BITS = 1 << 16
 CHUNK = 1 << 16
 # the forms x -> c x for c = 1 .. p - 1: one index table holds every dilation
 _DILATIONS = {p: tuple((c,) for c in range(1, p)) for p in SUPPORTED_PRIMES}
 
-COMMON = "common"
-GEOMETRIC = "geometric"
-SIDORENKO = "sidorenko"
-ALON = "alon"
-PREVALENCE = "prevalence"
-PROPERTIES = (COMMON, GEOMETRIC, SIDORENKO, ALON, PREVALENCE)
 # the properties whose defect reads T(1 - f); sidorenko and prevalence do not
 READS_COMPLEMENT = (COMMON, GEOMETRIC, ALON)
 # the geometric property is defined at mean 1/2; a mean this close, as a
@@ -586,17 +586,47 @@ def _alon_denominator_digits(system: LinearSystem, rows, alpha: Fraction, l: int
     and 2^(l+t-1) divides the denominator."""
     if alpha.denominator % 2 == 0:
         return 0
-
-    def v2(x: int) -> int:
-        return (x & -x).bit_length() - 1
-
-    bound = system.num_params * v2(rows[0].size) + system.t * max(
-        v2(math.lcm(*(v.denominator for v in f.exact_values()))) for f in rows
+    bound = system.num_params * _v2(rows[0].size) + system.t * max(
+        _v2(math.lcm(*(v.denominator for v in f.exact_values()))) for f in rows
     )
     power = l + system.t - 1
-    if power <= bound:
-        return 0
-    return power * 30102 // 100000 + 1  # 2^power has floor(power log10 2) + 1 digits
+    return _power_digits(power) if power > bound else 0
+
+
+def _alon_scanned_digits(t_f: Fraction, t_1mf: Fraction, alpha: Fraction, t: int, l: int) -> int:
+    """A bound of the same kind for any alpha = a/d, from the scanned
+    T(f) = x/X and T(1 - f) = y/Y, without forming alpha^l: the first two
+    terms sum to N / (d^l X Y), N = a^l x Y + (d - a)^l y X, and N mod 2^k
+    (from pow(., l, 2^k)) gives v_2(N) when it is below k.  Where that
+    sum's valuation differs from the last term's, 1 - t - l, the smaller is
+    the defect's; 0 where they may cancel."""
+    (a, d), (x, big_x), (y, big_y) = (r.as_integer_ratio() for r in (alpha, t_f, t_1mf))
+    k = 64 + _v2(big_x * big_y)
+    shift = l * _v2(d) + _v2(big_x * big_y)
+    n = (pow(a, l, 1 << k) * x * big_y + pow(d - a, l, 1 << k) * y * big_x) % (1 << k)
+    last = 1 - t - l
+    if n:
+        v = _v2(n) - shift
+        return 0 if v == last else _power_digits(-min(v, last))
+    return _power_digits(-last) if k - shift > last else 0  # v2(N) >= k
+
+
+def _v2(x: int) -> int:
+    return (x & -x).bit_length() - 1
+
+
+def _refuse_unprintable(digits: int, l: int) -> None:
+    """TooLarge once the exact alon defect is sure to have more digits than
+    the interpreter's int-to-str limit prints."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and digits > limit:
+        raise TooLarge(f"the exact alon defect at l={l} has more than {limit} "
+                       "digits, too many to print")
+
+
+def _power_digits(power: int) -> int:
+    """Digits of 2^power (floor(power log10 2) + 1), 0 for power <= 0."""
+    return power * 30102 // 100000 + 1 if power > 0 else 0
 
 
 def defect(
@@ -614,7 +644,8 @@ def defect(
     enlarged system, so l may be arbitrarily large; the exact method
     raises TooLarge once alpha^l would pass EXACT_POWER_BITS, or once the
     value is sure to have more digits than the interpreter's int-to-str
-    limit prints (`_alon_denominator_digits`), before computing either.
+    limit prints, before computing either (`_alon_denominator_digits` before
+    the scan, `_alon_scanned_digits` after it past UNPRINTABLE_CHECK_BITS).
     The mean is checked (`check_mean`) before either, and before any T, so
     an input the property is not defined at is refused without a scan,
     also where the scan would pass the size cap.
@@ -633,11 +664,11 @@ def defect(
         if property == ALON:
             if l * alpha.denominator.bit_length() > EXACT_POWER_BITS:
                 raise TooLarge(f"exact alpha^l at l={l} exceeds {EXACT_POWER_BITS} bits")
-            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-            if limit and _alon_denominator_digits(system, rows, alpha, l) > limit:
-                raise TooLarge(f"the exact alon defect at l={l} has more than {limit} "
-                               "digits, too many to print")
+            _refuse_unprintable(_alon_denominator_digits(system, rows, alpha, l), l)
         t_f, t_1mf = _brute_rows(system, rows)
+        if property == ALON:
+            if l * (max(alpha, 1 - alpha).numerator.bit_length() - 1) > UNPRINTABLE_CHECK_BITS:
+                _refuse_unprintable(_alon_scanned_digits(t_f, t_1mf, alpha, t, l), l)
         one = Fraction(1)
         method_name = METHOD_BRUTE
     elif method == "fourier":

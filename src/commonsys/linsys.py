@@ -19,6 +19,14 @@ from .errors import MalformedDocument, NoFreeVariables, NotOddPrime, RankDeficie
 
 SUPPORTED_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
+# the commonness-type properties a defect is taken of (`counting.defect`)
+COMMON = "common"
+GEOMETRIC = "geometric"
+SIDORENKO = "sidorenko"
+ALON = "alon"
+PREVALENCE = "prevalence"
+PROPERTIES = (COMMON, GEOMETRIC, SIDORENKO, ALON, PREVALENCE)
+
 
 def _check_modulus(p: int) -> None:
     if p not in SUPPORTED_PRIMES:

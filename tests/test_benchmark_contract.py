@@ -3,11 +3,15 @@ names by string.  A rename must fail here, not in a traced benchmark run.
 The tracer source is only read, never imported as a package module, so
 nothing is written under perfbench/."""
 
+import os
+import subprocess
 import sys
 import types
 from pathlib import Path
 
-from commonsys import cli, linsys, optimize  # noqa: F401  (cli loads every layer)
+import pytest
+
+from commonsys import cli, linsys, optimize  # noqa: F401  (cli, optimize: all seven layers)
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -44,3 +48,26 @@ def test_tracer_wraps_and_restores_every_extra_name():
     # a search reaches every wrapped name, so no per-layer metric reads 0
     for name in list(spans.EXTRA.values()) + ["optimize.minimize_defect"]:
         assert tracer.calls(name) > 0, name
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--system", "phi", "--const", "0.5", "--property", "common"],
+    ["search", "--system", "phi", "--property", "common", "--restarts", "1", "--max-iters", "2"],
+])
+def test_one_numeric_subcommand_loads_every_traced_layer(argv):
+    """`Tracer.install` reads every layer from sys.modules before the first
+    traced cycle, which may run nothing but eval or search: in a fresh
+    interpreter, one of them through `cli.main` must load all seven."""
+    layers = [f"commonsys.{layer}" for layer in _load_spans().LAYERS]
+    script = (
+        "import contextlib, io, sys\n"
+        "from commonsys import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({argv!r}) == 0\n"
+        f"print([name for name in {layers!r} if name not in sys.modules])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -292,6 +292,17 @@ def test_scan_grid_past_the_cap_is_refused_before_it_is_formed(capsys):
     assert peak < 1 << 20, peak
 
 
+def test_parser_is_built_once_and_carries_nothing_between_runs(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    argv = ["eval", "--system", "phi", "--const", "0.5", "--property", "common"]
+    code, out, _ = run_main(capsys, *argv, "--seed", "7", "--method", "brute")
+    assert code == 0 and json.loads(out)["manifest"]["seed"] == 7
+    assert run_main(capsys, *argv[:-1], "bogus")[0] == 2
+    code, out, _ = run_main(capsys, *argv)
+    manifest = json.loads(out)["manifest"]
+    assert code == 0 and (manifest["seed"], manifest["args"]["method"]) == (0, "fourier")
+
+
 class TestHostileDocuments:
     """Bad values and moduli in function documents exit 2, never with a traceback."""
 
@@ -409,6 +420,20 @@ class TestHostileArguments:
         assert (code, out) == (4, "") and "digits" in err
         assert time.perf_counter() - start < 1.0
 
+    def test_unprintable_exact_alon_at_an_even_mean_refused_after_the_scan(self, capsys):
+        # mean 1/4: no bound before the scan, and alpha^l alone passes no cap
+        start = time.perf_counter()
+        code, out, err = run_main(capsys, "eval", "--system", "phi", "--const", "0.25",
+                                  "--property", "alon", "--l", "1000000", "--method", "brute")
+        assert (code, out) == (4, "") and "digits" in err
+        assert time.perf_counter() - start < 1.0
+
+    def test_exact_alon_at_an_even_mean_and_small_l(self, capsys):
+        code, out, _ = run_main(capsys, "eval", "--system", "phi", "--const", "0.25",
+                                "--property", "alon", "--l", "3", "--method", "brute")
+        # (1/4)^3 / 4^9 + (3/4)^3 3^9 / 4^9 - 2^-11
+        assert code == 0 and json.loads(out)["reports"][0]["value"] == "261625/8388608"
+
     def test_exact_value_beyond_the_print_limit(self, capsys, tmp_path):
         path = tmp_path / "f.json"
         path.write_text('{"p": 3, "n": 1, "values": [1e-1000, 0.5, 1]}')
@@ -520,6 +545,69 @@ class TestProcessLevel:
             env=self.ENV,
         )
         assert proc.returncode == 2
+
+    def _fresh(self, script: str) -> str:
+        """stdout of `script` run in a fresh interpreter on this package."""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=self.ENV, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    @pytest.mark.parametrize("argv", [
+        ["verify"], ["constants"], ["--version"], ["--help"],
+        ["search", "--system", "phi", "--property", "bogus"],
+    ])
+    def test_exact_half_and_usage_start_without_numpy(self, argv):
+        out = self._fresh(
+            "import contextlib, io, sys\n"
+            "from commonsys import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            f"    try: cli.main({argv!r})\n"
+            "    except SystemExit: pass\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        assert out.split() == ["False"]
+
+    PUBLIC = (
+        "AlgebraicNumber Certificate ConstantLedger DefectReport ExactPoly GroupFunction "
+        "LinearSystem SearchConfig SearchResult SparsePoly Spectrum add_free_variables "
+        "alon_witness an_sign defect derive_all dft factor_disjoint isolate_positive_root "
+        "minimize_defect parse_system preset project_box_mean scan_alpha spectral_sup "
+        "sturm_sign_on_interval subdivision_positive_on_box t_brute t_fourier t_gradient "
+        "verify_certificate verify_lemma_suite"
+    ).split()
+
+    def test_package_surface_is_lazy(self):
+        out = self._fresh(
+            "import sys\n"
+            "import commonsys\n"
+            "print('numpy' in sys.modules)\n"
+            "print(' '.join(commonsys.__all__))\n"
+            "for name in commonsys.__all__[1:]:\n"
+            "    value = getattr(commonsys, name)\n"
+            "    assert getattr(sys.modules[value.__module__], name) is value, name\n"
+            "namespace = {}\n"
+            "exec('from commonsys import *', namespace)\n"
+            "for name in commonsys.__all__:\n"
+            "    assert namespace[name] is getattr(commonsys, name), name\n"
+            "try:\n"
+            "    commonsys.no_such_name\n"
+            "except AttributeError as exc:\n"
+            "    print('no_such_name' in str(exc))\n"
+        )
+        unloaded, public, refused = out.splitlines()
+        assert (unloaded, refused) == ("False", "True")
+        assert public.split() == ["__version__", *self.PUBLIC]
+
+    def test_dir_lists_every_public_name_before_any_is_loaded(self):
+        out = self._fresh(
+            "import commonsys\n"
+            "names = dir(commonsys)\n"
+            "print(all(name in names for name in commonsys.__all__))\n"
+            "print(sorted(set(commonsys.__all__) & set(vars(commonsys))))\n"
+        )
+        assert out.split("\n")[:2] == ["True", "['__version__']"]
 
 
 # ---------------------------------------------------------------------------

@@ -822,6 +822,34 @@ class TestDefect:
             defect(linsys.preset("ap3"), constant(3, 1, F(1, 3)), "alon", l=2 * 10**6,
                    method="brute")
 
+    def test_scanned_digit_bound_is_a_lower_bound(self):
+        rng = np.random.default_rng(28)
+        systems = [PHI, linsys.preset("ap3"), linsys.preset("a4")]
+        bounded = 0
+        for q in (2, 4, 6, 8, 12, 64, 96, 3, 9):
+            for _ in range(4):
+                system = systems[int(rng.integers(len(systems)))]
+                f = random_rational_function(rng, 3, 1, q=q)
+                rows = counting._brute_rows(system, [f, f.complement()])
+                alpha = f.exact_mean()
+                for l in (0, 1, 3, 40, 1000):
+                    value = counting.defect_value("alon", *rows, alpha, system.t, l, F(1))
+                    bound = counting._alon_scanned_digits(*rows, alpha, system.t, l)
+                    assert value.denominator >= 10 ** (bound - 1), (q, l)
+                    bounded += bound > 0
+        assert bounded >= 100
+        # mean 1/2 at a constant: the two terms cancel the last one, no bound
+        half = [F(1, 2**9)] * 2
+        assert counting._alon_scanned_digits(*half, F(1, 2), 9, 10**6) == 0
+
+    def test_unprintable_exact_alon_at_an_even_mean_refused_before_the_power(self, monkeypatch):
+        def no_power(*args):
+            raise AssertionError("formed alpha^l")
+
+        monkeypatch.setattr(counting, "defect_value", no_power)
+        with pytest.raises(TooLarge, match="digits"):
+            defect(PHI, constant(3, 1, F(1, 4)), "alon", l=10**6, method="brute")
+
     def test_free_variable_formula_matches_enlarged_system(self):
         rng = np.random.default_rng(26)
         s = linsys.preset("ap3")
