@@ -21,6 +21,7 @@ only through rational enclosures with directed rounding.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field, fields
 from decimal import Decimal
@@ -132,11 +133,8 @@ def _rational_below(v: AlgebraicNumber, digits: int = 10) -> Fraction:
 
 
 def _rational_above(v: AlgebraicNumber, digits: int = 10) -> Fraction:
-    grid = 10**digits
-    x = F(math.ceil(v.approx() * grid), grid)
-    while not AlgebraicNumber(x, 0) > v:
-        x += F(1, grid)
-    return x
+    # approx() and the floor are odd functions, so this is the ceiling loop
+    return -_rational_below(-v, digits)
 
 
 # ---------------------------------------------------------------------------
@@ -154,15 +152,14 @@ LEMMA_SUITE_NAMES = (
 )
 
 
-def _certify_convexity_floor(k: int) -> Certificate:
-    """x^k + (1-x)^k >= 2^(1-k) on [0,1] via the exact square factor at 1/2."""
-    verdict, cert = square_factor_sign_on_interval(convexity_floor_poly(k), F(1, 2), 0, 1)
-    cert.claim = (
-        f"x^{k} + (1-x)^{k} - 2^(1-{k}) is nonnegative on [0,1] "
-        f"(it is (x-1/2)^2 times a strictly positive polynomial)"
-    )
-    if verdict != STRICTLY_POSITIVE:
-        raise VerificationFailed(f"degree-{k} convexity floor quotient not positive", cert)
+def _expect(result: tuple, expected, claim: str) -> Certificate:
+    """The certificate of a producer's (outcome, Certificate) result, with
+    its claim set to `claim`; VerificationFailed unless the outcome is
+    `expected`."""
+    outcome, cert = result
+    cert.claim = claim
+    if outcome != expected:
+        raise VerificationFailed(f"{claim}: expected {expected}, got {outcome}", cert)
     return cert
 
 
@@ -177,48 +174,47 @@ def _lemma_suite(box_cert: Certificate) -> list[Certificate]:
     as claim (v); raises VerificationFailed on the first failure."""
     certs: list[Certificate] = []
 
-    # (i) degree-9 convexity floor
-    certs.append(_certify_convexity_floor(9))
+    # (i) degree-9 convexity floor, via the exact square factor at 1/2
+    certs.append(_expect(
+        square_factor_sign_on_interval(convexity_floor_poly(9), F(1, 2), 0, 1),
+        STRICTLY_POSITIVE,
+        "x^9 + (1-x)^9 - 2^(1-9) is nonnegative on [0,1] "
+        "(it is (x-1/2)^2 times a strictly positive polynomial)",
+    ))
 
     # (ii) a^5 + a^4 (1-a) collapses to a^4, which is nonnegative
-    cert = rational_chain_certificate(
+    certs.append(rational_chain_certificate(
         "a^5 + a^4(1-a) equals a^4 and is nonnegative on [0, 1/2]",
         [
             poly_identity_step([((5,), 1), ((4,), 1), ((5,), -1)], [((4,), 1)]),
             lemma_step("even_power_nonneg"),
         ],
-    )
-    certs.append(cert)
+    ))
 
     # (iii) the low-mean correction polynomial is negative on [0, 1/2]
-    verdict, cert = sturm_sign_on_interval(low_mean_correction_poly(), 0, F(1, 2))
-    cert.claim = "the low-mean correction polynomial is strictly negative on [0, 1/2]"
-    if verdict != STRICTLY_NEGATIVE:
-        raise VerificationFailed(
-            f"low-mean correction polynomial: expected {STRICTLY_NEGATIVE}, "
-            f"Sturm says {verdict}",
-            cert,
-        )
-    certs.append(cert)
+    certs.append(_expect(
+        sturm_sign_on_interval(low_mean_correction_poly(), 0, F(1, 2)),
+        STRICTLY_NEGATIVE,
+        "the low-mean correction polynomial is strictly negative on [0, 1/2]",
+    ))
 
     # (iv) the prevalence value polynomial is positive at 9/20
     poly = prevalence_value_poly()
     value = poly.eval(F(9, 20))
-    cert = rational_chain_certificate(
+    certs.append(rational_chain_certificate(
         "the prevalence value polynomial is positive at 9/20",
         [poly_eval_step(poly, F(9, 20), value), cmp_step(value, ">", 0)],
-    )
-    certs.append(cert)
+    ))
 
     # (v) local margin box inequality up to the derived spectral radius c1
     certs.append(box_cert)
 
     # (vi) the product margin polynomial is positive on [0, 7/100]
-    verdict, cert = sturm_sign_on_interval(product_margin_poly(), 0, F(7, 100))
-    cert.claim = "the product margin polynomial is strictly positive on [0, 7/100]"
-    if verdict != STRICTLY_POSITIVE:
-        raise VerificationFailed(f"product margin polynomial: Sturm says {verdict}", cert)
-    certs.append(cert)
+    certs.append(_expect(
+        sturm_sign_on_interval(product_margin_poly(), 0, F(7, 100)),
+        STRICTLY_POSITIVE,
+        "the product margin polynomial is strictly positive on [0, 7/100]",
+    ))
 
     # (vii) the balanced product factorizes: uncollected distributive
     # expansions of both sides agree term by term
@@ -230,12 +226,11 @@ def _lemma_suite(box_cert: Certificate) -> list[Certificate]:
     left_b = [(0, 0, h**9), (1, 0, h**5), (0, 1, -(h**4)), (1, 1, F(-1))]
     sq = [(0, 0, h**8), (1, 0, 2 * h**4), (2, 0, F(1))]
     last = [(0, 0, h**10), (0, 2, F(-1))]
-    cert = rational_chain_certificate(
+    certs.append(rational_chain_certificate(
         "(2^-9 + 2^-5 T4 + 2^-4 T5 + T4 T5)(2^-9 + 2^-5 T4 - 2^-4 T5 - T4 T5) "
         "= (2^-4 + T4)^2 (2^-10 - T5^2) as polynomials in (T4, T5)",
         [poly_identity_step(expand(left_a, left_b), expand(sq, last))],
-    )
-    certs.append(cert)
+    ))
 
     return certs
 
@@ -275,13 +270,12 @@ def derive_c1() -> tuple[Fraction, dict[str, Certificate]]:
         slice_poly, (F(0), F(1)), F(1, 2**24)
     )
     c1 = F(math.floor(bracket_lo * 4096) - 1, 4096)
-    ok, box_cert = subdivision_positive_on_box(
-        local_margin_poly2(), (F(1, 3), F(2, 3), F(0), c1), max_depth=34
-    )
-    if not ok:
-        raise VerificationFailed("local margin box inequality refuted", box_cert)
-    box_cert.claim = (
-        f"a^5 - a^4 x - x^3 >= 0 for all a in [1/3, 2/3] and x in [0, {c1}]"
+    box_cert = _expect(
+        subdivision_positive_on_box(
+            local_margin_poly2(), (F(1, 3), F(2, 3), F(0), c1), max_depth=34
+        ),
+        True,
+        f"a^5 - a^4 x - x^3 >= 0 for all a in [1/3, 2/3] and x in [0, {c1}]",
     )
     below_cert = rational_chain_certificate(
         f"c1 = {c1} lies strictly below the positive root of the binding slice",
@@ -483,17 +477,11 @@ def derive_l0(
             f"conditions do not all hold at the search cap {L_SEARCH_CAP}; "
             "the derivation chain is inconsistent"
         )
-    lo, hi = 2 * BINOMIAL_TERMS, L_SEARCH_CAP
-    if conditions.all_hold(lo):
-        l0 = lo
-    else:
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if conditions.all_hold(mid):
-                hi = mid
-            else:
-                lo = mid
-        l0 = hi
+    # every condition is monotone in l: the first l that passes all of them
+    first = 2 * BINOMIAL_TERMS
+    l0 = first + bisect.bisect_left(
+        range(first, L_SEARCH_CAP + 1), True, key=conditions.all_hold
+    )
     slacks = conditions.slacks(l0)
     s_lo = sqrt_lower(F(l0), bits=40)
     a = 4 * c5 * c5

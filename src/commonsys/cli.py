@@ -7,21 +7,22 @@ resolved inputs, seed and tool version; output files reference the
 manifest digest so reruns are reproducible byte for byte apart from
 timestamps.
 
-Exit codes: 0 success, 2 input error, 3 verification failure, 4 size cap;
-every failure prints ``error: ...`` to stderr.  Input errors are found
-first: `eval` checks the colouring's mean against the property (exit 2)
-before it counts, so an invalid mean exits 2 even where the count would
-also pass the size cap, and `scan-alpha` checks its search settings at
-the first mean (0 for a grid) before it forms the grid.  Rational flags
-(--const, --alpha, --alphas) are read like document values: exactly, as a
-decimal or "num/den", with |exponent| <= 1000, and must lie in [0, 1].
+Exit codes: 0 success, 2 input error (an unreadable or unwritable file
+too), 3 verification failure, 4 size cap; every failure prints
+``error: ...`` to stderr.  Input errors are found first: `eval` checks
+the colouring's mean against the property (exit 2) before it counts, so
+an invalid mean exits 2 even where the count would also pass the size
+cap, and `scan-alpha` checks its search settings at the first mean (0 for
+a grid) before it forms the grid.  Rational flags (--const, --alpha,
+--alphas) are read like document values: exactly, as a decimal or
+"num/den", with |exponent| <= 1000, and must lie in [0, 1].
 
 Start-up loads only numpy-free modules (`linsys`, `certify`), so --version,
---help, argument errors, verify and constants never import numpy; eval,
-search and scan-alpha load `counting`, `harmonic` and `optimize` as one
-unit, and so does reading a rational flag.  `certify` is not deferred: the
-benchmark's tracer (perfbench/spans.py) reads every layer from sys.modules
-before a cycle that may run no verify.
+--help, argument errors, rational flags, verify and constants never import
+numpy; eval, search and scan-alpha load `counting`, `harmonic` and
+`optimize` as one unit.  `certify` is not deferred: the benchmark's tracer
+(perfbench/spans.py) reads every layer from sys.modules before a cycle
+that may run no verify.
 """
 
 from __future__ import annotations
@@ -49,14 +50,15 @@ EXIT_INPUT = 2
 EXIT_VERIFY = 3
 EXIT_SIZE = 4
 
+_UNRECORDED = ("out", "func", "save_function")  # arguments a manifest leaves out
+
 # the numeric half, which imports numpy: set by `_load_numeric`
 counting = harmonic = optimize = None
 
 
 def _load_numeric() -> None:
     """Import counting, harmonic and optimize together, for the subcommands
-    that compute with them and for `_unit_fraction`, which argparse calls;
-    a second call binds the same modules again."""
+    that compute with them; a second call binds the same modules again."""
     global counting, harmonic, optimize
     from . import counting, harmonic, optimize
 
@@ -81,11 +83,9 @@ class RunManifest:
         return {**asdict(self), "digest": self.digest()}
 
 
-def _build_manifest(
-    args: argparse.Namespace, skip=("out", "func", "save_function")
-) -> RunManifest:
+def _build_manifest(args: argparse.Namespace) -> RunManifest:
     plain = {
-        k: v for k, v in vars(args).items() if k not in skip and not callable(v)
+        k: v for k, v in vars(args).items() if k not in _UNRECORDED and not callable(v)
     }
     return RunManifest(
         subcommand=args.subcommand,
@@ -151,8 +151,7 @@ def _resolve_function(args, p: int, manifest: RunManifest) -> harmonic.GroupFunc
 def _unit_fraction(text: str) -> Fraction:
     """A rational flag read like a document value, checked to lie in [0, 1]
     before any float is formed."""
-    _load_numeric()
-    value = harmonic._exact_decimal(text)
+    value = linsys._exact_decimal(text)
     if not 0 <= value <= 1:
         raise MalformedDocument(f"value {text[:40]!r} outside [0, 1]")
     return value
@@ -359,7 +358,7 @@ def main(argv=None) -> int:
     except (VerificationFailed, NoSuchL) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except CommonsysError as exc:
+    except (CommonsysError, OSError) as exc:  # OSError: a file read or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -460,9 +460,6 @@ class DefectReport:
     system_digest: str = ""
     function_digest: str = ""
 
-    def violated(self) -> bool:
-        return self.value < 0
-
     def to_dict(self) -> dict:
         from . import __version__
 

@@ -227,10 +227,15 @@ def sign_variations(signs) -> int:
     return sum(1 for a, b in zip(nonzero, nonzero[1:]) if a * b < 0)
 
 
-def _sturm_witness(poly: ExactPoly, chain, lo: Fraction, hi: Fraction) -> dict:
+def _sturm_witness(poly: ExactPoly, lo, hi) -> dict:
     """The Sturm witness fields of `poly` on [lo, hi]: endpoint values and
     sign sequences, and the root count and verdict they imply (a root at
-    an endpoint gives HasRoot with no count)."""
+    an endpoint gives HasRoot with no count).  ValueError unless lo < hi;
+    ZeroPolynomial for the zero polynomial."""
+    lo, hi = _q(lo), _q(hi)
+    if lo >= hi:
+        raise ValueError("need lo < hi")
+    chain = sturm_chain(poly)
     value_lo, value_hi = poly.eval(lo), poly.eval(hi)
     signs_lo, signs_hi = sign_sequence(chain, lo), sign_sequence(chain, hi)
     count = None
@@ -262,14 +267,9 @@ def sturm_sign_on_interval(poly: ExactPoly, lo, hi):
     claimed only when the Sturm root count on the interval is zero; a root
     anywhere on the closed interval (endpoints included) yields HasRoot.
     """
-    lo, hi = _q(lo), _q(hi)
-    if lo >= hi:
-        raise ValueError("need lo < hi")
-    if poly.is_zero():
-        raise ZeroPolynomial("sign of the zero polynomial")
-    witness = _sturm_witness(poly, sturm_chain(poly), lo, hi)
+    witness = _sturm_witness(poly, lo, hi)
     verdict = witness["verdict"]
-    claim = f"sign of polynomial on [{lo}, {hi}] is {verdict}"
+    claim = f"sign of polynomial on [{', '.join(witness['interval'])}] is {verdict}"
     return verdict, _certified(claim, "sturm", witness)
 
 
@@ -282,10 +282,13 @@ def square_factor_sign_on_interval(base: ExactPoly, center, lo, hi):
     quotient, rem = base.divmod(ExactPoly([center**2, -2 * center, 1]))
     if not rem.is_zero():
         raise VerificationFailed(f"(x - {center})^2 does not divide the polynomial")
-    witness = _sturm_witness(quotient, sturm_chain(quotient), _q(lo), _q(hi))
+    witness = _sturm_witness(quotient, lo, hi)
     witness["square_factor"] = {"base": base.to_strings(), "center": str(center)}
     verdict = witness["verdict"]
-    claim = f"sign of polynomial over (x - {center})^2 on [{lo}, {hi}] is {verdict}"
+    claim = (
+        f"sign of polynomial over (x - {center})^2 on [{', '.join(witness['interval'])}] "
+        f"is {verdict}"
+    )
     return verdict, _certified(claim, "sturm", witness)
 
 
@@ -296,30 +299,26 @@ def isolate_positive_root(poly: ExactPoly, search, precision):
     endpoint signs must differ.  Returns ((a, b), Certificate) with
     b - a <= precision and a sign change across [a, b].
     """
-    lo, hi = _q(search[0]), _q(search[1])
     precision = _q(precision)
-    if poly.is_zero():
-        raise ZeroPolynomial("root isolation of the zero polynomial")
-    witness = _sturm_witness(poly, sturm_chain(poly), lo, hi)
+    witness = _sturm_witness(poly, *search)
     count = witness["root_count"]
     if count is None:
         raise NotExactlyOneRoot("root at a search endpoint")
     if count != 1:
         raise NotExactlyOneRoot(f"Sturm count on search interval is {count}, not 1")
-    s_lo = an_sign(poly.eval(lo))
-    s_hi = an_sign(poly.eval(hi))
+    # the chain starts at a positive multiple of poly: its first signs are poly's
+    s_lo, s_hi = witness["signs_lo"][0], witness["signs_hi"][0]
     if s_lo == s_hi:
         raise NotExactlyOneRoot("no sign change across search interval (even multiplicity)")
+    lo, hi = (Fraction(end) for end in witness["interval"])
     steps = []
     while hi - lo > precision:
-        mid = None
-        for cand in ((lo + hi) / 2, (2 * lo + hi) / 3, (lo + 2 * hi) / 3):
-            if an_sign(poly.eval(cand)) != 0:
-                mid = cand
+        for mid in ((lo + hi) / 2, (2 * lo + hi) / 3, (lo + 2 * hi) / 3):
+            s_mid = an_sign(poly.eval(mid))
+            if s_mid != 0:
                 break
-        if mid is None:
+        else:
             raise NotExactlyOneRoot("multiple exact rational roots in bracket")
-        s_mid = an_sign(poly.eval(mid))
         steps.append([str(mid), s_mid])
         if s_mid == s_lo:
             lo = mid
@@ -328,7 +327,7 @@ def isolate_positive_root(poly: ExactPoly, search, precision):
     witness["bracket"] = [str(lo), str(hi)]
     witness["bracket_signs"] = [s_lo, s_hi]
     witness["bisection"] = steps
-    claim = f"unique root of polynomial in [{search[0]}, {search[1]}] lies in [{lo}, {hi}]"
+    claim = f"unique root of polynomial in [{', '.join(witness['interval'])}] lies in [{lo}, {hi}]"
     return (lo, hi), _certified(claim, "sturm", witness)
 
 

@@ -15,7 +15,6 @@ complex arithmetic throughout; the exact rational path lives in
 from __future__ import annotations
 
 import json
-import re
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,15 +23,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import MalformedDocument, NotCentered, TooLarge
-from .linsys import _check_modulus
+from .linsys import MAX_DECIMAL_EXPONENT, _check_modulus, _exact_decimal
 
 MAX_POINTS = 1 << 24
 GFPN_MAGIC = b"GFPN"
-# decimal literals in function documents may carry an exponent of at most
-# this magnitude; Fraction would otherwise form 10**|exponent| exactly,
-# which for an exponent in the millions takes seconds
-MAX_DECIMAL_EXPONENT = 1000
-_EXPONENT = re.compile(r"[eE]([+-]?[\d_]+)")
 
 
 def checked_size(p: int, n: int, cap: int = MAX_POINTS) -> int:
@@ -311,20 +305,6 @@ def _fraction_is_float_exact(v: Fraction) -> bool:
         return False
 
 
-def _exact_decimal(text: str) -> Fraction:
-    """A decimal or "num/den" literal as an exact fraction; the exponent is
-    bounded before any power of ten is formed."""
-    match = _EXPONENT.search(text)
-    try:
-        if match and abs(int(match.group(1))) > MAX_DECIMAL_EXPONENT:
-            raise MalformedDocument(
-                f"bad value {text[:40]!r}: exponent beyond +-{MAX_DECIMAL_EXPONENT}"
-            )
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise MalformedDocument(f"bad value {text[:40]!r}") from exc
-
-
 def function_from_json(text: str) -> GroupFunction:
     """Parse a JSON function document; decimal literals are read exactly."""
     try:
@@ -333,10 +313,10 @@ def function_from_json(text: str) -> GroupFunction:
         raise MalformedDocument(f"not a valid function document: {exc}") from exc
     if not isinstance(data, dict):
         raise MalformedDocument("function document must be a JSON object")
-    try:
-        p, n, raw = int(data["p"]), int(data["n"]), data["values"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedDocument(f"missing or bad field: {exc}") from exc
+    p, n, raw = data.get("p"), data.get("n"), data.get("values")
+    for name, v in (("p", p), ("n", n)):
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise MalformedDocument(f'"{name}" must be an integer, got {str(v)[:40]!r}')
     if not isinstance(raw, list):
         raise MalformedDocument('"values" must be an array')
     exact = []

@@ -1,6 +1,7 @@
 """Homogeneous linear systems over F_p: validation, kernel
 parameterization, free variables, and factorization into
-variable-disjoint blocks.
+variable-disjoint blocks; also the exact decimal reader that function
+documents and the CLI's rational flags share, kept here free of numpy.
 
 A system is an m x t full-rank matrix over F_p with t > m.  Its solution
 set is parameterized by D = t - m free parameters; the i-th variable is
@@ -13,7 +14,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import MalformedDocument, NoFreeVariables, NotOddPrime, RankDeficient
 
@@ -26,6 +29,27 @@ SIDORENKO = "sidorenko"
 ALON = "alon"
 PREVALENCE = "prevalence"
 PROPERTIES = (COMMON, GEOMETRIC, SIDORENKO, ALON, PREVALENCE)
+
+
+# decimal literals in documents and rational flags may carry an exponent of
+# at most this magnitude; Fraction would otherwise form 10**|exponent|
+# exactly, which for an exponent in the millions takes seconds
+MAX_DECIMAL_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE]([+-]?[\d_]+)")
+
+
+def _exact_decimal(text: str) -> Fraction:
+    """A decimal or "num/den" literal as an exact fraction; the exponent is
+    bounded before any power of ten is formed."""
+    match = _EXPONENT.search(text)
+    try:
+        if match and abs(int(match.group(1))) > MAX_DECIMAL_EXPONENT:
+            raise MalformedDocument(
+                f"bad value {text[:40]!r}: exponent beyond +-{MAX_DECIMAL_EXPONENT}"
+            )
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise MalformedDocument(f"bad value {text[:40]!r}") from exc
 
 
 def _check_modulus(p: int) -> None:

@@ -330,11 +330,12 @@ def minimize_defect(system: LinearSystem, cfg: SearchConfig) -> SearchResult:
     if system.p != cfg.p:
         raise MalformedDocument("config modulus differs from the system modulus")
     rows = _batch_rows(system, cfg.n)
-    outcomes = []
+    best, total_iters = None, 0  # a running minimum: each batch is dropped once folded
     for start in range(0, cfg.restarts, rows):
-        outcomes += _run_restart(system, cfg, range(start, min(start + rows, cfg.restarts)))
-    val, k, f, _, converged = min(outcomes, key=lambda r: (r[0], r[1]))
-    total_iters = sum(r[3] for r in outcomes)
+        batch = _run_restart(system, cfg, range(start, min(start + rows, cfg.restarts)))
+        total_iters += sum(r[3] for r in batch)
+        best = min(batch if best is None else [best, *batch], key=lambda r: (r[0], r[1]))
+    val, k, f, _, converged = best
     obj = _Objective(system, cfg.property, cfg.l, cfg.n)
     revalidated = float(obj.value(f.values[None])[0])
     return SearchResult(

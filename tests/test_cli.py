@@ -343,6 +343,16 @@ class TestHostileDocuments:
         code, _, err = self._eval(capsys, function)
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("field, value", [
+        ("p", "3.9"), ("n", "1.5"), ("p", "true"), ("n", "true"), ("p", '"3"'), ("n", '"1"'),
+    ])
+    def test_size_fields_must_be_integers(self, capsys, tmp_path, field, value):
+        document = {"p": "3", "n": "1", "values": "[0.5, 0.5, 0.5]", field: value}
+        path = tmp_path / "f.json"
+        path.write_text("{%s}" % ", ".join(f'"{k}": {v}' for k, v in document.items()))
+        code, _, err = self._eval(capsys, path)
+        assert code == 2 and "must be an integer" in err
+
     def test_unsupported_modulus(self, capsys, tmp_path):
         for p in (0, 1, 2, 4):
             path = tmp_path / "f.json"
@@ -355,6 +365,28 @@ class TestHostileDocuments:
             )
             code, _, err = self._eval(capsys, path)
             assert code == 2 and "supported" in err, p
+
+
+class TestFileErrors:
+    """A file that cannot be read or written is an input error (exit 2)."""
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--system", "phi", "--function", "{missing}", "--property", "common"],
+        ["eval", "--system", "phi", "--function", "{dir}", "--property", "common"],
+        ["verify", "--out", "{missing}"],
+        ["eval", "--system", "phi", "--const", "1/2", "--property", "common",
+         "--out", "{missing}"],
+        ["search", "--system", "a4", "--property", "common", "--restarts", "1",
+         "--max-iters", "1", "--save-function", "{missing}"],
+    ], ids=["read-missing", "read-directory", "verify-out", "eval-out", "save-function"])
+    def test_exits_two_without_a_traceback(self, tmp_path, argv):
+        paths = {"missing": tmp_path / "no" / "x.json", "dir": tmp_path}
+        proc = subprocess.run(
+            [sys.executable, "-m", "commonsys.cli", *(a.format(**paths) for a in argv)],
+            capture_output=True, text=True, env=TestProcessLevel.ENV, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
 class TestHostileArguments:
@@ -556,6 +588,7 @@ class TestProcessLevel:
     @pytest.mark.parametrize("argv", [
         ["verify"], ["constants"], ["--version"], ["--help"],
         ["search", "--system", "phi", "--property", "bogus"],
+        ["search", "--system", "phi", "--alpha", "1/3", "--property", "bogus"],
     ])
     def test_exact_half_and_usage_start_without_numpy(self, argv):
         out = self._fresh(

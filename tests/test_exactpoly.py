@@ -546,6 +546,17 @@ class TestSturm:
             assert count == flips
 
 
+@pytest.mark.parametrize("produce", [
+    lambda: sturm_sign_on_interval(ExactPoly([-2, 0, 1]), 2, 1),
+    # (x - 1)^2 (x^2 + 1)
+    lambda: square_factor_sign_on_interval(ExactPoly([1, -2, 2, -2, 1]), 1, 2, 0),
+    lambda: isolate_positive_root(ExactPoly([-2, 0, 1]), (2, 1), F(1, 100)),
+], ids=["sign", "square-factor", "isolate"])
+def test_reversed_interval_is_an_input_error(produce):
+    with pytest.raises(ValueError, match="lo < hi"):
+        produce()
+
+
 class TestIsolation:
     def test_sqrt2(self):
         p = ExactPoly([-2, 0, 1])

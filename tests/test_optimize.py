@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -329,6 +330,21 @@ class TestMinimize:
         cfg = SearchConfig(property="common", p=3, n=1, restarts=7, max_iters=5, seed=1)
         minimize_defect(PHI, cfg)
         assert sizes == [[0, 1, 2], [3, 4, 5], [6]]
+
+    def test_memory_does_not_grow_with_the_restart_count(self, monkeypatch):
+        # each batch is folded into a running best, so only one batch's
+        # outcomes are alive at a time whatever the number of restarts
+        monkeypatch.setattr(optimize, "_batch_rows", lambda system, n: 8)
+        peaks = []
+        for restarts in (64, 512, 64, 512):  # the first two runs fill the caches
+            cfg = SearchConfig(property="common", p=3, n=1, restarts=restarts, max_iters=0)
+            tracemalloc.start()
+            try:
+                minimize_defect(PHI, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[3] < 2 * peaks[2], peaks
 
     def test_reported_defect_revalidates(self):
         cfg = SearchConfig(property="common", p=3, n=1, restarts=4, max_iters=60, seed=21)
