@@ -21,27 +21,28 @@ values into the signed slack of a chosen colouring property (negative
 slack certifies a violation) via `defect_value`.  Each property's
 formula, its partial derivatives (`defect_partials`) and the means it is
 defined at, with the mean a search pins (`check_mean`), live only here;
-the optimizer takes all three from this module and names no property.
+the optimizer takes the defect and its gradient per row (`_defect_rows`,
+`_defect_gradient`) and the pinned mean from here and names no property.
 
-Both Fourier routes run on an (R, p^n) stack of functions, with one
-transform pass per stack.  `_block_plan` groups a block's columns by
-direction up to a scalar: a column c*d reads fhat(c (lambda . d)), which
-is (D_c fhat)(lambda . d) for the spectrum D_c fhat permuted by the
-dilation x -> c x.  So the block sum is the sum over lambda of
-prod_d P_d(lambda . d), where P_d is the product of (D_c fhat)^m_c over
-the m_c columns equal to c*d.  Every preset block and every single
-equation is rank 1: its one direction has lambda . d = lambda, so its sum
-is the sum of P_d, and each term of its gradient is moved back by one
-gather at the dilation by -1/c, which also takes the negation the inverse
-transform needs.  A wider block gathers each P_d at its direction's index
-table and scatters its gradient once per direction.  Powers are repeated
-elementwise multiplication and every lambda-sum is `_row_sums`, so a
-row's bits do not depend on its stack.  Every defect is a function of the
-pair (T(f), T(1 - f)), so `defect`, `alon_witness` and the optimizer
-evaluate [f, 1 - f] as one stack; `t_fourier`/`t_gradient` are its
-one-row case.
+Both Fourier routes run on an (R, p^n) stack of spectra.  `_block_plan`
+groups a block's columns by direction up to a scalar: a column c*d reads
+fhat(c (lambda . d)), which is (D_c fhat)(lambda . d) for the spectrum
+D_c fhat permuted by the dilation x -> c x.  So the block sum is the sum
+over lambda of prod_d P_d(lambda . d), where P_d is the product of
+(D_c fhat)^m_c over the m_c columns equal to c*d.  Every preset block
+and every single equation is rank 1: its one direction has
+lambda . d = lambda, so its sum is the sum of P_d, and each term of its
+gradient is moved back by one gather at the dilation by -1/c, which also
+takes the negation the inverse transform needs.  A wider block gathers
+each P_d at its direction's index table and scatters its gradient once
+per direction.  Powers are repeated elementwise multiplication and every
+lambda-sum is a plain sum along C-contiguous rows, so a row's bits do
+not depend on its stack.  Every defect is a function of the pair
+(T(f), T(1 - f)); with the mean on the forward side, (1 - f)^ = e_0 - f^,
+so `_spectra` gives both from one forward transform of f, and a gradient
+forms its chain rule on the Fourier side and inverts once per colouring.
 
-The exact route pairs f and 1 - f the same way: `defect(method="brute")`
+The exact route pairs f and 1 - f in one scan: `defect(method="brute")`
 scans the kernel once for both, taking both rows' exact product sums
 from each index table, each with its own denominator and integer path;
 `t_brute` is the one-row case.
@@ -247,13 +248,6 @@ def _block_columns(system: LinearSystem) -> tuple[tuple[tuple[int, ...], ...], .
     )
 
 
-def _row_sums(terms: np.ndarray) -> np.ndarray:
-    """Left-to-right sum along the last axis.  A running sum fixes the
-    order, so each row's bits do not depend on how many rows share the
-    stack; the order of `sum` follows the memory layout, which does."""
-    return np.cumsum(terms, axis=-1)[..., -1]
-
-
 @lru_cache(maxsize=None)
 def _block_plan(columns, p: int):
     """A block's columns grouped by direction up to a scalar: the directions
@@ -337,10 +331,10 @@ def _block_sums(columns, spectra: dict, p: int, n: int) -> np.ndarray:
     of P_d; a wider block gathers each P_d at its direction's index table."""
     directions, _, products = _direction_powers(columns, spectra, p, n)
     if len(directions[0]) == 1:
-        return _row_sums(products[0])
+        return products[0].sum(axis=-1)
     total = np.zeros(len(products[0]), dtype=np.complex128)
     for table in _form_indices(directions, p, n, "p^(nm)"):
-        total += _row_sums(_product(x[:, idx] for x, idx in zip(products, table)))
+        total += _product(x[:, idx] for x, idx in zip(products, table)).sum(axis=-1)
     return total
 
 
@@ -357,7 +351,7 @@ def _block_gradient(columns, spectra: dict, p: int, n: int):
     directions, factors, products = _direction_powers(columns, spectra, p, n)
     rows, size = spectra[1].shape
     if len(directions[0]) == 1:
-        sums = _row_sums(products[0])
+        sums = products[0].sum(axis=-1)
         weights = [None]
     else:
         sums = np.zeros(rows, dtype=np.complex128)
@@ -365,7 +359,7 @@ def _block_gradient(columns, spectra: dict, p: int, n: int):
         offsets = (np.arange(rows) * size)[:, None]
         for table in _form_indices(directions, p, n, "p^(nm)"):
             gathered = [x[:, idx] for x, idx in zip(products, table)]
-            sums += _row_sums(_product(gathered))
+            sums += _product(gathered).sum(axis=-1)
             for d, (acc, others) in enumerate(zip(flat, _others(gathered))):
                 if others is None:  # a block with no rows: one direction
                     others = np.ones_like(gathered[d])
@@ -387,40 +381,44 @@ def _block_gradient(columns, spectra: dict, p: int, n: int):
     return sums, grad
 
 
-def _t_rows(system: LinearSystem, values: np.ndarray, n: int) -> np.ndarray:
-    """T of each row of an (R, p^n) stack of functions: the product of the
-    block lambda-sums over the variable-disjoint blocks, real part."""
-    spectra = {1: _dft_rows(values, system.p, n)}
+def _t_rows(system: LinearSystem, fhat: np.ndarray, n: int) -> np.ndarray:
+    """`t_fourier` of each row of an (R, p^n) stack of spectra."""
+    spectra = {1: fhat}
     blocks = _block_columns(system)
     return _product(_block_sums(columns, spectra, system.p, n) for columns in blocks).real
 
 
-def _gradient_rows(system: LinearSystem, values: np.ndarray, n: int):
-    """(G, T) for each row of an (R, p^n) stack; G as in `t_gradient`,
-    assembled block by block with the product rule."""
-    p = system.p
-    spectra = {1: _dft_rows(values, p, n)}
+def _gradient_rows(system: LinearSystem, fhat: np.ndarray, n: int):
+    """(Ghat, T) of each row of an (R, p^n) stack of spectra, where Ghat is
+    the Fourier side of `t_gradient`: its G is `_idft_rows(Ghat).real`."""
+    spectra = {1: fhat}
     acc = t_prev = None
     for columns in _block_columns(system):
-        t_b, acc_b = _block_gradient(columns, spectra, p, n)
+        t_b, acc_b = _block_gradient(columns, spectra, system.p, n)
         if acc is None:
             acc, t_prev = acc_b, t_b
         else:
             acc = acc * t_b[:, None] + t_prev[:, None] * acc_b
             t_prev = t_prev * t_b
-    return _idft_rows(acc, p, n).real, t_prev.real
+    return acc, t_prev.real
 
 
-def _pair_rows(f: GroupFunction) -> np.ndarray:
-    """The (2, p^n) stack [f, 1 - f] that every defect is a function of."""
-    return np.stack([f.values, 1.0 - f.values])
+def _spectra(values: np.ndarray, p: int, n: int, pair: bool) -> np.ndarray:
+    """The spectra of the rows of F from one forward transform, then with
+    `pair` those of 1 - F: (1 - f)^ = e_0 - f^, the mean on the forward side."""
+    fhat = _dft_rows(values, p, n)
+    if not pair:
+        return fhat
+    complement = -fhat
+    complement[:, 0] += 1.0
+    return np.concatenate([fhat, complement])
 
 
 def t_fourier(system: LinearSystem, f: GroupFunction) -> float:
     """Row-space evaluation of T(f): the product of the block lambda-sums
     over the variable-disjoint blocks, real part."""
     _check_compat(system, f)
-    return float(_t_rows(system, f.values[None], f.n)[0])
+    return float(_t_rows(system, _dft_rows(f.values[None], f.p, f.n), f.n)[0])
 
 
 def t_gradient(system: LinearSystem, f: GroupFunction) -> GroupFunction:
@@ -431,8 +429,8 @@ def t_gradient(system: LinearSystem, f: GroupFunction) -> GroupFunction:
     Assembled on the Fourier side block by block with the product rule.
     """
     _check_compat(system, f)
-    grads, _ = _gradient_rows(system, f.values[None], f.n)
-    return GroupFunction(f.p, f.n, grads[0])
+    ghat, _ = _gradient_rows(system, _dft_rows(f.values[None], f.p, f.n), f.n)
+    return GroupFunction(f.p, f.n, _idft_rows(ghat, f.p, f.n)[0].real)
 
 
 # ---------------------------------------------------------------------------
@@ -566,6 +564,36 @@ def _alon_partials(t_f, t_1mf, alpha, l: int) -> np.ndarray:
     return np.array(rows).T.reshape(3, *alpha.shape)
 
 
+def _defect_rows(system: LinearSystem, property: str, l: int | None, values, n: int):
+    """The float defect of `property` at each row of an (R, p^n) stack of
+    functions, each row's mean read as f^(0) from the same spectrum."""
+    pair = property in READS_COMPLEMENT
+    spectra = _spectra(values, system.p, n, pair)
+    ts = _t_rows(system, spectra, n).tolist()
+    t_c = ts[len(values):] if pair else [None] * len(values)
+    return np.array([defect_value(property, t_f, t_1mf, alpha, system.t, l, 1.0)
+                     for t_f, t_1mf, alpha in zip(ts, t_c, spectra[:, 0].real.tolist())])
+
+
+def _defect_gradient(system: LinearSystem, property: str, l: int | None, values, n: int):
+    """The Euclidean gradient of the defect at each row of an (R, p^n)
+    stack: f(x) moves T(f) by G_f(x) / p^n, T(1 - f) by -G_(1-f)(x) / p^n
+    and the mean by 1 / p^n.  The chain rule d_f G_f - d_c G_(1-f) is
+    linear, so it is formed on the Fourier side, one inverse per row."""
+    pair = property in READS_COMPLEMENT
+    p, (rows, size) = system.p, values.shape
+    spectra = _spectra(values, p, n, pair)
+    ghat, ts = _gradient_rows(system, spectra, n)
+    d_f, d_c, d_alpha = defect_partials(
+        property, ts[:rows, None], ts[rows:, None] if pair else None,
+        spectra[:rows, :1].real, system.t, l,
+    )
+    chain = d_f * ghat[:rows]
+    if pair:
+        chain -= d_c * ghat[rows:]
+    return (d_alpha + _idft_rows(chain, p, n).real) / size
+
+
 def function_digest(f: GroupFunction) -> str:
     return hashlib.sha256(f.values.tobytes()).hexdigest()[:12]
 
@@ -671,7 +699,7 @@ def defect(
     elif method == "fourier":
         alpha = f.mean()
         check_mean(property, alpha)
-        t_f, t_1mf = _t_rows(system, _pair_rows(f), f.n).tolist()
+        t_f, t_1mf = _t_rows(system, _spectra(f.values[None], f.p, f.n, True), f.n).tolist()
         one = 1.0
         method_name = METHOD_FOURIER
     else:
@@ -704,7 +732,7 @@ def alon_witness(f: GroupFunction, system: LinearSystem, l: int) -> GroupFunctio
     if l < 1:
         raise LTooSmall("l must be a positive integer")
     _check_compat(system, f)
-    t_f, t_1mf = _t_rows(system, _pair_rows(f), f.n).tolist()
+    t_f, t_1mf = _t_rows(system, _spectra(f.values[None], f.p, f.n, True), f.n).tolist()
     base = f if t_1mf >= t_f else f.complement()
     small, big = min(t_f, t_1mf), max(t_f, t_1mf)
     if small <= 0.0:

@@ -359,9 +359,8 @@ def function_from_binary(blob: bytes) -> GroupFunction:
     values = np.frombuffer(body, dtype="<f8").astype(np.float64)
     if not np.isfinite(values).all():
         raise MalformedDocument("GFPN values must be finite")
-    # binary doubles are exact dyadic rationals
-    exact = tuple(Fraction(float(v)) for v in values)
-    return GroupFunction(int(p), int(n), values, exact)
+    # `exact_values` reads each double as its shortest round-trip decimal
+    return GroupFunction(int(p), int(n), values)
 
 
 def load_function(path: str) -> GroupFunction:

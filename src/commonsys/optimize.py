@@ -19,18 +19,18 @@ the extremizers suggested by the Fourier form of the functionals, so
 they are seeded deliberately.
 
 The restarts run in lockstep as the rows of one array: each outer step
-takes one gradient pass over the rows still running, and each
-backtracking round evaluates every row still searching at once, while
-each row keeps its own step length, value history and stop state.  A
-batch holds at most CHUNK // widest rows (widest: p^n, or a block's
+takes one gradient call into `counting` over the rows still running, and
+each backtracking round one value call on every row still searching,
+while each row keeps its own step length, value history and stop state.
+A batch holds at most CHUNK // widest rows (widest: p^n, or a block's
 directions times its lambda-tuples per chunk), so memory stays bounded at
 large p^n.  The projection onto a fixed-mean slice is exact: a breakpoint
 search per row (Kiwiel 2008), not a bisection.
 
 Everything is deterministic given the config seed: restart k draws from
 default_rng([seed, k]), a row's arithmetic does not depend on the other
-rows of its batch, and the cross-restart reduction is lexicographic in
-(defect, restart index).
+rows of its batch (each sum runs along one C-contiguous row), and the
+cross-restart reduction is lexicographic in (defect, restart index).
 """
 
 from __future__ import annotations
@@ -41,14 +41,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import counting
-from .counting import (
-    CHUNK,
-    READS_COMPLEMENT,
-    _gradient_rows,
-    _t_rows,
-    defect_partials,
-    defect_value,
-)
+from .counting import CHUNK, _defect_gradient, _defect_rows
 from .errors import InfeasibleMean, MalformedDocument, TooLarge
 from .harmonic import GroupFunction, _form_table, character_bump, checked_size
 from .linsys import LinearSystem
@@ -177,40 +170,19 @@ def project_box_mean(v, p: int, n: int, alpha: float | None = None) -> GroupFunc
 
 class _Objective:
     """Defect value and Euclidean gradient for one property, for each row
-    of an (R, p^n) stack of functions."""
+    of an (R, p^n) stack of functions, from `counting`."""
 
     def __init__(self, system: LinearSystem, property: str, l: int | None, n: int):
         self.system = system
         self.property = property
         self.l = l
         self.n = n
-        self.pair = property in READS_COMPLEMENT
-
-    def _stack(self, values: np.ndarray) -> np.ndarray:
-        """[F; 1 - F] where the defect needs the complements, else F."""
-        return np.concatenate([values, 1.0 - values]) if self.pair else values
 
     def value(self, values: np.ndarray) -> np.ndarray:
-        rows = len(values)
-        ts = _t_rows(self.system, self._stack(values), self.n).tolist()
-        t_c = ts[rows:] if self.pair else [None] * rows
-        return np.array([defect_value(self.property, t_f, t_1mf, alpha, self.system.t, self.l, 1.0)
-                         for t_f, t_1mf, alpha in zip(ts, t_c, values.mean(axis=1).tolist())])
+        return _defect_rows(self.system, self.property, self.l, values, self.n)
 
     def gradient(self, values: np.ndarray) -> np.ndarray:
-        """Gradient of the defect per row, from one gradient pass that also
-        yields T of every row of the stack: f(x) moves T(f) by G_f(x) / p^n,
-        T(1 - f) by -G_(1-f)(x) / p^n and the mean by 1 / p^n."""
-        rows, size = values.shape
-        grads, ts = _gradient_rows(self.system, self._stack(values), self.n)
-        d_f, d_c, d_alpha = defect_partials(
-            self.property, ts[:rows, None], ts[rows:, None] if self.pair else None,
-            values.mean(axis=1, keepdims=True), self.system.t, self.l,
-        )
-        g = d_alpha + d_f * grads[:rows]
-        if self.pair:
-            g -= d_c * grads[rows:]
-        return g / size
+        return _defect_gradient(self.system, self.property, self.l, values, self.n)
 
 
 def _initial_point(cfg: SearchConfig, k: int, rng) -> np.ndarray:
@@ -243,9 +215,9 @@ def _batch_rows(system: LinearSystem, n: int) -> int:
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a_i . b_i for each row i, each as the 1-D `a_i @ b_i`, so a row's
+    """a_i . b_i for each row i: a sum along C-contiguous rows, so a row's
     value does not depend on the other rows of its batch."""
-    return np.array([u @ v for u, v in zip(a, b)])
+    return (a * b).sum(axis=-1)
 
 
 def _run_restart(system: LinearSystem, cfg: SearchConfig, ks, trace: list | None = None):

@@ -81,6 +81,21 @@ class TestEval:
         assert code == 0
         assert json.loads(out)["reports"][0]["value"] == "0"
 
+    def test_json_and_gfpn_give_one_exact_defect(self, capsys, tmp_path):
+        # a double is read as its shortest round-trip decimal in either format
+        f = harmonic.GroupFunction(3, 1, [0.1, 0.7, 0.3])
+        values = []
+        for name in ("f.json", "f.gfpn"):
+            harmonic.save_function(f, str(tmp_path / name))
+            code, out, _ = run_main(
+                capsys,
+                "eval", "--system", "a4", "--function", str(tmp_path / name),
+                "--property", "common", "--method", "brute",
+            )
+            assert code == 0
+            values.append(json.loads(out)["reports"][0]["value"])
+        assert values == ["976/16875", "976/16875"]
+
     def test_unknown_system_is_input_error(self, capsys):
         code, _, err = run_main(
             capsys,

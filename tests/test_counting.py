@@ -112,6 +112,15 @@ def loo_rows(system, values, n):
     return harmonic._idft_rows(acc[:, negation], p, n).real, t_prev.real
 
 
+def kernel_rows(system, values, n):
+    """(T, G, T) of each row of an (R, p^n) stack of functions, through
+    its spectra: T from `counting._t_rows`, then G and T from
+    `counting._gradient_rows`, G inverted as `t_gradient` inverts it."""
+    fhat = harmonic._dft_rows(values, system.p, n)
+    ghat, gts = counting._gradient_rows(system, fhat, n)
+    return counting._t_rows(system, fhat, n), harmonic._idft_rows(ghat, system.p, n).real, gts
+
+
 # one block with m = 2 and three directions, (1,0) and (0,1) holding two
 # coefficients each: columns (1,0), (2,0), (0,1), (0,3), (1,1)
 COUPLED = linsys.LinearSystem.from_matrix(5, [[1, 2, 0, 0, 1], [0, 0, 1, 3, 1]])
@@ -369,8 +378,7 @@ class TestBatchedRows:
                 rows = np.stack([f.values, 1.0 - f.values, g.values])
                 singles = (f, f.complement(), g)
                 for system in self._systems(p):
-                    ts = counting._t_rows(system, rows, n)
-                    grads, gts = counting._gradient_rows(system, rows, n)
+                    ts, grads, gts = kernel_rows(system, rows, n)
                     for r, h in enumerate(singles):
                         want = t_fourier(system, h)
                         assert ts[r] == pytest.approx(want, abs=1e-12)
@@ -386,26 +394,61 @@ class TestBatchedRows:
             for n in (1, 2, 3):
                 rows = rng.uniform(0, 1, (5, p**n))
                 for system in self._systems(p):
-                    ts = counting._t_rows(system, rows, n)
-                    grads, gts = counting._gradient_rows(system, rows, n)
+                    ts, grads, gts = kernel_rows(system, rows, n)
                     for r in (1, 2, 4):
-                        assert np.array_equal(counting._t_rows(system, rows[:r], n), ts[:r])
-                        got, got_ts = counting._gradient_rows(system, rows[:r], n)
+                        got_t, got, got_ts = kernel_rows(system, rows[:r], n)
+                        assert np.array_equal(got_t, ts[:r])
                         assert np.array_equal(got, grads[:r])
                         assert np.array_equal(got_ts, gts[:r])
+
+    def test_complement_spectrum_is_the_transform_of_the_complement(self):
+        # (1 - f)^ = e_0 - f^ holds exactly; in floats the two sides agree
+        # to a few ulps of the largest coefficient, 1
+        rng = np.random.default_rng(46)
+        for p, n in ((3, 1), (3, 2), (3, 4), (5, 2), (7, 2)):
+            rows = rng.uniform(0, 1, (4, p**n))
+            spectra = counting._spectra(rows, p, n, True)
+            assert np.array_equal(spectra[:4], harmonic._dft_rows(rows, p, n))
+            assert np.array_equal(counting._spectra(rows, p, n, False), spectra[:4])
+            want = harmonic._dft_rows(1.0 - rows, p, n)
+            assert np.max(np.abs(spectra[4:] - want)) <= 4 * np.finfo(np.float64).eps
+
+    def test_strided_stack_rows_match_their_batch_of_one(self):
+        # the lambda-sums are plain sums along C-contiguous rows; a strided
+        # stack of functions reaches them only as the fresh spectra of its
+        # forward transform, so each row keeps its batch-of-one bits
+        rng = np.random.default_rng(45)
+        for p, n in ((3, 2), (3, 3), (5, 2)):
+            wide = rng.uniform(0, 1, (8, 2 * p**n))
+            strided = (wide[::2, : p**n], np.asfortranarray(wide[:4, : p**n]), wide[4:, ::2])
+            for system in self._systems(p):
+                for prop, l in (("common", None), ("sidorenko", None), ("alon", 3)):
+                    for rows in strided:
+                        assert not rows.flags.c_contiguous
+                        assert counting._spectra(rows, p, n, True).flags.c_contiguous
+                        values = counting._defect_rows(system, prop, l, rows, n)
+                        grads = counting._defect_gradient(system, prop, l, rows, n)
+                        ts, gs, gts = kernel_rows(system, rows, n)
+                        for r, row in enumerate(rows):
+                            one = np.array(row)[None]
+                            assert counting._defect_rows(system, prop, l, one, n)[0] == values[r]
+                            got = counting._defect_gradient(system, prop, l, one, n)[0]
+                            assert np.array_equal(got, grads[r])
+                            got_t, got_g, got_gt = kernel_rows(system, one, n)
+                            assert (got_t[0], got_gt[0]) == (ts[r], gts[r])
+                            assert np.array_equal(got_g[0], gs[r])
 
     def test_multi_chunk_tables_agree(self, monkeypatch):
         rng = np.random.default_rng(41)
         f = GroupFunction(3, 2, rng.uniform(0, 1, 9))
         exact = random_rational_function(rng, 3, 1)
-        rows = counting._pair_rows(f)
-        cases = [(s, counting._t_rows(s, rows, 2), counting._gradient_rows(s, rows, 2))
-                 for s in self._systems(3)]
+        rows = np.stack([f.values, 1.0 - f.values])
+        cases = [(s, kernel_rows(s, rows, 2)) for s in self._systems(3)]
         brute = t_brute(PHI, exact)
         monkeypatch.setattr(counting, "CHUNK", 4)  # 9 lambda-terms per block: 3 chunks
-        for system, ts, (grads, gts) in cases:
-            assert np.allclose(counting._t_rows(system, rows, 2), ts, rtol=0, atol=1e-15)
-            got, got_ts = counting._gradient_rows(system, rows, 2)
+        for system, (ts, grads, gts) in cases:
+            got_t, got, got_ts = kernel_rows(system, rows, 2)
+            assert np.allclose(got_t, ts, rtol=0, atol=1e-15)
             assert np.allclose(got, grads, rtol=0, atol=1e-14)
             assert np.allclose(got_ts, gts, rtol=0, atol=1e-15)
         assert t_brute(PHI, exact) == brute
@@ -469,8 +512,7 @@ class TestDilationKernel:
     def _check(system, n, rng):
         rows = rng.uniform(0, 1, (3, system.p**n))
         want_g, want_t = loo_rows(system, rows, n)
-        ts = counting._t_rows(system, rows, n)
-        grads, gts = counting._gradient_rows(system, rows, n)
+        ts, grads, gts = kernel_rows(system, rows, n)
         assert np.max(np.abs(ts - want_t) / np.abs(want_t)) <= 1e-12
         assert np.max(np.abs(gts - want_t) / np.abs(want_t)) <= 1e-12
         assert np.max(np.abs(grads - want_g)) <= 1e-12 * np.max(np.abs(want_g))
@@ -488,10 +530,10 @@ class TestDilationKernel:
         # 25^2 lambda-tuples in chunks of 16, and dilation tables past CHUNK
         rng = np.random.default_rng(44)
         rows = rng.uniform(0, 1, (3, 25))
-        want = (counting._t_rows(COUPLED, rows, 2), *counting._gradient_rows(COUPLED, rows, 2))
+        want = kernel_rows(COUPLED, rows, 2)
         monkeypatch.setattr(counting, "CHUNK", 16)
         assert len(list(counting._form_indices(((1, 0), (0, 1), (1, 1)), 5, 2, "p^(nm)"))) > 1
-        got = (counting._t_rows(COUPLED, rows, 2), *counting._gradient_rows(COUPLED, rows, 2))
+        got = kernel_rows(COUPLED, rows, 2)
         for a, b in zip(got, want):
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
         self._check(COUPLED, 2, rng)
@@ -543,6 +585,66 @@ class TestCoupledBlock:
             minus = t_fourier(COUPLED, GroupFunction(5, n, f.values - eps * delta))
             fd = (plus - minus) / (2 * eps)
             assert fd == pytest.approx(grad[x] / size, rel=1e-6, abs=1e-12)
+
+
+def surjection_index(rng, p, k, n):
+    """For a random linear map pi: F_p^n -> F_p^k of rank k (checked mod p
+    by `linsys._rref_mod_p`), the index of pi(x) at every point x, by plain
+    digit arithmetic: g o pi has values g.values[index]."""
+    while True:
+        matrix = rng.integers(0, p, size=(k, n))
+        if len(linsys._rref_mod_p(matrix.tolist(), p)[1]) == k:
+            break
+    digits = (np.arange(p**n)[:, None] // p ** np.arange(n)) % p
+    return (digits @ matrix.T % p) @ p ** np.arange(k)
+
+
+class TestLift:
+    """For a surjective linear pi: F_p^n -> F_p^k, T_n(g o pi) = T_k(g) and
+    G_(g o pi) = G_g o pi, as pi maps the solutions over F_p^n uniformly
+    onto those over F_p^k.  So the kernel is checked against exact
+    enumeration at k = 2 up to the n where searches run."""
+
+    SYSTEMS = [
+        PHI,
+        linsys.LinearSystem.from_matrix(3, np.random.default_rng(48).integers(1, 3, (1, 6)).tolist()),
+    ]
+
+    PROPERTIES = (("geometric", None), ("alon", 3), ("sidorenko", None))
+
+    @staticmethod
+    def _chain_scale(system, prop, l, g):
+        """The largest term the defect gradient at g sums, |dD/dalpha|,
+        |dD/dT(f)| max|G_f| or |dD/dT(1-f)| max|G_(1-f)|: the float
+        gradient is good to a few ulps of it, not of a sum that cancels
+        (sidorenko's G - t alpha^(t-1) is ~4e-3 from terms of ~1.2 here)."""
+        c = g.complement()
+        d_f, d_c, d_alpha = counting.defect_partials(
+            prop, np.array(t_fourier(system, g)), np.array(t_fourier(system, c)),
+            np.array(g.mean()), system.t, l,
+        )
+        return max(abs(float(d_alpha)),
+                   abs(float(d_f)) * np.max(np.abs(t_gradient(system, g).values)),
+                   abs(float(d_c)) * np.max(np.abs(t_gradient(system, c).values)))
+
+    @pytest.mark.parametrize("system", SYSTEMS, ids=lambda s: str(s.matrix))
+    def test_t_and_gradient_lift(self, system):
+        rng = np.random.default_rng([49, system.t])
+        p, k = 3, 2
+        g = random_rational_function(rng, p, k)
+        want_t = float(t_brute(system, g))
+        want_g = t_gradient(system, g).values
+        want_d = [(prop, l, p**k * counting._defect_gradient(system, prop, l, g.values[None], k)[0],
+                   self._chain_scale(system, prop, l, g)) for prop, l in self.PROPERTIES]
+        for n in (4, 6, 8, 10):
+            index = surjection_index(rng, p, k, n)
+            f = GroupFunction(p, n, g.values[index])
+            assert abs(t_fourier(system, f) - want_t) <= 1e-13 * want_t
+            got = t_gradient(system, f).values
+            assert np.max(np.abs(got - want_g[index])) <= 1e-13 * np.max(np.abs(want_g))
+            for prop, l, want, scale in want_d:
+                got = p**n * counting._defect_gradient(system, prop, l, f.values[None], n)[0]
+                assert np.max(np.abs(got - want[index])) <= 1e-13 * scale
 
 
 class TestBruteRows:

@@ -212,20 +212,29 @@ class TestObjectiveGradient:
                           ("prevalence", None, False)],
     )
     def test_complements_only_where_the_defect_reads_them(self, prop, l, pair, monkeypatch):
+        # a pair property transforms each colouring forward once, runs the
+        # kernel on its spectrum and its complement's, and inverts once
         seen = []
 
-        def spy(kernel):
-            def wrapped(system, values, n):
-                seen.append(len(values))
-                return kernel(system, values, n)
+        def spy(name, position):  # position: that of the (R, p^n) stack argument
+            kernel = getattr(counting, name)
+
+            def wrapped(*args):
+                seen.append((name, len(args[position])))
+                return kernel(*args)
             return wrapped
 
-        monkeypatch.setattr(optimize, "_t_rows", spy(counting._t_rows))
-        monkeypatch.setattr(optimize, "_gradient_rows", spy(counting._gradient_rows))
+        for name, position in (("_dft_rows", 0), ("_t_rows", 1), ("_gradient_rows", 1),
+                               ("_idft_rows", 0)):
+            monkeypatch.setattr(counting, name, spy(name, position))
         stack = np.random.default_rng(9).uniform(0.2, 0.8, (3, 9))
         obj = optimize._Objective(PHI, prop, l, 2)
-        values, grads = obj.value(stack), obj.gradient(stack)
-        assert seen == ([6, 6] if pair else [3, 3])
+        kernel_rows = 6 if pair else 3
+        values = obj.value(stack)
+        assert seen == [("_dft_rows", 3), ("_t_rows", kernel_rows)]
+        seen.clear()
+        grads = obj.gradient(stack)
+        assert seen == [("_dft_rows", 3), ("_gradient_rows", kernel_rows), ("_idft_rows", 3)]
         # each row as a stack of its own gives the same bits
         for r in range(3):
             assert obj.value(stack[r : r + 1])[0] == values[r]
