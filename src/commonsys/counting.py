@@ -43,8 +43,9 @@ so `_spectra` gives both from one forward transform of f, and a gradient
 forms its chain rule on the Fourier side and inverts once per colouring.
 
 The exact route pairs f and 1 - f in one scan: `defect(method="brute")`
-scans the kernel once for both, taking both rows' exact product sums
-from each index table, each with its own denominator and integer path;
+reads both over one denominator L (1 - a/b keeps the denominator b) as
+one integer stack [N; L - N], whose one bound picks int64 or Python
+ints, and each index table of the scan gathers the stack once per form.
 `t_brute` is the one-row case.
 
 Every route reads f through index tables, which give the point of F_p^n
@@ -196,45 +197,31 @@ def t_brute(system: LinearSystem, f: GroupFunction) -> Fraction:
 
 def _brute_rows(system: LinearSystem, fs) -> list[Fraction]:
     """`t_brute` of each function of `fs` (all on the same F_p^n), from one
-    scan of the kernel: each chunk's index table is built once and every
-    row takes its exact integer product sum from it.  Each row keeps its
-    own lcm denominator and its own int64-or-object path and bound."""
+    scan of the kernel over one integer stack: the numerators N over L, the
+    lcm of every value denominator.  Below 2^62 the bound max|N|^t keeps
+    the products int64, summed in column slices of 2^62 // bound so no sum
+    overflows; else they are Python ints, one slice per chunk."""
     for f in fs:
         _check_compat(system, f)
     chunks = _form_indices(system.kernel, fs[0].p, fs[0].n, "p^(nD)")
     t = system.t
-    live, scales = [], []
-    for i, f in enumerate(fs):
-        exact = f.exact_values()
-        denom_lcm = math.lcm(*(v.denominator for v in exact))
-        numerators = [int(v * denom_lcm) for v in exact]
-        bound = max(abs(a) for a in numerators) ** t
-        scales.append(denom_lcm**t * f.size**system.num_params)
-        if bound:  # an all-zero row has T = 0 and takes no part in the scan
-            use_int64 = bound < (1 << 62)
-            numer_arr = np.array(numerators, dtype=np.int64 if use_int64 else object)
-            live.append((i, numer_arr, bound if use_int64 else None))
+    exact = [f.exact_values() for f in fs]
+    denom = math.lcm(*(v.denominator for row in exact for v in row))
+    stack = [[v.numerator * (denom // v.denominator) for v in row] for row in exact]
+    bound = max(abs(a) for row in stack for a in row) ** t
     totals = [0] * len(fs)
-    if live:
-        for var_idx in chunks:
-            for i, numer_arr, bound in live:
-                prod = numer_arr[var_idx[0]]
-                for vi in var_idx[1:]:
-                    prod *= numer_arr[vi]
-                totals[i] += _exact_sum(prod, bound)
-    return [Fraction(total, scale) for total, scale in zip(totals, scales)]
-
-
-def _exact_sum(prod: np.ndarray, per_item_bound) -> int:
-    if per_item_bound is None:
-        return int(sum(prod.tolist()))
-    block = max(1, (1 << 62) // per_item_bound)
-    if block >= prod.size:
-        return int(prod.sum())
-    pad = (-prod.size) % block
-    padded = np.concatenate([prod, np.zeros(pad, dtype=np.int64)])
-    partial = padded.reshape(-1, block).sum(axis=1)
-    return int(sum(int(x) for x in partial))
+    if bound:  # an all-zero stack has T = 0 and skips the scan
+        small = bound < 1 << 62
+        stack = np.array(stack, dtype=np.int64 if small else object)
+        step = (1 << 62) // bound if small else CHUNK
+        for idx in chunks:
+            prod = np.take(stack, idx[0], axis=1)
+            for vi in idx[1:]:
+                prod *= np.take(stack, vi, axis=1)
+            partial = np.add.reduceat(prod, range(0, prod.shape[1], step), axis=1)
+            totals = [a + sum(row) for a, row in zip(totals, partial.tolist())]
+    scale = denom**t * fs[0].size**system.num_params
+    return [Fraction(total, scale) for total in totals]
 
 
 @lru_cache(maxsize=None)
@@ -603,17 +590,15 @@ def _alon_denominator_digits(system: LinearSystem, rows, alpha: Fraction, l: int
     alon defect alpha^l T(f) + (1 - alpha)^l T(1 - f) - 2^(1-t-l), with
     `rows` = [f, 1 - f]; 0 where none is known.
 
-    Each T is an integer over L^t p^(nD), L the lcm of its row's value
-    denominators, so its 2-adic valuation is at least -v_2(L^t p^(nD)).
-    If alpha's denominator is odd, alpha and 1 - alpha have valuation
-    >= 0, so the first two terms are bounded the same way; once the last
-    term's valuation 1 - t - l lies below that bound, it is the defect's,
-    and 2^(l+t-1) divides the denominator."""
+    Each T is an integer over L^t p^(nD), L the one denominator
+    `_brute_rows` reads both rows over, and p is odd, so its 2-adic
+    valuation is at least -t v_2(L).  If alpha's denominator is odd, alpha
+    and 1 - alpha have valuation >= 0, so the first two terms are bounded
+    the same way; once the last term's valuation 1 - t - l lies below that
+    bound, it is the defect's, and 2^(l+t-1) divides the denominator."""
     if alpha.denominator % 2 == 0:
         return 0
-    bound = system.num_params * _v2(rows[0].size) + system.t * max(
-        _v2(math.lcm(*(v.denominator for v in f.exact_values()))) for f in rows
-    )
+    bound = system.t * _v2(math.lcm(*(v.denominator for f in rows for v in f.exact_values())))
     power = l + system.t - 1
     return _power_digits(power) if power > bound else 0
 

@@ -109,9 +109,9 @@ def index_to_point(index: int, p: int, n: int) -> tuple[int, ...]:
 class GroupFunction:
     """Real-valued function on F_p^n stored densely.
 
-    `exact` optionally carries the same values as exact rationals; it is
-    set when the function was built from exact data (decimal documents,
-    constants, indicators) and feeds the exact counting path.
+    `exact` optionally carries the same values as exact rationals that no
+    double holds (decimal documents, rational constants); without it, as
+    for indicators, each double is read as its shortest round-trip decimal.
     """
 
     p: int
@@ -181,15 +181,7 @@ def indicator(p: int, n: int, members) -> GroupFunction:
         raise MalformedDocument(f"indicator member {outside[0]} outside 0..{size - 1}")
     inside = np.zeros(size, dtype=bool)
     inside[list(members)] = True
-    return _mask_indicator(p, n, inside)
-
-
-def _mask_indicator(p: int, n: int, inside: np.ndarray) -> GroupFunction:
-    """Indicator of the points where the boolean array `inside` is set; the
-    exact values share one Fraction(0) and one Fraction(1)."""
-    bits = (Fraction(0), Fraction(1))
-    exact = tuple(bits[b] for b in inside.tolist())
-    return GroupFunction(p, n, inside.astype(np.float64), exact)
+    return GroupFunction(p, n, inside.astype(np.float64))
 
 
 def coset_indicator(p: int, n: int, coefficients, residue: int) -> GroupFunction:
@@ -200,7 +192,7 @@ def coset_indicator(p: int, n: int, coefficients, residue: int) -> GroupFunction
     checked_size(p, n)
     # sum_i c_i x_i mod p at every x: one form over n one-digit parameters
     values = _form_table(([c % p for c in coefficients],), p, range(n))[0]
-    return _mask_indicator(p, n, values == residue % p)
+    return GroupFunction(p, n, (values == residue % p).astype(np.float64))
 
 
 def character_bump(p: int, n: int, h_index: int, phase: int, eps: float) -> GroupFunction:

@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import MalformedDocument, NoFreeVariables, NotOddPrime, RankDeficient
+from .errors import MalformedDocument, NoFreeVariables, NotOddPrime, RankDeficient, TooLarge
 
 SUPPORTED_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -29,6 +29,10 @@ SIDORENKO = "sidorenko"
 ALON = "alon"
 PREVALENCE = "prevalence"
 PROPERTIES = (COMMON, GEOMETRIC, SIDORENKO, ALON, PREVALENCE)
+
+# the most rows or columns of a system: row reduction is cubic and the kernel
+# holds t (t - m) entries, so a larger one is refused first (presets: t <= 9)
+MAX_SYSTEM_SIZE = 64
 
 
 # decimal literals in documents and rational flags may carry an exponent of
@@ -125,6 +129,8 @@ class LinearSystem:
         rows = _validate_rows(rows)
         t = len(rows[0])
         m = len(rows)
+        if max(m, t) > MAX_SYSTEM_SIZE:
+            raise TooLarge(f"a {m} x {t} system exceeds the size cap {MAX_SYSTEM_SIZE}")
         rows = [[v % p for v in row] for row in rows]
         rref, pivots = _rref_mod_p(rows, p)
         if len(pivots) < m:

@@ -43,7 +43,7 @@ import numpy as np
 from . import counting
 from .counting import CHUNK, _defect_gradient, _defect_rows
 from .errors import InfeasibleMean, MalformedDocument, TooLarge
-from .harmonic import GroupFunction, _form_table, character_bump, checked_size
+from .harmonic import GroupFunction, character_bump, checked_size, coset_indicator
 from .linsys import LinearSystem
 
 MAX_SEARCH_POINTS = 1 << 20
@@ -196,8 +196,7 @@ def _initial_point(cfg: SearchConfig, k: int, rng) -> np.ndarray:
         coord = int(rng.integers(cfg.n))
         residue = int(rng.integers(cfg.p))
         unit = [int(i == coord) for i in range(cfg.n)]
-        # coset_indicator(...).values, without its exact Fraction tuple
-        return (_form_table((unit,), cfg.p, range(cfg.n))[0] == residue).astype(np.float64)
+        return coset_indicator(cfg.p, cfg.n, unit, residue).values
     h = int(rng.integers(1, size))
     phase = int(rng.integers(cfg.p))
     eps = 0.45 * float(rng.uniform(0.6, 1.0))

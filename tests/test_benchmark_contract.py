@@ -3,6 +3,9 @@ names by string.  A rename must fail here, not in a traced benchmark run.
 The tracer source is only read, never imported as a package module, so
 nothing is written under perfbench/."""
 
+import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -14,6 +17,9 @@ import pytest
 from commonsys import cli, linsys, optimize  # noqa: F401  (cli, optimize: all seven layers)
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+RUN = SPANS.with_name("run.py")
+# names the benchmark still lists after the function was deleted
+STALE_LAYER_FUNCTIONS = {"harmonic.idft_complex"}
 
 
 def _load_spans() -> types.ModuleType:
@@ -71,3 +77,24 @@ def test_one_numeric_subcommand_loads_every_traced_layer(argv):
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_every_layer_function_is_traced():
+    """Each name of run.py's LAYER_FUNCTIONS is a public function of its
+    layer, which the tracer wraps, or a span name of spans.EXTRA; else its
+    per-layer metrics read 0.  run.py is parsed, never imported."""
+    tree = ast.parse(RUN.read_text(encoding="utf-8"))
+    (names,) = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["LAYER_FUNCTIONS"]]
+    extra = set(_load_spans().EXTRA.values())
+    untraced = set()
+    for name in names:
+        layer, attr = name.split(".")
+        module = importlib.import_module(f"commonsys.{layer}")
+        fn = getattr(module, attr, None)
+        public = (not attr.startswith("_") and inspect.isfunction(fn)
+                  and fn.__module__ == module.__name__)
+        if not public and name not in extra:
+            untraced.add(name)
+    assert "counting.t_brute" in names
+    assert untraced == STALE_LAYER_FUNCTIONS

@@ -25,7 +25,14 @@ from commonsys.exactpoly import (
     subdivision_positive_on_box,
     verify_certificate,
 )
-from commonsys.qsqrt2 import AlgebraicNumber, an_sign, sqrt_lower
+from commonsys.qsqrt2 import (
+    AlgebraicNumber,
+    an_sign,
+    format_algebraic,
+    parse_algebraic,
+    parse_rational,
+    sqrt_lower,
+)
 
 F = Fraction
 
@@ -427,6 +434,113 @@ class TestWitnessKeysAreRead:
             for tracker in trackers:
                 unread |= tracker.unread
         assert unread == UNREAD_WITNESS_KEYS
+
+
+# Mutations of the emitted certificates that still verify, counted by step
+# kind (or certificate method) and field; "deleted" counts chains that
+# verify with one step removed.  The sweep perturbs every numeric leaf two
+# ways, x -> x + 1 and x -> -x - 1, and deletes each chain step.  The counts
+# are exact, so closing a gap, or opening one, must be named here.
+SURVIVING_MUTATIONS = {
+    # harmless: a Sturm chain entry is checked up to a positive factor, so
+    # the last, constant entry moved by +1 keeps its sign and is the chain
+    ("sturm", "chain"): 4,
+    # the gap: a chain checks each step as true on its own, and its claim is
+    # free text, so no step is tied to the number the claim states
+    ("cmp", "lhs"): 17,
+    ("cmp", "rhs"): 16,
+    ("lemma", "premises.lhs"): 6,
+    ("lemma", "premises.rhs"): 8,
+    ("sqrt_lower", "x"): 3,
+    ("monomial_abs_bound", "poly"): 24,
+    ("monomial_abs_bound", "radii"): 4,
+    ("monomial_abs_bound", "bound"): 8,
+    ("deleted", "cmp"): 18,
+    ("deleted", "lemma"): 8,
+    ("deleted", "sqrt_lower"): 3,
+    ("deleted", "monomial_abs_bound"): 8,
+    ("deleted", "poly_eval"): 2,
+    ("deleted", "poly_identity"): 1,
+    ("deleted", "even_binomial_value"): 1,
+}
+# a field with more leaves than this (the C4 strip polynomials, 8 x 81
+# terms) is sampled at 20 evenly spaced leaves
+SWEEP_FULL_FIELD = 100
+
+
+def _perturbed(value) -> list:
+    """x + 1 and -x - 1, written in the value's own form: an int, a
+    str(Fraction) rational, or an ``a/b + c/d*sqrt2`` literal."""
+    if isinstance(value, int):
+        return [value + 1, -value - 1]
+    try:
+        x = parse_rational(value)
+        return [str(x + 1), str(-x - 1)]
+    except ValueError:
+        x = parse_algebraic(value)
+        return [format_algebraic(x + 1), format_algebraic(-x - 1)]
+
+
+def _numeric_leaves(node, field: str, out: list) -> list:
+    """(field, container, key) of every int or Q(sqrt(2)) literal under
+    `node`; list positions are not part of the field."""
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        sub = field if isinstance(key, int) else f"{field}.{key}".lstrip(".")
+        if isinstance(value, int) and not isinstance(value, bool):
+            out.append((sub, node, key))
+        elif isinstance(value, str):
+            try:
+                parse_algebraic(value)
+                out.append((sub, node, key))
+            except ValueError:
+                pass
+        else:
+            _numeric_leaves(value, sub, out)
+    return out
+
+
+def _leaf_groups(cert: Certificate) -> dict:
+    """The numeric leaves of a certificate by (step kind or method, field)."""
+    parts = cert.witness["steps"] if cert.method == "rational_chain" else [cert.witness]
+    groups = {}
+    for part in parts:
+        label = part["kind"] if cert.method == "rational_chain" else cert.method
+        for field, node, key in _numeric_leaves(part, "", []):
+            groups.setdefault((label, field), []).append((node, key))
+    for leaves in groups.values():
+        if len(leaves) > SWEEP_FULL_FIELD:
+            leaves[:] = [leaves[i * len(leaves) // 20] for i in range(20)]
+    return groups
+
+
+class TestMutationSweep:
+    def test_surviving_mutations_are_the_listed_ones(self, ledger):
+        survivors = {}
+        for cert in [*verify_lemma_suite(), *ledger.certificates.values()]:
+            cert = copy.deepcopy(cert)
+            w = cert.witness
+            mutants = []
+            for label, leaves in _leaf_groups(cert).items():
+                for node, key in leaves:
+                    original = node[key]
+                    for value in _perturbed(original):
+                        node[key] = value
+                        mutants.append((label, verify_certificate(cert)))
+                    node[key] = original
+            steps = w.get("steps", [])
+            for i, step in enumerate(steps):
+                w["steps"] = steps[:i] + steps[i + 1:]
+                mutants.append((("deleted", step["kind"]), verify_certificate(cert)))
+            w["steps"] = steps
+            assert verify_certificate(cert), cert.claim
+            for label, survived in mutants:
+                if survived:
+                    survivors[label] = survivors.get(label, 0) + 1
+        assert survivors == SURVIVING_MUTATIONS
 
 
 @pytest.fixture(scope="module")

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from commonsys import certify, cli, counting, harmonic, optimize
+from commonsys import certify, cli, counting, harmonic, linsys, optimize
 from commonsys.exactpoly import Certificate, verify_certificate
 
 
@@ -295,6 +295,24 @@ class TestOversizedDimension:
         _refused_before_power(
             capsys, "search", "--system", "phi", "--n", str(self.BIG_N), "--property", "common",
         )
+
+
+class TestOversizedSystem:
+    """A system document with more than `linsys.MAX_SYSTEM_SIZE` rows or
+    columns is refused with the size-cap exit before row reduction, whose
+    cost is cubic, and before the t x (t - m) kernel is formed."""
+
+    @pytest.mark.parametrize("m, t", [(1, 20000), (20000, 2), (300, 301)])
+    def test_refused_before_row_reduction(self, capsys, tmp_path, monkeypatch, m, t):
+        reduced = []
+        rref = linsys._rref_mod_p
+        monkeypatch.setattr(linsys, "_rref_mod_p", lambda *a: reduced.append(a) or rref(*a))
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps({"p": 3, "matrix": [[1] * t for _ in range(m)]}))
+        code, peak = _run_traced(["eval", "--system", str(path), "--const", "1/2",
+                                  "--property", "common"])
+        assert code == 4 and "exceeds" in capsys.readouterr().err
+        assert not reduced and peak < 1 << 23, peak
 
 
 def test_scan_grid_past_the_cap_is_refused_before_it_is_formed(capsys):

@@ -603,12 +603,18 @@ class TestLift:
     """For a surjective linear pi: F_p^n -> F_p^k, T_n(g o pi) = T_k(g) and
     G_(g o pi) = G_g o pi, as pi maps the solutions over F_p^n uniformly
     onto those over F_p^k.  So the kernel is checked against exact
-    enumeration at k = 2 up to the n where searches run."""
+    enumeration at k = 2 up to the n where searches run.  An invertible
+    pi (k = n) is a bijection of the solutions: T(f o A) = T(f) and
+    G_(f o A) = G_f o A for A in GL_n(F_p)."""
 
     SYSTEMS = [
         PHI,
         linsys.LinearSystem.from_matrix(3, np.random.default_rng(48).integers(1, 3, (1, 6)).tolist()),
     ]
+    # one connected rank-2 block of four directions, (1, 2) with two
+    # coefficients: at n = 6 its 3^12 lambda-tuples pass CHUNK, so the
+    # streamed tables and the bincount scatter run
+    WIDE = linsys.LinearSystem.from_matrix(3, [[1, 2, 0, 1, 1], [0, 1, 1, 2, 1]])
 
     PROPERTIES = (("geometric", None), ("alon", 3), ("sidorenko", None))
 
@@ -629,6 +635,14 @@ class TestLift:
 
     @pytest.mark.parametrize("system", SYSTEMS, ids=lambda s: str(s.matrix))
     def test_t_and_gradient_lift(self, system):
+        self._check_lift(system, (4, 6, 8, 10))
+
+    def test_wide_block_lift(self):
+        (columns,) = counting._block_columns(self.WIDE)
+        assert len(counting._block_plan(columns, 3)[0]) == 4 and 3 ** (6 * 2) > counting.CHUNK
+        self._check_lift(self.WIDE, (6,))
+
+    def _check_lift(self, system, ns):
         rng = np.random.default_rng([49, system.t])
         p, k = 3, 2
         g = random_rational_function(rng, p, k)
@@ -636,7 +650,7 @@ class TestLift:
         want_g = t_gradient(system, g).values
         want_d = [(prop, l, p**k * counting._defect_gradient(system, prop, l, g.values[None], k)[0],
                    self._chain_scale(system, prop, l, g)) for prop, l in self.PROPERTIES]
-        for n in (4, 6, 8, 10):
+        for n in ns:
             index = surjection_index(rng, p, k, n)
             f = GroupFunction(p, n, g.values[index])
             assert abs(t_fourier(system, f) - want_t) <= 1e-13 * want_t
@@ -646,25 +660,32 @@ class TestLift:
                 got = p**n * counting._defect_gradient(system, prop, l, f.values[None], n)[0]
                 assert np.max(np.abs(got - want[index])) <= 1e-13 * scale
 
+    @pytest.mark.parametrize("system", [*SYSTEMS, WIDE], ids=lambda s: str(s.matrix))
+    def test_general_linear_invariance(self, system):
+        rng = np.random.default_rng([51, system.t])
+        p = 3
+        for n in (2, 4, 6):
+            f = GroupFunction(p, n, rng.uniform(0.0, 1.0, p**n))
+            index = surjection_index(rng, p, n, n)  # rank n: A is invertible
+            moved = GroupFunction(p, n, f.values[index])
+            want_t, want_g = t_fourier(system, f), t_gradient(system, f).values
+            assert abs(t_fourier(system, moved) - want_t) <= 1e-13 * want_t
+            got = t_gradient(system, moved).values
+            assert np.max(np.abs(got - want_g[index])) <= 1e-13 * np.max(np.abs(want_g))
+
 
 class TestBruteRows:
     """`_brute_rows`: exact T of several functions from one kernel scan."""
 
     @staticmethod
-    def _spy_bounds(monkeypatch):
-        """Record the per-item bound of every `_exact_sum` call (None on the
-        object path)."""
-        seen = []
-        exact_sum = counting._exact_sum
+    def _bound(system, rows):
+        """max|N|^t, N the rows' values over the lcm of all their
+        denominators: `_brute_rows` takes int64 below 2^62, else Python ints."""
+        exact = [h.exact_values() for h in rows]
+        den = math.lcm(*(v.denominator for row in exact for v in row))
+        return int(max(abs(v) * den for row in exact for v in row)) ** system.t
 
-        def spy(prod, bound):
-            seen.append(bound)
-            return exact_sum(prod, bound)
-
-        monkeypatch.setattr(counting, "_exact_sum", spy)
-        return seen
-
-    def test_rows_match_separate_scans_on_both_paths(self, monkeypatch):
+    def test_rows_match_separate_scans_on_both_paths(self):
         rng = np.random.default_rng(60)
         f = random_rational_function(rng, 3, 1)  # 64^9 = 2^54: int64
         # 3^20 denominators: far past 2^62 on both routes, so the object path
@@ -672,9 +693,8 @@ class TestBruteRows:
         g = GroupFunction(3, 1, np.array([float(v) for v in deep]), deep)
         rows = [f, f.complement(), g]
         want = [t_brute(PHI, h) for h in rows]
-        seen = self._spy_bounds(monkeypatch)
         assert counting._brute_rows(PHI, rows) == want
-        assert None in seen and any(b is not None for b in seen)
+        assert self._bound(PHI, rows[:2]) < 1 << 62 <= self._bound(PHI, [g])
 
     def test_one_row_crosses_the_int64_bound(self, monkeypatch):
         rng = np.random.default_rng(61)
@@ -683,10 +703,10 @@ class TestBruteRows:
         exact = tuple(F(k, 128) for k in ks)
         g = GroupFunction(3, 1, np.array([float(v) for v in exact]), exact)
         want = [t_brute(PHI, f), t_brute(PHI, g)]
-        seen = self._spy_bounds(monkeypatch)
         monkeypatch.setattr(counting, "CHUNK", 64)  # 3^7 tuples: 41 chunks
         assert counting._brute_rows(PHI, [f, g]) == want
-        assert None in seen and any(b is not None for b in seen)
+        # f alone scans on int64; beside g, its stack takes Python ints
+        assert self._bound(PHI, [f]) < 1 << 62 <= self._bound(PHI, [f, g])
 
     def test_all_zero_row(self):
         rng = np.random.default_rng(62)
@@ -756,25 +776,33 @@ class TestBruteRows:
 
     @pytest.mark.parametrize("system, n, chunk", BRUTE_SCANS)
     def test_brute_rows_match_naive_enumeration(self, monkeypatch, system, n, chunk):
-        p = system.p
+        p, t = system.p, system.t
         rng = np.random.default_rng([p, n])
-        f = random_rational_function(rng, p, n)  # 64^t: the int64 path
+        # the largest power-of-two denominator whose products stay on int64
+        f = random_rational_function(rng, p, n, q=2 ** (61 // t))
         deep = tuple(F(int(k), 5**30) for k in rng.integers(0, 5**25, size=p**n))
-        g = GroupFunction(p, n, np.array([float(v) for v in deep]), deep)  # object path
-        rows = [f, g, constant(p, n, 0)]
-        seen = self._spy_bounds(monkeypatch)
+        g = GroupFunction(p, n, np.array([float(v) for v in deep]), deep)
+        zero = constant(p, n, 0)
         if chunk is not None:
             monkeypatch.setattr(counting, "CHUNK", chunk)
         points = naive_points(system.kernel, p, n)
-        want = []
-        for h in rows:
-            exact = h.exact_values()
-            den = math.lcm(*(v.denominator for v in exact))
-            numer = [int(v * den) for v in exact]
-            total = sum(math.prod(numer[x] for x in column) for column in zip(*points))
-            want.append(F(total, den**system.t * (p**n) ** system.num_params))
-        assert counting._brute_rows(system, rows) == want
-        assert want[2] == 0 and None in seen and any(b is not None for b in seen)
+        width = next(iter(counting._form_indices(system.kernel, p, n, "p^(nD)"))).shape[1]
+        stacks = [f, f.complement(), zero], [g, zero]
+        # an int64 stack summed in more than one slice per chunk, and an
+        # object stack
+        bound = self._bound(system, stacks[0])
+        assert bound < 1 << 62 and (1 << 62) // bound < width
+        assert self._bound(system, stacks[1]) >= 1 << 62
+        for rows in stacks:
+            want = []
+            for h in rows:
+                exact = h.exact_values()
+                den = math.lcm(*(v.denominator for v in exact))
+                numer = [int(v * den) for v in exact]
+                total = sum(math.prod(numer[x] for x in column) for column in zip(*points))
+                want.append(F(total, den**t * (p**n) ** system.num_params))
+            assert counting._brute_rows(system, rows) == want
+            assert want[-1] == 0
 
     def test_brute_defect_scans_the_kernel_once(self, monkeypatch):
         calls = []

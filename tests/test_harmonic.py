@@ -206,7 +206,7 @@ class TestPointIndexing:
                 for x in range(p**n)
             ]
             assert f.values.tolist() == want
-            assert f.exact == tuple(Fraction(v) for v in want)
+            assert f.exact_values() == tuple(Fraction(v) for v in want)
 
     def test_character_bump_bits(self, p, n):
         for h in range(0, p**n, max(1, p**n // 5)):
