@@ -45,8 +45,12 @@ forms its chain rule on the Fourier side and inverts once per colouring.
 The exact route pairs f and 1 - f in one scan: `defect(method="brute")`
 reads both over one denominator L (1 - a/b keeps the denominator b) as
 one integer stack [N; L - N], whose one bound picks int64 or Python
-ints, and each index table of the scan gathers the stack once per form.
-`t_brute` is the one-row case.
+ints.  `t_brute` is the one-row case.  The scan takes the t forms in
+runs of g consecutive forms (`_scan_group`): a run's product table,
+entry sum_j x_j (p^n)^j = prod_j N(x_j), holds at most CHUNK entries
+per row, and a run's key at a tuple is sum_j (p^n)^j psi_j(y), so each
+chunk makes one gather per run, not one per form.  Each entry is a
+product of at most t numerators, within the one bound.
 
 Every route reads f through index tables, which give the point of F_p^n
 that each form takes at each parameter tuple (kernel parameters, or
@@ -60,9 +64,10 @@ p^n = CHUNK, a wider block's table up to p^(nm) = CHUNK) comes from a
 small bounded cache of read-only arrays, so repeated evaluations on the
 same blocks build it once.  A longer scan streams past the cache: each
 chunk is the table of the low digits, built once per scan, plus the
-point of each high tuple, in one broadcast add.
-The two parts share a point digit only when one position is wider than
-CHUNK, and there the carry is taken back with one masked subtract.
+point of each high tuple, in one broadcast add; the exact scan adds
+run keys the same way (`_group_keys`).  The two parts share a point
+digit only when one position is wider than CHUNK, and there the carry
+is taken back with a masked subtract per form.
 """
 
 from __future__ import annotations
@@ -119,31 +124,48 @@ def _check_compat(system: LinearSystem, f: GroupFunction) -> None:
 
 
 @lru_cache(maxsize=4)
-def _index_table(forms, p: int, n: int) -> np.ndarray:
+def _index_table(forms, p: int, n: int, group: int = 1) -> np.ndarray:
     """Point indices of every linear form over all parameter tuples of
     (F_p^n)^k, k = len(forms[0]), in the digit-position-major order of
-    `harmonic._form_table`, as a read-only (len(forms), p^(nk)) array.
+    `harmonic._form_table`, as a read-only (len(forms), p^(nk)) array; with
+    `group` > 1, the keys of each run of that many forms (`_group_keys`).
 
     The cache holds the one-chunk tables a search uses on every call: the
     dilation tables of F_p^n (one entry, `_DILATIONS`) and the tables of
     a wider block; a longer scan streams through `_chunk_tables`.
     """
-    table = _form_table(forms, p, range(n * len(forms[0])))
+    table = _group_keys(_form_table(forms, p, range(n * len(forms[0]))), group, p**n)
     table.flags.writeable = False
     return table
 
 
-def _chunk_tables(forms, p: int, n: int):
-    """The index tables of `forms` over runs of at most CHUNK consecutive
-    parameter tuples, in tuple order.
+def _group_keys(table: np.ndarray, group: int, size: int) -> np.ndarray:
+    """Row G is sum_j size^j table[G group + j], the index into the product
+    table of a run of forms (`_group_products`); the table itself at group
+    1.  Point indices are below size, so a key is below size^group, and a
+    whole position adds to it with no carry.  The sum runs over the slots j
+    of a run, each a strided slice of the table."""
+    if group == 1:
+        return table
+    keys = table[::group].copy()
+    for j in range(1, group):
+        rows = table[j::group]
+        keys[:len(rows)] += size**j * rows
+    return keys
+
+
+def _chunk_tables(forms, p: int, n: int, group: int):
+    """The key tables of `forms` (`_group_keys`) over runs of at most CHUNK
+    consecutive parameter tuples, in tuple order.
 
     The low tuple digits get one table per scan: as many whole positions
     as fit in CHUNK, or, when one position is wider than CHUNK, as many
-    of its digits as fit.  Each chunk adds to it the points of a run of
-    high tuples.  Whole positions add with no carry.  A cut position is
-    position 0, whose point digit both parts share, so p is taken back
-    wherever their two digits sum past p - 1."""
-    k = len(forms[0])
+    of its digits as fit.  Each chunk adds to its keys the keys of a run
+    of high tuples.  Whole positions add with no carry.  A cut position is
+    position 0, whose point digit both parts share, so wherever form j's
+    two digits sum past p - 1, p is taken back from its point, which is
+    p size^(j mod group) from its run's key."""
+    k, size = len(forms[0]), p**n
     low = 0
     while p ** (low + 1) <= CHUNK:
         low += 1
@@ -151,26 +173,30 @@ def _chunk_tables(forms, p: int, n: int):
         low -= low % k
     table = _form_table(forms, p, range(low))
     high = _form_table(forms, p, range(low, n * k))
-    room = (p - high % p)[:, :, None] if low % k else None
-    group = CHUNK // table.shape[1]
-    for start in range(0, high.shape[1], group):
-        out = table[:, None, :] + high[:, start:start + group, None]
-        if room is not None:
-            np.subtract(out, p, out=out, where=table[:, None, :] >= room[:, start:start + group])
-        yield out.reshape(len(forms), -1)
+    keys, high_keys = _group_keys(table, group, size), _group_keys(high, group, size)
+    run = CHUNK // table.shape[1]
+    for start in range(0, high.shape[1], run):
+        out = keys[:, None, :] + high_keys[:, start:start + run, None]
+        if low % k:
+            room = (p - high[:, start:start + run] % p)[:, :, None]
+            for j, carry in enumerate(table[:, None, :] >= room):
+                key = out[j // group]
+                np.subtract(key, p * size ** (j % group), out=key, where=carry)
+        yield out.reshape(len(keys), -1)
 
 
-def _form_indices(forms, p: int, n: int, label: str):
+def _form_indices(forms, p: int, n: int, label: str, group: int = 1):
     """The index tables of `forms` over all of (F_p^n)^k, at most CHUNK
-    parameter tuples each.  The size cap is checked before any table."""
+    parameter tuples each, or with `group` > 1 the keys of their runs of
+    that many forms.  The size cap is checked before any table."""
     total = (p**n) ** len(forms[0])
     if total > ENUMERATION_CAP:
         raise TooLarge(f"{label} = {total} exceeds cap {ENUMERATION_CAP}")
     if total <= CHUNK:
-        return (_index_table(forms, p, n),)
+        return (_index_table(forms, p, n, group),)
     # through the LRU cache, a longer scan would miss on every chunk and
-    # leave its last chunks (len(forms) * CHUNK * 8 bytes each) pinned
-    return _chunk_tables(forms, p, n)
+    # leave its last chunks (a row of CHUNK int64 per form or run) pinned
+    return _chunk_tables(forms, p, n, group)
 
 
 def _widest_table(system: LinearSystem, n: int) -> int:
@@ -195,16 +221,42 @@ def t_brute(system: LinearSystem, f: GroupFunction) -> Fraction:
     return _brute_rows(system, [f])[0]
 
 
+def _scan_group(t: int, size: int, total: int) -> int:
+    """Forms per product table in a scan of `total` kernel tuples of t forms
+    on F_p^n (size = p^n): the fewest runs whose tables hold at most
+    min(CHUNK, total) entries per row, each as short as that count of runs
+    allows, so that no table is wider than a chunk or than the scan."""
+    widest = 1
+    while widest < t and size ** (widest + 1) <= min(CHUNK, total):
+        widest += 1
+    runs = -(-t // widest)
+    return -(-t // runs)
+
+
+def _group_products(stack: np.ndarray, t: int, group: int) -> list:
+    """The product table of `stack` for each run of `group` consecutive
+    forms of t, the last run perhaps shorter: for a run of g forms, entry
+    sum_j x_j size^j of row r is prod_j stack[r, x_j], the x_j point indices
+    (`_group_keys`).  A table depends only on the length of its run."""
+    tables = [stack]
+    while len(tables) < group:
+        tables.append((stack[:, :, None] * tables[-1][:, None, :]).reshape(len(stack), -1))
+    return [tables[min(group, t - start) - 1] for start in range(0, t, group)]
+
+
 def _brute_rows(system: LinearSystem, fs) -> list[Fraction]:
     """`t_brute` of each function of `fs` (all on the same F_p^n), from one
     scan of the kernel over one integer stack: the numerators N over L, the
     lcm of every value denominator.  Below 2^62 the bound max|N|^t keeps
     the products int64, summed in column slices of 2^62 // bound so no sum
-    overflows; else they are Python ints, one slice per chunk."""
+    overflows; else they are Python ints, one slice per chunk.  The forms
+    are taken in runs (`_scan_group`): each chunk gathers each run's
+    product table at its keys and multiplies the runs."""
     for f in fs:
         _check_compat(system, f)
-    chunks = _form_indices(system.kernel, fs[0].p, fs[0].n, "p^(nD)")
-    t = system.t
+    p, n, t = fs[0].p, fs[0].n, system.t
+    group = _scan_group(t, p**n, fs[0].size**system.num_params)
+    chunks = _form_indices(system.kernel, p, n, "p^(nD)", group)
     exact = [f.exact_values() for f in fs]
     denom = math.lcm(*(v.denominator for row in exact for v in row))
     stack = [[v.numerator * (denom // v.denominator) for v in row] for row in exact]
@@ -212,12 +264,12 @@ def _brute_rows(system: LinearSystem, fs) -> list[Fraction]:
     totals = [0] * len(fs)
     if bound:  # an all-zero stack has T = 0 and skips the scan
         small = bound < 1 << 62
-        stack = np.array(stack, dtype=np.int64 if small else object)
+        tables = _group_products(np.array(stack, dtype=np.int64 if small else object), t, group)
         step = (1 << 62) // bound if small else CHUNK
-        for idx in chunks:
-            prod = np.take(stack, idx[0], axis=1)
-            for vi in idx[1:]:
-                prod *= np.take(stack, vi, axis=1)
+        for keys in chunks:
+            prod = np.take(tables[0], keys[0], axis=1)
+            for table, key in zip(tables[1:], keys[1:]):
+                prod *= np.take(table, key, axis=1)
             partial = np.add.reduceat(prod, range(0, prod.shape[1], step), axis=1)
             totals = [a + sum(row) for a, row in zip(totals, partial.tolist())]
     scale = denom**t * fs[0].size**system.num_params

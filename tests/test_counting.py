@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,8 @@ F = Fraction
 PHI = linsys.preset("phi")
 A4 = linsys.preset("a4")
 A5 = linsys.preset("a5")
+# two variable-disjoint copies of a4: t = 8 on 9^6 kernel tuples at n = 2
+A4A4_ROWS = [[1, 2, 1, 2, 0, 0, 0, 0], [0, 0, 0, 0, 1, 2, 1, 2]]
 
 
 def random_rational_function(rng, p, n, q=64):
@@ -53,6 +56,22 @@ def naive_points(forms, p, n):
             row = [add[acc][form[j] * y % p * p**d] for acc in row for y in range(p)]
         rows.append(row)
     return rows
+
+
+def naive_brute(system, rows, n):
+    """T of each function of `rows` by plain enumeration of the kernel
+    tuples (`naive_points`): each row's numerators over its own lcm
+    denominator, multiplied form by form and summed in Python ints."""
+    p, t = system.p, system.t
+    columns = list(zip(*naive_points(system.kernel, p, n)))
+    out = []
+    for h in rows:
+        exact = h.exact_values()
+        den = math.lcm(*(v.denominator for v in exact))
+        numer = [int(v * den) for v in exact]
+        total = sum(math.prod(numer[x] for x in column) for column in columns)
+        out.append(F(total, den**t * (p**n) ** system.num_params))
+    return out
 
 
 def random_system(rng, p, n, cap=10**5, max_t=9):
@@ -660,6 +679,16 @@ class TestLift:
                 got = p**n * counting._defect_gradient(system, prop, l, f.values[None], n)[0]
                 assert np.max(np.abs(got - want[index])) <= 1e-13 * scale
 
+    @pytest.mark.parametrize("system, k, n", [(PHI, 1, 2), (A4, 2, 4)], ids=["phi", "a4"])
+    def test_brute_lift(self, system, k, n):
+        # the exact side: the same Fraction, from 9^7 and 81^3 kernel tuples
+        rng = np.random.default_rng([52, system.t])
+        g = random_rational_function(rng, 3, k)
+        index = surjection_index(rng, 3, k, n)
+        exact = g.exact_values()
+        f = GroupFunction(3, n, g.values[index], tuple(exact[i] for i in index.tolist()))
+        assert t_brute(system, f) == t_brute(system, g)
+
     @pytest.mark.parametrize("system", [*SYSTEMS, WIDE], ids=lambda s: str(s.matrix))
     def test_general_linear_invariance(self, system):
         rng = np.random.default_rng([51, system.t])
@@ -760,6 +789,19 @@ class TestBruteRows:
         assert all(t.dtype == np.int64 and t.shape[1] <= counting.CHUNK for t in tables)
         assert np.concatenate(tables, axis=1).tolist() == naive_points(forms, p, n)
 
+    @pytest.mark.parametrize("group", [2, 3])
+    @pytest.mark.parametrize("p, n, forms, chunk", SCANS)
+    def test_scan_keys_match_naive_enumeration(self, monkeypatch, p, n, forms, chunk, group):
+        # the key of a run of forms weighs its j-th form's point by (p^n)^j
+        if chunk is not None:
+            monkeypatch.setattr(counting, "CHUNK", chunk)
+        tables = list(counting._form_indices(forms, p, n, "p^(nD)", group))
+        assert all(t.shape == (-(-len(forms) // group), tables[0].shape[1]) for t in tables[:-1])
+        points = naive_points(forms, p, n)
+        want = [[sum(p ** (n * j) * x for j, x in enumerate(run)) for run in zip(*points[start:start + group])]
+                for start in range(0, len(forms), group)]
+        assert np.concatenate(tables, axis=1).tolist() == want
+
     def test_index_table_matches_naive_enumeration(self):
         forms = ((1, 0, 4), (2, 3, 1), (0, 0, 0), (4, 4, 4))
         got = counting._index_table.__wrapped__(forms, 5, 2)
@@ -767,11 +809,18 @@ class TestBruteRows:
         assert got.tolist() == naive_points(forms, 5, 2)
 
     # (system over F_p, n, CHUNK): 5^7 kernel tuples at the real CHUNK, and
-    # 25^3 with CHUNK below p^n
+    # 25^3 with CHUNK below p^n; then the runs of forms (`_scan_group`,
+    # checked in `test_scan_group_boundaries`): runs of one form on 343^2
+    # tuples, as 343^2 > CHUNK; phi's nine forms in a ragged 5 + 4, one
+    # chunk; and a cut position 0 streamed over three chunks of 81 tuples
+    # in runs of 4 + 3
     BRUTE_SCANS = [
         (linsys.LinearSystem.from_matrix(5, [[1, 2, 3, 4, 1, 2, 3, 4]]), 1, None),
         (linsys.LinearSystem.from_matrix(7, [[1, 3, 5, 2]]), 1, 50),
         (linsys.LinearSystem.from_matrix(5, [[1, 1, 2, 4]]), 2, 16),
+        (linsys.LinearSystem.from_matrix(7, [[1, 3, 5]]), 3, None),
+        (PHI, 1, None),
+        (linsys.LinearSystem.from_matrix(3, [[1, 2, 0, 1, 1, 2, 1], [0, 1, 1, 2, 0, 1, 1]]), 1, 100),
     ]
 
     @pytest.mark.parametrize("system, n, chunk", BRUTE_SCANS)
@@ -785,7 +834,6 @@ class TestBruteRows:
         zero = constant(p, n, 0)
         if chunk is not None:
             monkeypatch.setattr(counting, "CHUNK", chunk)
-        points = naive_points(system.kernel, p, n)
         width = next(iter(counting._form_indices(system.kernel, p, n, "p^(nD)"))).shape[1]
         stacks = [f, f.complement(), zero], [g, zero]
         # an int64 stack summed in more than one slice per chunk, and an
@@ -794,23 +842,117 @@ class TestBruteRows:
         assert bound < 1 << 62 and (1 << 62) // bound < width
         assert self._bound(system, stacks[1]) >= 1 << 62
         for rows in stacks:
-            want = []
-            for h in rows:
-                exact = h.exact_values()
-                den = math.lcm(*(v.denominator for v in exact))
-                numer = [int(v * den) for v in exact]
-                total = sum(math.prod(numer[x] for x in column) for column in zip(*points))
-                want.append(F(total, den**t * (p**n) ** system.num_params))
+            want = naive_brute(system, rows, n)
             assert counting._brute_rows(system, rows) == want
             assert want[-1] == 0
+
+    @pytest.mark.parametrize("system, n, chunk, group", [
+        (BRUTE_SCANS[3][0], 3, None, 1),
+        (PHI, 1, None, 5),
+        (BRUTE_SCANS[5][0], 1, 100, 4),
+        (linsys.LinearSystem.from_matrix(3, A4A4_ROWS), 2, None, 4),
+    ])
+    def test_scan_group_boundaries(self, monkeypatch, system, n, chunk, group):
+        if chunk is not None:
+            monkeypatch.setattr(counting, "CHUNK", chunk)
+        size = system.p**n
+        total = size**system.num_params
+        assert counting._scan_group(system.t, size, total) == group
+        # every product table fits in a chunk and in the scan
+        assert size**group <= max(size, min(counting.CHUNK, total))
+
+    # t = 5 forms over F_5 on 5^4 tuples: one chunk at the real CHUNK, and a
+    # cut position 0 over seven chunks at CHUNK = 100
+    RUNS = linsys.LinearSystem.from_matrix(5, [[1, 2, 3, 4, 1]])
+
+    @pytest.mark.parametrize("chunk", [None, 100])
+    @pytest.mark.parametrize("group", [1, 2, 3, 4, 5])
+    def test_every_run_length_matches_naive_enumeration(self, monkeypatch, chunk, group):
+        # the rule never picks runs of all t forms, since a full-rank
+        # kernel has fewer tuples (p^(nD)) than such a table (p^(nt));
+        # forcing each length checks runs of one, ragged runs and one run
+        system, n = self.RUNS, 1
+        rng = np.random.default_rng([66, group])
+        f = random_rational_function(rng, 5, n)
+        deep = tuple(F(int(k), 7**40) for k in rng.integers(0, 7**20, size=5))
+        g = GroupFunction(5, n, np.array([float(v) for v in deep]), deep)
+        monkeypatch.setattr(counting, "_scan_group", lambda t, size, total: group)
+        if chunk is not None:
+            monkeypatch.setattr(counting, "CHUNK", chunk)
+        for rows in ([f, f.complement()], [g, f]):
+            assert counting._brute_rows(system, rows) == naive_brute(system, rows, n)
+        assert self._bound(system, [f]) < 1 << 62 <= self._bound(system, [g, f])
+
+    # (system, n, L): max|N|^t = L^t lies just under 2^62, (L + 1)^t above
+    EDGES = [(PHI, 1, 118), (A4, 2, 46340)]
+
+    @pytest.mark.parametrize("system, n, den", EDGES)
+    def test_int64_bound_just_under_two_to_the_62(self, monkeypatch, system, n, den):
+        assert den**system.t < 1 << 62 <= (den + 1) ** system.t
+        p = system.p
+        rng = np.random.default_rng([67, den])
+        # value 1 at the point 0 takes the zero tuple's product to the bound
+        ks = [den, *rng.integers(den // 2, den + 1, size=p**n - 1).tolist()]
+        exact = tuple(F(int(k), den) for k in ks)
+        f = GroupFunction(p, n, np.array([float(v) for v in exact]), exact)
+        dtypes = []
+        group_products = counting._group_products
+        monkeypatch.setattr(counting, "_group_products",
+                            lambda stack, *a: dtypes.append(stack.dtype) or group_products(stack, *a))
+        assert counting._brute_rows(system, [f]) == naive_brute(system, [f], n)
+        assert dtypes == [np.int64]
+
+    @pytest.mark.parametrize("system, n", [(linsys.LinearSystem.from_matrix(3, A4A4_ROWS), 2),
+                                           (BRUTE_SCANS[0][0], 1)])
+    def test_scan_tables_hold_at_most_a_chunk_per_row(self, monkeypatch, system, n):
+        # 9^6 tuples in nine chunks of whole positions, and 5^7 cut inside
+        # position 0 over two chunks
+        rng = np.random.default_rng(68)
+        rows = [random_rational_function(rng, system.p, n)]
+        rows.append(rows[0].complement())
+        want = counting._brute_rows(system, rows)
+        widths = {"keys": [], "products": []}
+        form_indices, group_products = counting._form_indices, counting._group_products
+
+        def keys(*args):
+            for table in form_indices(*args):
+                widths["keys"].append(table.shape[1])
+                yield table
+
+        def products(*args):
+            tables = group_products(*args)
+            widths["products"].extend(table.shape[1] for table in tables)
+            return tables
+
+        monkeypatch.setattr(counting, "_form_indices", keys)
+        monkeypatch.setattr(counting, "_group_products", products)
+        assert counting._brute_rows(system, rows) == want
+        assert len(widths["keys"]) > 1 and len(widths["products"]) > 1
+        assert max(widths["keys"] + widths["products"]) <= counting.CHUNK
+
+    def test_scan_peak_memory(self):
+        # the per-form scan this replaced traced a 10,477,080-byte peak on
+        # this scan (numpy 2.4): t = 8 index tables of CHUNK int64 per chunk
+        system = linsys.LinearSystem.from_matrix(3, A4A4_ROWS)
+        rng = np.random.default_rng(69)
+        f = random_rational_function(rng, 3, 2)
+        rows = [f, f.complement()]
+        counting._brute_rows(system, rows)
+        tracemalloc.start()
+        try:
+            counting._brute_rows(system, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10_477_080
 
     def test_brute_defect_scans_the_kernel_once(self, monkeypatch):
         calls = []
         form_indices = counting._form_indices
 
-        def spy(forms, p, n, label):
+        def spy(forms, p, n, label, *group):
             calls.append(label)
-            return form_indices(forms, p, n, label)
+            return form_indices(forms, p, n, label, *group)
 
         monkeypatch.setattr(counting, "_form_indices", spy)
         rng = np.random.default_rng(65)
