@@ -564,6 +564,7 @@ class ConstantLedger(LConditions):
                     "condition": "domain",
                     "satisfied": False,
                     "slack": str(l - 2 * BINOMIAL_TERMS),
+                    "slack_float": float(l - 2 * BINOMIAL_TERMS),
                 }
             )
             return rows
@@ -607,7 +608,7 @@ def _replay_line(row: dict) -> str:
     """One row of `ConstantLedger.replay` as printed by `summary` and by
     `constants --check-l`."""
     mark = "ok " if row["satisfied"] else "FAIL"
-    return f"  {mark} {row['condition']:<12} slack {row.get('slack_float', 0.0):.3e}"
+    return f"  {mark} {row['condition']:<12} slack {row['slack_float']:.3e}"
 
 
 def derive_all() -> ConstantLedger:

@@ -22,7 +22,11 @@ slack certifies a violation) via `defect_value`.  Each property's
 formula, its partial derivatives (`defect_partials`) and the means it is
 defined at, with the mean a search pins (`check_mean`), live only here;
 the optimizer takes the defect and its gradient per row (`_defect_rows`,
-`_defect_gradient`) and the pinned mean from here and names no property.
+`_defect_gradient`), the pinned mean and the rows per batch
+(`_batch_rows`) from here and names no property.  Every float route
+reads a colouring through one reader, `_pair_floats`, as the Python
+floats (T(f), T(1 - f), alpha) with alpha = f^(0), so `defect` gives a
+search's value for the same colouring bit for bit.
 
 Both Fourier routes run on an (R, p^n) stack of spectra.  `_block_plan`
 groups a block's columns by direction up to a scalar: a column c*d reads
@@ -197,17 +201,6 @@ def _form_indices(forms, p: int, n: int, label: str, group: int = 1):
     # through the LRU cache, a longer scan would miss on every chunk and
     # leave its last chunks (a row of CHUNK int64 per form or run) pinned
     return _chunk_tables(forms, p, n, group)
-
-
-def _widest_table(system: LinearSystem, n: int) -> int:
-    """Entries per row of the widest gather the row-space kernel makes for
-    a block of `system` on F_p^n: its directions times at most CHUNK
-    lambda-tuples (one direction on p^n points for a rank-1 block)."""
-    size, p = system.p**n, system.p
-    return max(
-        len(_block_plan(cols, p)[0]) * min(size ** len(cols[0]), CHUNK)
-        for cols in _block_columns(system)
-    )
 
 
 def t_brute(system: LinearSystem, f: GroupFunction) -> Fraction:
@@ -570,67 +563,68 @@ def defect_value(property: str, t_f, t_1mf, alpha, t: int, l: int | None, one):
 
 
 def defect_partials(property: str, t_f, t_1mf, alpha, t: int, l: int | None):
-    """(dD/dT(f), dD/dT(1 - f), dD/dalpha) of `defect_value` at each entry of
-    the float arrays t_f, t_1mf and alpha, one entry per function; t_1mf is
-    read only for READS_COMPLEMENT.  Each partial broadcasts against them."""
+    """(dD/dT(f), dD/dT(1 - f), dD/dalpha) of `defect_value` at one
+    function's floats; t_1mf is read only for READS_COMPLEMENT."""
     if property == COMMON:
         return 1.0, 1.0, 0.0
     if property == GEOMETRIC:
         return t_1mf, t_f, 0.0
     if property == SIDORENKO:
-        return 1.0, 0.0, -t * _powers(alpha, t - 1)
+        return 1.0, 0.0, -t * alpha ** (t - 1)
     if property == ALON:
         if not l:  # the weights are 1, and alpha^(l-1) is undefined at 0 and 1
             return 1.0, 1.0, 0.0
-        return _alon_partials(t_f, t_1mf, alpha, l)
+        beta = 1.0 - alpha
+        return alpha**l, beta**l, l * alpha ** (l - 1) * t_f - l * beta ** (l - 1) * t_1mf
     return 1.0, 0.0, 0.0  # prevalence
 
 
-def _powers(x: np.ndarray, k: int) -> np.ndarray:
-    """x ** k entry by entry as Python floats: each entry's bits are the scalar
-    power's, whatever numpy's vectorized power or the other entries do."""
-    return np.array([v**k for v in x.ravel().tolist()]).reshape(x.shape)
-
-
-def _alon_partials(t_f, t_1mf, alpha, l: int) -> np.ndarray:
-    """The alon partials, stacked on a new first axis, from one pass that
-    takes alpha^l, (1 - alpha)^l, alpha^(l-1) and (1 - alpha)^(l-1) of each
-    entry as Python floats, as `_powers` does."""
-    rows = []
-    for a, x, y in zip(alpha.ravel().tolist(), t_f.ravel().tolist(), t_1mf.ravel().tolist()):
-        b = 1.0 - a
-        rows.append((a**l, b**l, l * a ** (l - 1) * x - l * b ** (l - 1) * y))
-    return np.array(rows).T.reshape(3, *alpha.shape)
+def _pair_floats(spectra: np.ndarray, ts: np.ndarray, rows: int) -> list[tuple]:
+    """(T(f), T(1 - f), alpha) of each of the `rows` functions of a
+    `_spectra` stack as Python floats, from the T of each row of the stack:
+    T(1 - f) is None when the stack holds no complements, and alpha is
+    f^(0), the mean as every float route reads it."""
+    ts = ts.tolist()
+    return list(zip(ts[:rows], ts[rows:] or [None] * rows, spectra[:rows, 0].real.tolist()))
 
 
 def _defect_rows(system: LinearSystem, property: str, l: int | None, values, n: int):
     """The float defect of `property` at each row of an (R, p^n) stack of
-    functions, each row's mean read as f^(0) from the same spectrum."""
-    pair = property in READS_COMPLEMENT
-    spectra = _spectra(values, system.p, n, pair)
-    ts = _t_rows(system, spectra, n).tolist()
-    t_c = ts[len(values):] if pair else [None] * len(values)
-    return np.array([defect_value(property, t_f, t_1mf, alpha, system.t, l, 1.0)
-                     for t_f, t_1mf, alpha in zip(ts, t_c, spectra[:, 0].real.tolist())])
+    functions."""
+    spectra = _spectra(values, system.p, n, property in READS_COMPLEMENT)
+    pairs = _pair_floats(spectra, _t_rows(system, spectra, n), len(values))
+    return np.array([defect_value(property, *pair, system.t, l, 1.0) for pair in pairs])
 
 
 def _defect_gradient(system: LinearSystem, property: str, l: int | None, values, n: int):
     """The Euclidean gradient of the defect at each row of an (R, p^n)
     stack: f(x) moves T(f) by G_f(x) / p^n, T(1 - f) by -G_(1-f)(x) / p^n
     and the mean by 1 / p^n.  The chain rule d_f G_f - d_c G_(1-f) is
-    linear, so it is formed on the Fourier side, one inverse per row."""
+    linear, so it is formed on the Fourier side, one inverse per row, with
+    each row's partials (`defect_partials`) as a column."""
     pair = property in READS_COMPLEMENT
     p, (rows, size) = system.p, values.shape
     spectra = _spectra(values, p, n, pair)
     ghat, ts = _gradient_rows(system, spectra, n)
-    d_f, d_c, d_alpha = defect_partials(
-        property, ts[:rows, None], ts[rows:, None] if pair else None,
-        spectra[:rows, :1].real, system.t, l,
-    )
+    d_f, d_c, d_alpha = np.array([defect_partials(property, *floats, system.t, l)
+                                  for floats in _pair_floats(spectra, ts, rows)]).T[:, :, None]
     chain = d_f * ghat[:rows]
     if pair:
         chain -= d_c * ghat[rows:]
     return (d_alpha + _idft_rows(chain, p, n).real) / size
+
+
+def _batch_rows(system: LinearSystem, n: int) -> int:
+    """Functions per stack of a lockstep search on F_p^n: at most
+    CHUNK // widest rows, widest the larger of p^n and the row-space
+    kernel's widest gather, a block's directions times at most CHUNK
+    lambda-tuples (one direction on p^n points for a rank-1 block), so each
+    of a batch's stacks, spectra, dilated spectra and powers, or one chunk
+    of gathered power products, holds at most CHUNK entries."""
+    size, p = system.p**n, system.p
+    widest = max([size] + [len(_block_plan(cols, p)[0]) * min(size ** len(cols[0]), CHUNK)
+                           for cols in _block_columns(system)])
+    return max(1, CHUNK // widest)
 
 
 def function_digest(f: GroupFunction) -> str:
@@ -708,9 +702,10 @@ def defect(
     value is sure to have more digits than the interpreter's int-to-str
     limit prints, before computing either (`_alon_denominator_digits` before
     the scan, `_alon_scanned_digits` after it past UNPRINTABLE_CHECK_BITS).
-    The mean is checked (`check_mean`) before either, and before any T, so
-    an input the property is not defined at is refused without a scan,
-    also where the scan would pass the size cap.
+    The float method reads alpha as f^(0), as a search does
+    (`_pair_floats`).  The mean is checked (`check_mean`) before either,
+    and before any T, so an input the property is not defined at is
+    refused without a scan, also where the scan would pass the size cap.
     """
     check_property(property, l)
     if not f.in_unit_box(tol=1e-12):
@@ -734,9 +729,9 @@ def defect(
         one = Fraction(1)
         method_name = METHOD_BRUTE
     elif method == "fourier":
-        alpha = f.mean()
-        check_mean(property, alpha)
-        t_f, t_1mf = _t_rows(system, _spectra(f.values[None], f.p, f.n, True), f.n).tolist()
+        spectra = _spectra(f.values[None], f.p, f.n, True)
+        check_mean(property, float(spectra[0, 0].real))  # f^(0), before any T
+        (t_f, t_1mf, alpha), = _pair_floats(spectra, _t_rows(system, spectra, f.n), 1)
         one = 1.0
         method_name = METHOD_FOURIER
     else:
@@ -764,12 +759,14 @@ def alon_witness(f: GroupFunction, system: LinearSystem, l: int) -> GroupFunctio
     c = log sqrt(T(1-f)/T(f)) after swapping so T(f) <= T(1-f).  Requires
     l >= 45c/4; the result stays in [0,1] and has mean 1/2 + c/(2l).
     """
-    if abs(f.mean() - 0.5) > 1e-9:
-        raise MeanConstraintViolated(f"witness needs mean 1/2, got {f.mean()}")
+    spectra = _spectra(f.values[None], f.p, f.n, True)
+    alpha = float(spectra[0, 0].real)
+    if abs(alpha - 0.5) > 1e-9:
+        raise MeanConstraintViolated(f"witness needs mean 1/2, got {alpha}")
     if l < 1:
         raise LTooSmall("l must be a positive integer")
     _check_compat(system, f)
-    t_f, t_1mf = _t_rows(system, _spectra(f.values[None], f.p, f.n, True), f.n).tolist()
+    (t_f, t_1mf, _), = _pair_floats(spectra, _t_rows(system, spectra, f.n), 1)
     base = f if t_1mf >= t_f else f.complement()
     small, big = min(t_f, t_1mf), max(t_f, t_1mf)
     if small <= 0.0:

@@ -22,8 +22,8 @@ The restarts run in lockstep as the rows of one array: each outer step
 takes one gradient call into `counting` over the rows still running, and
 each backtracking round one value call on every row still searching,
 while each row keeps its own step length, value history and stop state.
-A batch holds at most CHUNK // widest rows (widest: p^n, or a block's
-directions times its lambda-tuples per chunk), so memory stays bounded at
+A batch holds at most `counting._batch_rows` rows, the bound that keeps
+each of the kernel's stacks within one chunk, so memory stays bounded at
 large p^n.  The projection onto a fixed-mean slice is exact: a breakpoint
 search per row (Kiwiel 2008), not a bisection.
 
@@ -41,7 +41,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import counting
-from .counting import CHUNK, _defect_gradient, _defect_rows
+from .counting import _defect_gradient, _defect_rows
 from .errors import InfeasibleMean, MalformedDocument, TooLarge
 from .harmonic import GroupFunction, character_bump, checked_size, coset_indicator
 from .linsys import LinearSystem
@@ -203,16 +203,6 @@ def _initial_point(cfg: SearchConfig, k: int, rng) -> np.ndarray:
     return character_bump(cfg.p, cfg.n, h, phase, eps).values
 
 
-def _batch_rows(system: LinearSystem, n: int) -> int:
-    """Restarts per lockstep batch: at most CHUNK // widest rows, where
-    widest is the larger of p^n and the kernel's widest gather
-    (`counting._widest_table`), so each of a batch's stacks, spectra,
-    dilated spectra and powers, or one chunk of gathered power products,
-    holds at most CHUNK entries."""
-    widest = max(system.p**n, counting._widest_table(system, n))
-    return max(1, CHUNK // widest)
-
-
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a_i . b_i for each row i: a sum along C-contiguous rows, so a row's
     value does not depend on the other rows of its batch."""
@@ -300,7 +290,7 @@ def minimize_defect(system: LinearSystem, cfg: SearchConfig) -> SearchResult:
     fresh evaluation before reporting."""
     if system.p != cfg.p:
         raise MalformedDocument("config modulus differs from the system modulus")
-    rows = _batch_rows(system, cfg.n)
+    rows = counting._batch_rows(system, cfg.n)
     best, total_iters = None, 0  # a running minimum: each batch is dropped once folded
     for start in range(0, cfg.restarts, rows):
         batch = _run_restart(system, cfg, range(start, min(start + rows, cfg.restarts)))
@@ -321,10 +311,14 @@ def minimize_defect(system: LinearSystem, cfg: SearchConfig) -> SearchResult:
 
 def scan_alpha(system: LinearSystem, cfg: SearchConfig, alphas) -> list[dict]:
     """Minimize the defect with the mean pinned to each grid value: search i
-    is `cfg` with mean alphas[i] and seed cfg.seed + i."""
+    is `cfg` with mean alphas[i] and seed cfg.seed + i.  Every mean is
+    checked against the property before the first search."""
+    means = [float(alpha) for alpha in alphas]
+    for mean in means:
+        _check_unit(mean)
+        counting.check_mean(cfg.property, mean)
     rows = []
-    for i, alpha in enumerate(alphas):
-        alpha = float(alpha)
+    for i, alpha in enumerate(means):
         result = minimize_defect(system, replace(cfg, mean=alpha, seed=cfg.seed + i))
         rows.append({"alpha": alpha, "best_defect": result.best_defect,
                      "violation": result.violation})

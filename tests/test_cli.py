@@ -141,6 +141,19 @@ class TestEval:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("source", [
+        ["--coset", "x1"], ["--coset", "x3=1", "--n", "2"], ["--coset", "=1"],
+        ["--function", "{p5}"], ["--function", "{undecodable}"],
+    ], ids=["coset-no-equals", "coset-variable-past-n", "coset-no-variable",
+            "function-other-modulus", "function-not-utf8"])
+    def test_refused_colouring_sources(self, capsys, tmp_path, source):
+        paths = {"p5": tmp_path / "f5.json", "undecodable": tmp_path / "f.bin"}
+        harmonic.save_function(harmonic.constant(5, 1, Fraction(1, 2)), str(paths["p5"]))
+        paths["undecodable"].write_bytes(b"\xff\xfe not a function")
+        code, out, err = run_main(capsys, "eval", "--system", "phi", "--property", "common",
+                                  *(a.format(**paths) for a in source))
+        assert (code, out) == (2, "") and err.startswith("error: ")
+
     def test_manifest_digest_is_stable(self, capsys):
         args = (
             "eval", "--system", "phi", "--const", "0.5", "--property", "common",
@@ -183,6 +196,28 @@ class TestScan:
         )
         assert code == 0
         assert out.startswith("# commonsys")
+
+    def test_out_file_repeats_the_table(self, capsys, tmp_path):
+        path = tmp_path / "scan.tsv"
+        code, out, _ = run_main(
+            capsys,
+            "scan-alpha", "--system", "ap3", "--property", "common",
+            "--alphas", "1/4,1/2", "--restarts", "1", "--max-iters", "5", "--out", str(path),
+        )
+        assert code == 0 and path.read_text() == out
+        assert len(out.splitlines()) == 4  # header, columns and one row per mean
+
+    def test_every_mean_is_checked_before_the_first_search(self, capsys, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("ran a search")
+
+        monkeypatch.setattr(optimize, "minimize_defect", no_search)
+        code, out, err = run_main(
+            capsys,
+            "scan-alpha", "--system", "phi", "--n", "2", "--property", "geometric",
+            "--alphas", "0.5,0.6",
+        )
+        assert (code, out) == (2, "") and "mean 1/2" in err
 
 
 class TestSearch:
@@ -231,6 +266,28 @@ class TestSearch:
             "--restarts", "1", "--max-iters", "1",
         )
         assert evaluated == searched == code
+
+    # seeds 3 (alon) and 5 (sidorenko) find colourings whose mean E f and
+    # f^(0) differ in the last bit
+    @pytest.mark.parametrize("prop, extra", [
+        ("common", []), ("geometric", []), ("sidorenko", []), ("alon", ["--l", "7"]),
+        ("prevalence", ["--alpha", "1/3"]),
+    ], ids=["common", "geometric", "sidorenko", "alon", "prevalence"])
+    @pytest.mark.parametrize("seed", ["1", "3", "5"])
+    def test_eval_reproduces_the_search_defect(self, capsys, tmp_path, prop, extra, seed):
+        l = extra if prop == "alon" else []
+        for name in ("best.json", "best.gfpn"):
+            path = str(tmp_path / name)
+            code, out, _ = run_main(
+                capsys, "search", "--system", "phi", "--n", "2", "--property", prop, *extra,
+                "--restarts", "4", "--max-iters", "60", "--seed", seed, "--save-function", path,
+            )
+            assert code == 0
+            searched = json.loads(out)["result"]["best_defect"]
+            code, out, _ = run_main(capsys, "eval", "--system", "phi", "--function", path,
+                                    "--property", prop, *l)
+            assert code == 0
+            assert json.loads(out)["reports"][0]["value"] == searched, name
 
 
 # p^GIANT_N is a multi-megabyte integer, so a traced peak below 1 MB shows
@@ -472,6 +529,9 @@ class TestHostileArguments:
               "--grid", "100001"], 2),
             (["scan-alpha", "--system", "phi", "--property", "geometric",
               "--grid", "100001"], 2),
+            # mean 1/4: formed in milliseconds, but too many digits to print
+            (["eval", "--system", "phi", "--const", "1/4", "--property", "alon",
+              "--l", "10000", "--method", "brute"], 4),
         ],
     )
     def test_documented_exit(self, capsys, argv, code):
@@ -573,6 +633,11 @@ class TestVerifyAndConstants:
         code, out, _ = run_main(capsys, "constants", "--check-l", "100")
         assert code == 3
         assert "FAIL" in out
+
+    def test_check_l_below_the_domain_prints_its_slack(self, capsys):
+        code, out, _ = run_main(capsys, "constants", "--check-l", "10")
+        assert code == 3
+        assert out.splitlines()[-1] == "  FAIL domain       slack -3.800e+01"
 
     def test_check_l_past_the_float_range(self, capsys):
         # the growth slack passes 1e308 near l = 10^20: shown as inf

@@ -1006,17 +1006,17 @@ class TestDefect:
 
     @pytest.mark.parametrize("prop, l", [("sidorenko", None), ("alon", 3)])
     def test_partials_take_scalar_powers(self, prop, l):
-        # numpy's vectorized power can differ from the scalar one in the last bit
+        # the partials are taken at one function's Python floats, so their
+        # bits are the scalar powers', not numpy's vectorized ones
         t = 5
         t_f, t_1mf, alpha = np.random.default_rng(3).uniform(0, 1, (3, 64))
-        got = [np.broadcast_to(d, alpha.shape).tolist()
-               for d in counting.defect_partials(prop, t_f, t_1mf, alpha, t, l)]
-        for i, (x, y, a) in enumerate(zip(t_f.tolist(), t_1mf.tolist(), alpha.tolist())):
+        for x, y, a in zip(t_f.tolist(), t_1mf.tolist(), alpha.tolist()):
             if prop == "sidorenko":
                 want = (1.0, 0.0, -t * a ** (t - 1))
             else:
                 want = (a**l, (1.0 - a) ** l, l * a ** (l - 1) * x - l * (1.0 - a) ** (l - 1) * y)
-            assert tuple(column[i] for column in got) == want
+            got = counting.defect_partials(prop, x, y, a, t, l)
+            assert got == want and all(type(d) is float for d in got)
 
     def test_geometric_needs_balanced_mean(self):
         with pytest.raises(MeanConstraintViolated):

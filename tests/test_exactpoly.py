@@ -1,4 +1,5 @@
 import copy
+import json
 from decimal import Decimal, getcontext
 from fractions import Fraction
 from math import comb, gcd
@@ -606,6 +607,45 @@ class TestSubdivision:
         assert not ok and cert.verified
         wx, wy = (F(v) for v in cert.witness["witness_point"])
         assert an_sign(poly2.eval(wx, wy)) < 0
+
+    @staticmethod
+    def _splits(tree) -> list:
+        """The split nodes of a subdivision tree, root first."""
+        nodes, splits = [tree], []
+        while nodes:
+            node = nodes.pop()
+            if node["status"] == "split":
+                splits.append(node)
+                nodes += node["children"]
+        return splits
+
+    def test_tree_split_on_both_axes_rechecks_from_its_document(self):
+        # (x - 1/2)^2 + (y - 1/2)^2 + 1/4 > 0, but the interval bound of the
+        # expanded form is negative until the boxes are small in x and in y
+        poly2 = SparsePoly(2, {(2, 0): 1, (1, 0): -1, (0, 2): 1, (0, 1): -1, (0, 0): F(3, 4)})
+        ok, cert = subdivision_positive_on_box(poly2, (0, 1, 0, 1), max_depth=8)
+        assert ok and cert.verified
+        splits = self._splits(cert.witness["tree"])
+        assert {node["axis"] for node in splits[1:]} == {0, 1}
+        document = json.loads(json.dumps(cert.to_dict()))
+        assert verify_certificate(Certificate.from_dict(document))
+        for axis in (0, 1):  # a child split on either axis, read as the other
+            broken = copy.deepcopy(document)
+            node = next(n for n in self._splits(broken["witness"]["tree"])[1:] if n["axis"] == axis)
+            node["axis"] = 1 - axis
+            assert not verify_certificate(Certificate.from_dict(broken))
+
+    def test_refuted_below_the_root(self):
+        # negative only within sqrt(1/1000) of (1/4, 1/2): no probe of the
+        # root box finds it, the probe at the centre of its first child does
+        poly2 = SparsePoly(2, {(2, 0): 1, (1, 0): -F(1, 2), (0, 2): 1, (0, 1): -1,
+                               (0, 0): F(5, 16) - F(1, 1000)})
+        for x, y in ((F(1, 2), F(1, 2)), *((x, y) for x in (0, 1) for y in (0, 1))):
+            assert an_sign(poly2.eval(x, y)) > 0
+        ok, cert = subdivision_positive_on_box(poly2, (0, 1, 0, 1), max_depth=8)
+        assert not ok and cert.verified
+        wx, wy = (F(v) for v in cert.witness["witness_point"])
+        assert 0 < wx < 1 and 0 < wy < 1 and an_sign(poly2.eval(wx, wy)) < 0
 
     def test_depth_exhausted_on_tangent_zero(self):
         # (x - y)^2 is nonnegative but vanishes on the diagonal, so interval

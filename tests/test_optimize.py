@@ -318,15 +318,15 @@ class TestMinimize:
                            max_iters=40, seed=3)
         results = []
         for rows in (1, 3, cfg.restarts):
-            monkeypatch.setattr(optimize, "_batch_rows", lambda system, n, rows=rows: rows)
+            monkeypatch.setattr(counting, "_batch_rows", lambda system, n, rows=rows: rows)
             results.append(minimize_defect(PHI, cfg).to_dict())
         assert results[0] == results[1] == results[2]
 
     def test_restarts_run_in_bounded_batches(self, monkeypatch):
-        assert optimize._batch_rows(PHI, 2) == counting.CHUNK // 9  # rank 1: one direction on 9 points
+        assert counting._batch_rows(PHI, 2) == counting.CHUNK // 9  # rank 1: one direction on 9 points
         coupled = linsys.LinearSystem.from_matrix(5, [[1, 2, 0, 0, 1], [0, 0, 1, 3, 1]])
-        assert optimize._batch_rows(coupled, 2) == counting.CHUNK // (3 * 25**2)  # 3 directions
-        assert optimize._batch_rows(PHI, 12) == 1  # 3^12 points exceed CHUNK
+        assert counting._batch_rows(coupled, 2) == counting.CHUNK // (3 * 25**2)  # 3 directions
+        assert counting._batch_rows(PHI, 12) == 1  # 3^12 points exceed CHUNK
         sizes = []
         run = optimize._run_restart
 
@@ -335,7 +335,7 @@ class TestMinimize:
             return run(system, cfg, ks, trace)
 
         monkeypatch.setattr(optimize, "_run_restart", spy)
-        monkeypatch.setattr(optimize, "_batch_rows", lambda system, n: 3)
+        monkeypatch.setattr(counting, "_batch_rows", lambda system, n: 3)
         cfg = SearchConfig(property="common", p=3, n=1, restarts=7, max_iters=5, seed=1)
         minimize_defect(PHI, cfg)
         assert sizes == [[0, 1, 2], [3, 4, 5], [6]]
@@ -343,7 +343,7 @@ class TestMinimize:
     def test_memory_does_not_grow_with_the_restart_count(self, monkeypatch):
         # each batch is folded into a running best, so only one batch's
         # outcomes are alive at a time whatever the number of restarts
-        monkeypatch.setattr(optimize, "_batch_rows", lambda system, n: 8)
+        monkeypatch.setattr(counting, "_batch_rows", lambda system, n: 8)
         peaks = []
         for restarts in (64, 512, 64, 512):  # the first two runs fill the caches
             cfg = SearchConfig(property="common", p=3, n=1, restarts=restarts, max_iters=0)
@@ -432,3 +432,19 @@ def test_optimize_names_no_property():
                 and node.value in counting.PROPERTIES:
             named.append(repr(node.value))
     assert not named, named
+
+
+def test_optimize_takes_only_the_search_contract_from_counting():
+    # the search reads the defect, its gradient, the batch bound and the
+    # mean and property rules from counting; chunk sizes, table widths,
+    # spectra and the kernel stay behind that contract
+    contract = {"_defect_rows", "_defect_gradient", "_batch_rows", "check_mean",
+                "check_property"}
+    taken = set()
+    for node in ast.walk(ast.parse(Path(optimize.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.module == "counting":
+            taken.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id == "counting":
+            taken.add(node.attr)
+    assert taken and taken <= contract, taken - contract
