@@ -103,9 +103,6 @@ ENUMERATION_CAP = 10**8
 # cap on l * bits(denominator of alpha) for the exact alon defect: its alpha^l
 # terms are exact rationals, and their arithmetic grows quadratically in size
 EXACT_POWER_BITS = 1 << 22
-# past l floor(log2 n) bits, n the larger numerator of alpha and 1 - alpha, an exact
-# alon defect sure to be too long to print is refused; below, it forms in milliseconds
-UNPRINTABLE_CHECK_BITS = 1 << 16
 CHUNK = 1 << 16
 # the forms x -> c x for c = 1 .. p - 1: one index table holds every dilation
 _DILATIONS = {p: tuple((c,) for c in range(1, p)) for p in SUPPORTED_PRIMES}
@@ -701,7 +698,7 @@ def defect(
     raises TooLarge once alpha^l would pass EXACT_POWER_BITS, or once the
     value is sure to have more digits than the interpreter's int-to-str
     limit prints, before computing either (`_alon_denominator_digits` before
-    the scan, `_alon_scanned_digits` after it past UNPRINTABLE_CHECK_BITS).
+    the scan, `_alon_scanned_digits` after it).
     The float method reads alpha as f^(0), as a search does
     (`_pair_floats`).  The mean is checked (`check_mean`) before either,
     and before any T, so an input the property is not defined at is
@@ -724,8 +721,7 @@ def defect(
             _refuse_unprintable(_alon_denominator_digits(system, rows, alpha, l), l)
         t_f, t_1mf = _brute_rows(system, rows)
         if property == ALON:
-            if l * (max(alpha, 1 - alpha).numerator.bit_length() - 1) > UNPRINTABLE_CHECK_BITS:
-                _refuse_unprintable(_alon_scanned_digits(t_f, t_1mf, alpha, t, l), l)
+            _refuse_unprintable(_alon_scanned_digits(t_f, t_1mf, alpha, t, l), l)
         one = Fraction(1)
         method_name = METHOD_BRUTE
     elif method == "fourier":

@@ -18,25 +18,27 @@ uniform noise, coset indicators, character bumps); character bumps are
 the extremizers suggested by the Fourier form of the functionals, so
 they are seeded deliberately.
 
-The restarts run in lockstep as the rows of one array: each outer step
-takes one gradient call into `counting` over the rows still running, and
-each backtracking round one value call on every row still searching,
-while each row keeps its own step length, value history and stop state.
+The restarts of every mean run in lockstep as the rows of one array, so
+`minimize_defect` is the one-mean case of a scan: each outer step takes
+one gradient call into `counting` over the rows still running, and each
+backtracking round one value call on every row still searching, while
+each row keeps its own mean, step length, value history and stop state.
 A batch holds at most `counting._batch_rows` rows, the bound that keeps
 each of the kernel's stacks within one chunk, so memory stays bounded at
 large p^n.  The projection onto a fixed-mean slice is exact: a breakpoint
 search per row (Kiwiel 2008), not a bisection.
 
-Everything is deterministic given the config seed: restart k draws from
-default_rng([seed, k]), a row's arithmetic does not depend on the other
-rows of its batch (each sum runs along one C-contiguous row), and the
-cross-restart reduction is lexicographic in (defect, restart index).
+Everything is deterministic given the config seed: restart k of mean i
+draws from default_rng([seed + i, k]), a row's arithmetic does not depend
+on the other rows of its batch (each sum runs along one C-contiguous
+row), and each mean's reduction is lexicographic in (defect, restart).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -47,8 +49,8 @@ from .harmonic import GroupFunction, character_bump, checked_size, coset_indicat
 from .linsys import LinearSystem
 
 MAX_SEARCH_POINTS = 1 << 20
-# means in one `alpha_grid`; each costs a Fraction (about 120 bytes) before
-# any search runs, and every one of them is then a full search
+# means in one `alpha_grid`; before any search each costs a Fraction, a float
+# and one check, and then its restarts join the rows of the one search
 MAX_GRID_POINTS = 10**5
 
 # spectral projected gradient: value memory M of the nonmonotone test, its
@@ -86,8 +88,7 @@ class SearchConfig:
         if self.n < 1:
             raise MalformedDocument("n must be >= 1")
         checked_size(self.p, self.n, MAX_SEARCH_POINTS)
-        _check_unit(self.mean)
-        counting.check_mean(self.property, self.mean)
+        counting.check_mean(self.property, _check_unit(self.mean))
 
 
 @dataclass
@@ -112,20 +113,20 @@ class SearchResult:
         }
 
 
-def _project_values(v: np.ndarray, alpha: float | None) -> np.ndarray:
+def _project_values(v: np.ndarray, alpha: float | np.ndarray | None) -> np.ndarray:
     """Euclidean projection of each row of `v` (or of a single 1-D vector)
-    onto [0,1]^N, intersected with {mean = alpha} when alpha is set."""
+    onto [0,1]^N, intersected with {mean = alpha} when alpha, a float or a
+    column of one mean per row, is set."""
     if alpha is None:
         return np.clip(v, 0.0, 1.0)
-    alpha = float(alpha)
-    if alpha in (0.0, 1.0):  # the slice is the single constant function
-        return np.full(v.shape, alpha)
-    return _breakpoint_projection(np.atleast_2d(v), alpha).reshape(v.shape)
+    out = _breakpoint_projection(np.atleast_2d(v), alpha).reshape(v.shape)
+    ends = (alpha == 0.0) | (alpha == 1.0)  # the slice is the single constant function
+    return np.where(ends, alpha, out) if np.any(ends) else out
 
 
-def _breakpoint_projection(rows: np.ndarray, alpha: float) -> np.ndarray:
+def _breakpoint_projection(rows: np.ndarray, alpha: float | np.ndarray) -> np.ndarray:
     """clip(v - mu, 0, 1) per row, with mu solving sum clip(v - mu, 0, 1) =
-    N alpha for 0 < alpha < 1 (Kiwiel 2008, breakpoint search).
+    N alpha for 0 < alpha < 1, one alpha or one per row (Kiwiel 2008).
 
     The sum is continuous, nonincreasing and linear between the sorted
     breakpoints v_i - 1 (coordinate i leaves 1) and v_i (it reaches 0).
@@ -155,17 +156,17 @@ def _breakpoint_projection(rows: np.ndarray, alpha: float) -> np.ndarray:
     return np.clip(rows - np.clip(mu, lo, hi), 0.0, 1.0)
 
 
-def _check_unit(mean) -> None:
-    """Refuse a mean outside [0, 1]; run where a mean enters, not per projection."""
+def _check_unit(mean):
+    """Refuse a mean outside [0, 1], else return it; run where a mean enters."""
     if mean is not None and not 0.0 <= mean <= 1.0:
         raise InfeasibleMean(f"target mean {mean} outside [0, 1]")
+    return mean
 
 
 def project_box_mean(v, p: int, n: int, alpha: float | None = None) -> GroupFunction:
     """Euclidean projection onto [0,1]^(p^n), optionally with mean alpha."""
-    _check_unit(alpha)
-    arr = np.asarray(v, dtype=np.float64)
-    return GroupFunction(p, n, _project_values(arr, alpha))
+    alpha = None if alpha is None else float(_check_unit(alpha))
+    return GroupFunction(p, n, _project_values(np.asarray(v, dtype=np.float64), alpha))
 
 
 class _Objective:
@@ -209,32 +210,31 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a * b).sum(axis=-1)
 
 
-def _run_restart(system: LinearSystem, cfg: SearchConfig, ks, trace: list | None = None):
-    """Run the restarts `ks` in lockstep, one row of one array each, by
-    nonmonotone spectral projected gradient.
-
-    Each row keeps its own step length, value history and stop state; one
-    gradient pass serves every row still running, and each backtracking
-    round evaluates every row still searching at once.  Returns (defect,
-    k, colouring, accepted steps, converged) per restart.  With `trace`,
-    one list per restart receives its starting and accepted defects.
+def _run_restart(system: LinearSystem, cfg: SearchConfig, rows, trace: list | None = None):
+    """Run the restarts `rows`, one row of one array each, in lockstep by
+    nonmonotone spectral projected gradient: row (mean, seed, k) is restart
+    k of `cfg` from default_rng([seed, k]), pinned to `mean` (None on every
+    row, or a float on every row).  One gradient pass serves every row
+    still running, and each backtracking round evaluates every row still
+    searching at once.  Returns (defect, k, colouring, accepted steps,
+    converged) per row; with `trace`, one list per row receives its
+    starting and accepted defects.
     """
-    ks = list(ks)
-    alpha = counting.check_mean(cfg.property, cfg.mean)
+    pinned = None if rows[0][0] is None else np.array([row[:1] for row in rows], dtype=np.float64)
     obj = _Objective(system, cfg.property, cfg.l, cfg.n)
     x = _project_values(
-        np.stack([_initial_point(cfg, k, np.random.default_rng([cfg.seed, k])) for k in ks]),
-        alpha,
+        np.stack([_initial_point(cfg, k, np.random.default_rng([seed, k])) for _, seed, k in rows]),
+        pinned,
     )
     val = obj.value(x)
     grad = np.empty_like(x)  # the gradient at each row's accepted point
     moved = np.empty_like(x)  # each row's last accepted step s
-    lam = np.full(len(ks), _ETA0)
-    history = np.full((len(ks), _MEMORY), -np.inf)  # ring buffer of accepted values
+    lam = np.full(len(rows), _ETA0)
+    history = np.full((len(rows), _MEMORY), -np.inf)  # ring buffer of accepted values
     history[:, 0] = val
-    iters = np.zeros(len(ks), dtype=np.int64)
-    converged = np.zeros(len(ks), dtype=bool)
-    running = np.ones(len(ks), dtype=bool)
+    iters = np.zeros(len(rows), dtype=np.int64)
+    converged = np.zeros(len(rows), dtype=bool)
+    running = np.ones(len(rows), dtype=bool)
     if trace is not None:
         for row, v in zip(trace, val.tolist()):
             row.append(v)
@@ -251,13 +251,14 @@ def _run_restart(system: LinearSystem, cfg: SearchConfig, ks, trace: list | None
             lam[live] = _LAMBDA_MAX
             lam[live[curved]] = np.clip(ss[curved] / sy[curved], _LAMBDA_MIN, _LAMBDA_MAX)
         grad[live] = g
-        pg = x[live] - _project_values(x[live] - g, alpha)
+        pg = x[live] - _project_values(x[live] - g, pinned if pinned is None else pinned[live])
         flat = np.sqrt(_row_dots(pg, pg)) < _GRAD_TOL
         converged[live[flat]] = True
         running[live[flat]] = False
         live, g = live[~flat], g[~flat]
         # x + t d stays feasible for t in [0, 1], so backtracking never projects
-        d = _project_values(x[live] - lam[live, None] * g, alpha) - x[live]
+        d = _project_values(x[live] - lam[live, None] * g,
+                            pinned if pinned is None else pinned[live]) - x[live]
         slope = _SUFFICIENT_DECREASE * _row_dots(g, d)
         ref = history[live].max(axis=1)
         t = 1.0  # every row still searching has halved its t as often
@@ -281,48 +282,51 @@ def _run_restart(system: LinearSystem, cfg: SearchConfig, ks, trace: list | None
         running[live] = False
     return [
         (float(val[i]), k, GroupFunction(cfg.p, cfg.n, x[i]), int(iters[i]), bool(converged[i]))
-        for i, k in enumerate(ks)
+        for i, (_, _, k) in enumerate(rows)
     ]
 
 
-def minimize_defect(system: LinearSystem, cfg: SearchConfig) -> SearchResult:
-    """Best colouring found over all restarts; defect re-validated by a
-    fresh evaluation before reporting."""
+def _search(system: LinearSystem, cfg: SearchConfig, means):
+    """Yield, for each mean i, the result of `cfg` at mean means[i] (None:
+    unpinned) and seed cfg.seed + i.  Every mean is checked first; then the
+    (mean, restart) rows run in batches of at most `counting._batch_rows`,
+    each outcome folded into its mean's running best, which is re-validated
+    by a fresh evaluation once the mean's last restart is in."""
     if system.p != cfg.p:
         raise MalformedDocument("config modulus differs from the system modulus")
-    rows = counting._batch_rows(system, cfg.n)
-    best, total_iters = None, 0  # a running minimum: each batch is dropped once folded
-    for start in range(0, cfg.restarts, rows):
-        batch = _run_restart(system, cfg, range(start, min(start + rows, cfg.restarts)))
-        total_iters += sum(r[3] for r in batch)
-        best = min(batch if best is None else [best, *batch], key=lambda r: (r[0], r[1]))
-    val, k, f, _, converged = best
+    pinned = [counting.check_mean(cfg.property, _check_unit(mean)) for mean in means]
+    rows = ((mean, cfg.seed + i, k) for i, mean in enumerate(pinned) for k in range(cfg.restarts))
+    size = counting._batch_rows(system, cfg.n)
     obj = _Objective(system, cfg.property, cfg.l, cfg.n)
-    revalidated = float(obj.value(f.values[None])[0])
-    return SearchResult(
-        best=f,
-        best_defect=revalidated,
-        iterations=total_iters,
-        converged=converged,
-        violation=revalidated < _VIOLATION_TOL,
-        restart_index=k,
-    )
+    while batch := list(islice(rows, size)):
+        for outcome in _run_restart(system, cfg, batch):
+            if outcome[1] == 0:
+                best, total_iters = outcome, 0
+            best = min(best, outcome, key=lambda r: (r[0], r[1]))
+            total_iters += outcome[3]
+            if outcome[1] == cfg.restarts - 1:
+                _, k, f, _, converged = best
+                revalidated = float(obj.value(f.values[None])[0])
+                yield SearchResult(best=f, best_defect=revalidated, iterations=total_iters,
+                                   converged=converged, violation=revalidated < _VIOLATION_TOL,
+                                   restart_index=k)
+
+
+def minimize_defect(system: LinearSystem, cfg: SearchConfig) -> SearchResult:
+    """Best colouring found over all restarts (`_search` at the one mean
+    cfg.mean); defect re-validated by a fresh evaluation before reporting."""
+    (result,) = _search(system, cfg, [cfg.mean])
+    return result
 
 
 def scan_alpha(system: LinearSystem, cfg: SearchConfig, alphas) -> list[dict]:
     """Minimize the defect with the mean pinned to each grid value: search i
     is `cfg` with mean alphas[i] and seed cfg.seed + i.  Every mean is
-    checked against the property before the first search."""
+    checked against the property before the first search, and every
+    (mean, restart) row runs in one lockstep search."""
     means = [float(alpha) for alpha in alphas]
-    for mean in means:
-        _check_unit(mean)
-        counting.check_mean(cfg.property, mean)
-    rows = []
-    for i, alpha in enumerate(means):
-        result = minimize_defect(system, replace(cfg, mean=alpha, seed=cfg.seed + i))
-        rows.append({"alpha": alpha, "best_defect": result.best_defect,
-                     "violation": result.violation})
-    return rows
+    return [{"alpha": alpha, "best_defect": result.best_defect, "violation": result.violation}
+            for alpha, result in zip(means, _search(system, cfg, means))]
 
 
 def alpha_grid(resolution: int):

@@ -18,7 +18,7 @@ from commonsys.certify import (
     prevalence_value_poly,
     verify_lemma_suite,
 )
-from commonsys.errors import VerificationFailed
+from commonsys.errors import TooLarge, VerificationFailed
 from commonsys.exactpoly import (
     Certificate,
     SparsePoly,
@@ -237,19 +237,30 @@ class TestL0:
         rows = {r["condition"]: r for r in ledger.replay(100)}
         assert not rows["growth"]["satisfied"]
 
+    @staticmethod
+    def _l0_colouring():
+        from commonsys import harmonic
+
+        exact = (F(3, 4), F(1, 4), F(1, 2))
+        return harmonic.GroupFunction(3, 1, np.array([float(v) for v in exact]), exact)
+
     def test_exact_free_variable_defect_at_l0(self, ledger):
         # end-to-end: the certified threshold really makes the extended
         # system common at this colouring, in exact rational arithmetic
-        from commonsys import counting, harmonic, linsys
+        # (a value of 132923 digits, formed from the scanned densities)
+        from commonsys import counting, linsys
 
-        exact = (F(3, 4), F(1, 4), F(1, 2))
-        f = harmonic.GroupFunction(
-            3, 1, np.array([float(v) for v in exact]), exact
-        )
-        rep = counting.defect(
-            linsys.preset("phi"), f, "alon", l=ledger.l0, method="brute"
-        )
-        assert rep.value >= 0
+        phi, f = linsys.preset("phi"), self._l0_colouring()
+        rows = counting._brute_rows(phi, [f, f.complement()])
+        value = counting.defect_value("alon", *rows, f.exact_mean(), phi.t, ledger.l0, F(1))
+        assert value >= 0
+
+    def test_defect_at_l0_is_refused_as_unprintable(self, ledger):
+        from commonsys import counting, linsys
+
+        with pytest.raises(TooLarge, match="digits"):
+            counting.defect(linsys.preset("phi"), self._l0_colouring(), "alon", l=ledger.l0,
+                            method="brute")
 
     def test_summary_renders(self, ledger):
         text = ledger.summary()

@@ -211,7 +211,7 @@ class TestScan:
         def no_search(*args):
             raise AssertionError("ran a search")
 
-        monkeypatch.setattr(optimize, "minimize_defect", no_search)
+        monkeypatch.setattr(optimize, "_run_restart", no_search)
         code, out, err = run_main(
             capsys,
             "scan-alpha", "--system", "phi", "--n", "2", "--property", "geometric",

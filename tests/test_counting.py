@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commonsys import counting, harmonic, linsys
 from commonsys.counting import (
@@ -618,13 +620,47 @@ def surjection_index(rng, p, k, n):
     return (digits @ matrix.T % p) @ p ** np.arange(k)
 
 
+@st.composite
+def rank_one_systems(draw):
+    """One or two equations on disjoint variables, each a rank-1 block, with
+    random nonzero coefficients mod a random supported p."""
+    p = draw(st.sampled_from(linsys.SUPPORTED_PRIMES))
+    blocks = draw(st.lists(st.lists(st.integers(1, p - 1), min_size=2, max_size=4),
+                           min_size=1, max_size=2))
+    t = sum(map(len, blocks))
+    starts = np.cumsum([0] + [len(b) for b in blocks])
+    return linsys.LinearSystem.from_matrix(
+        p, [[0] * start + b + [0] * (t - start - len(b)) for start, b in zip(starts, blocks)]
+    )
+
+
+def random_rank_two_block(rng, t):
+    """Two equations in t variables over F_3 that form one connected block,
+    with no variable that is 0 on every solution."""
+    while True:
+        try:
+            system = linsys.LinearSystem.from_matrix(3, rng.integers(0, 3, (2, t)).tolist())
+        except Exception:
+            continue
+        blocks = counting._block_columns(system)
+        if len(blocks) == 1 and len(blocks[0][0]) == 2 and all(map(any, system.kernel)):
+            return system
+
+
+def widest_n(p):
+    """The largest n with p^n <= 2^16."""
+    return max(n for n in range(1, 17) if p**n <= 1 << 16)
+
+
 class TestLift:
     """For a surjective linear pi: F_p^n -> F_p^k, T_n(g o pi) = T_k(g) and
     G_(g o pi) = G_g o pi, as pi maps the solutions over F_p^n uniformly
     onto those over F_p^k.  So the kernel is checked against exact
     enumeration at k = 2 up to the n where searches run.  An invertible
     pi (k = n) is a bijection of the solutions: T(f o A) = T(f) and
-    G_(f o A) = G_f o A for A in GL_n(F_p)."""
+    G_(f o A) = G_f o A for A in GL_n(F_p).  The lift of G needs every
+    variable to be uniform on the solutions: a variable that is 0 on all
+    of them weighs G at 0 by p^n, not p^k."""
 
     SYSTEMS = [
         PHI,
@@ -701,6 +737,44 @@ class TestLift:
             assert abs(t_fourier(system, moved) - want_t) <= 1e-13 * want_t
             got = t_gradient(system, moved).values
             assert np.max(np.abs(got - want_g[index])) <= 1e-13 * np.max(np.abs(want_g))
+
+    @staticmethod
+    def _check_kernel_lift(system, k, n, rng):
+        """Both identities for `_t_rows` and `_gradient_rows`: a random g on
+        F_p^k lifted to F_p^n, and a random f on F_p^n moved by a random A
+        of GL_n.  T at k is exact where its enumeration is under the cap."""
+        p = system.p
+        g = random_rational_function(rng, p, k)
+        (want_t,), (want_g,), _ = kernel_rows(system, g.values[None], k)
+        if p ** (k * system.num_params) < counting.ENUMERATION_CAP:
+            want_t = float(t_brute(system, g))
+        index = surjection_index(rng, p, k, n)
+        f = rng.uniform(0.0, 1.0, p**n)
+        move = surjection_index(rng, p, n, n)
+        ts, (got_g, f_g, moved_g), gts = kernel_rows(
+            system, np.stack([g.values[index], f, f[move]]), n
+        )
+        for got_t, f_t, moved_t in (ts, gts):
+            assert abs(got_t - want_t) <= 1e-13 * want_t
+            assert abs(moved_t - f_t) <= 1e-13 * f_t
+        assert np.max(np.abs(got_g - want_g[index])) <= 1e-13 * np.max(np.abs(want_g))
+        assert np.max(np.abs(moved_g - f_g[move])) <= 1e-13 * np.max(np.abs(f_g))
+
+    @given(rank_one_systems(), st.integers(1, 2), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_random_rank_one_systems(self, system, k, data):
+        n = data.draw(st.integers(k + 1, widest_n(system.p)), label="n")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        self._check_kernel_lift(system, k, n, np.random.default_rng(seed))
+
+    @given(st.integers(4, 5), st.integers(6, 7), st.integers(0, 2**32 - 1))
+    @settings(max_examples=2, deadline=None)
+    def test_random_rank_two_blocks(self, t, n, seed):
+        rng = np.random.default_rng(seed)
+        self._check_kernel_lift(random_rank_two_block(rng, t), 2, n, rng)
+
+    def test_rank_one_lift_at_n_12(self):
+        self._check_kernel_lift(self.SYSTEMS[1], 2, 12, np.random.default_rng(53))
 
 
 class TestBruteRows:
@@ -1076,10 +1150,11 @@ class TestDefect:
         bounded = 0
         for system, f in cases:
             rows = [f, f.complement()]
+            scanned, alpha = counting._brute_rows(system, rows), f.exact_mean()
             for l in (0, 3, 40, 1000, 5000):
-                rep = defect(system, f, "alon", l=l, method="brute")
-                bound = counting._alon_denominator_digits(system, rows, rep.alpha, l)
-                assert rep.value.denominator >= 10 ** (bound - 1)  # at least `bound` digits
+                value = counting.defect_value("alon", *scanned, alpha, system.t, l, F(1))
+                bound = counting._alon_denominator_digits(system, rows, alpha, l)
+                assert value.denominator >= 10 ** (bound - 1)  # at least `bound` digits
                 bounded += bound > 0
         assert bounded >= 8
         half = constant(3, 1, F(1, 2))  # even denominator: no bound

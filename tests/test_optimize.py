@@ -109,6 +109,11 @@ class TestProjection:
             assert out.shape == stack.shape
             for row, got in zip(stack, out):
                 assert np.array_equal(optimize._project_values(row, alpha), got)
+        # a column of one mean per row, the endpoints among them
+        means = [0.0, 1 / 3, 1.0, 0.5, 0.0, 0.5]
+        out = optimize._project_values(stack, np.array(means)[:, None])
+        for row, alpha, got in zip(stack, means, out):
+            assert np.array_equal(optimize._project_values(row, alpha), got)
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -241,6 +246,11 @@ class TestObjectiveGradient:
             assert np.array_equal(obj.gradient(stack[r : r + 1])[0], grads[r])
 
 
+def _rows(cfg, ks):
+    """The rows (mean, seed, k) of restarts `ks` of the search `cfg`."""
+    return [(counting.check_mean(cfg.property, cfg.mean), cfg.seed, k) for k in ks]
+
+
 class TestMinimize:
     def test_pair_system_stays_common(self):
         cfg = SearchConfig(property="common", p=3, n=1, restarts=8, max_iters=120, seed=5)
@@ -265,7 +275,8 @@ class TestMinimize:
     def test_best_is_lexicographic_minimum_over_restarts(self):
         cfg = SearchConfig(property="common", p=3, n=1, restarts=6, max_iters=60, seed=2)
         res = minimize_defect(PHI, cfg)
-        outcomes = [optimize._run_restart(PHI, cfg, [k])[0] for k in range(cfg.restarts)]
+        outcomes = [optimize._run_restart(PHI, cfg, _rows(cfg, [k]))[0]
+                    for k in range(cfg.restarts)]
         val, k, f, _, converged = min(outcomes, key=lambda r: (r[0], r[1]))
         assert res.restart_index == k
         assert res.best_defect == val
@@ -278,7 +289,7 @@ class TestMinimize:
         # below the largest of the previous M, so that maximum never rises
         cfg = SearchConfig(property="common", p=3, n=2, restarts=4, max_iters=80, seed=13)
         traces = [[] for _ in range(cfg.restarts)]
-        outcomes = optimize._run_restart(PHI, cfg, range(cfg.restarts), trace=traces)
+        outcomes = optimize._run_restart(PHI, cfg, _rows(cfg, range(cfg.restarts)), trace=traces)
         for trace, (val, _, _, iters, _) in zip(traces, outcomes):
             assert len(trace) == iters + 1 and trace[-1] == val
             assert max(trace) == trace[0]
@@ -288,7 +299,8 @@ class TestMinimize:
     @pytest.mark.parametrize("n", [1, 2])
     def test_pair_system_restarts_converge_before_the_cap(self, n):
         cfg = SearchConfig(property="common", p=3, n=n, restarts=16, max_iters=300, seed=2024)
-        for _, _, _, iters, converged in optimize._run_restart(PHI, cfg, range(cfg.restarts)):
+        outcomes = optimize._run_restart(PHI, cfg, _rows(cfg, range(cfg.restarts)))
+        for _, _, _, iters, converged in outcomes:
             assert converged and iters < cfg.max_iters
 
     @pytest.mark.parametrize(
@@ -303,10 +315,10 @@ class TestMinimize:
         monkeypatch.setattr(optimize, "_ETA0", eta0)
         cfg = SearchConfig(property=prop, p=3, n=2, l=l, mean=mean, restarts=5,
                            max_iters=25, seed=31)
-        batch = optimize._run_restart(system, cfg, range(cfg.restarts))
+        batch = optimize._run_restart(system, cfg, _rows(cfg, range(cfg.restarts)))
         for k, (val, kk, f, iters, converged) in enumerate(batch):
             (one_val, _, one_f, one_iters, one_converged), = optimize._run_restart(
-                system, cfg, [k]
+                system, cfg, _rows(cfg, [k])
             )
             assert kk == k
             assert val == one_val and iters == one_iters and converged == one_converged
@@ -330,9 +342,9 @@ class TestMinimize:
         sizes = []
         run = optimize._run_restart
 
-        def spy(system, cfg, ks, trace=None):
-            sizes.append(list(ks))
-            return run(system, cfg, ks, trace)
+        def spy(system, cfg, rows, trace=None):
+            sizes.append([k for _, _, k in rows])
+            return run(system, cfg, rows, trace)
 
         monkeypatch.setattr(optimize, "_run_restart", spy)
         monkeypatch.setattr(counting, "_batch_rows", lambda system, n: 3)
@@ -340,19 +352,31 @@ class TestMinimize:
         minimize_defect(PHI, cfg)
         assert sizes == [[0, 1, 2], [3, 4, 5], [6]]
 
-    def test_memory_does_not_grow_with_the_restart_count(self, monkeypatch):
-        # each batch is folded into a running best, so only one batch's
-        # outcomes are alive at a time whatever the number of restarts
+    @staticmethod
+    def _peaks(search, monkeypatch):
+        """Traced peaks of `search` at 64, 512, 64 and 512 restarts, 8 rows
+        a batch; the first two runs fill the caches."""
         monkeypatch.setattr(counting, "_batch_rows", lambda system, n: 8)
         peaks = []
-        for restarts in (64, 512, 64, 512):  # the first two runs fill the caches
+        for restarts in (64, 512, 64, 512):
             cfg = SearchConfig(property="common", p=3, n=1, restarts=restarts, max_iters=0)
             tracemalloc.start()
             try:
-                minimize_defect(PHI, cfg)
+                search(cfg)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
+        return peaks
+
+    def test_memory_does_not_grow_with_the_restart_count(self, monkeypatch):
+        # each batch is folded into a running best, so only one batch's
+        # outcomes are alive at a time whatever the number of restarts
+        peaks = self._peaks(lambda cfg: minimize_defect(PHI, cfg), monkeypatch)
+        assert peaks[3] < 2 * peaks[2], peaks
+
+    def test_scan_memory_does_not_grow_with_the_restart_count(self, monkeypatch):
+        # the same per mean: a batch is dropped once folded into its means' bests
+        peaks = self._peaks(lambda cfg: scan_alpha(PHI, cfg, [F(1, 3), F(1, 2)]), monkeypatch)
         assert peaks[3] < 2 * peaks[2], peaks
 
     def test_reported_defect_revalidates(self):
@@ -390,14 +414,34 @@ class TestScanAlpha:
         rows = scan_alpha(PHI, cfg, [F(1, 2)])
         assert len(rows) == 1 and rows[0]["alpha"] == 0.5
 
-    def test_search_i_is_the_config_at_mean_i_and_seed_plus_i(self):
-        cfg = SearchConfig(property="prevalence", p=3, n=2, mean=0.5, restarts=2,
+    def test_search_i_is_the_config_at_mean_i_and_seed_plus_i(self, monkeypatch):
+        cfg = SearchConfig(property="prevalence", p=3, n=2, mean=0.5, restarts=3,
                            max_iters=20, seed=5)
-        alphas = [F(1, 4), F(1, 2)]
-        for i, row in enumerate(scan_alpha(PHI, cfg, alphas)):
-            result = minimize_defect(PHI, replace(cfg, mean=float(alphas[i]), seed=5 + i))
-            assert row == {"alpha": float(alphas[i]), "best_defect": result.best_defect,
-                           "violation": result.violation}
+        alphas = [F(0), F(1, 4), F(1, 2), F(1)]
+        want = []
+        for i, alpha in enumerate(alphas):
+            result = minimize_defect(PHI, replace(cfg, mean=float(alpha), seed=5 + i))
+            want.append({"alpha": float(alpha), "best_defect": result.best_defect,
+                         "violation": result.violation})
+        # 1 row a batch; a batch that spans means and a mean whose restarts
+        # span batches; and every row in one batch
+        for bound in (1, 3, 5, len(alphas) * cfg.restarts):
+            monkeypatch.setattr(counting, "_batch_rows", lambda system, n, bound=bound: bound)
+            assert scan_alpha(PHI, cfg, alphas) == want
+
+    def test_one_lockstep_search_serves_every_mean(self, monkeypatch):
+        calls = []
+        run = optimize._run_restart
+
+        def spy(system, cfg, rows, trace=None):
+            calls.append(rows)
+            return run(system, cfg, rows, trace)
+
+        monkeypatch.setattr(optimize, "_run_restart", spy)
+        cfg = SearchConfig(property="common", p=3, n=2, restarts=4, max_iters=10, seed=2)
+        assert len(scan_alpha(PHI, cfg, [F(1, 4), F(1, 2), F(3, 4)])) == 3
+        assert calls == [[(mean, 2 + i, k) for i, mean in enumerate((0.25, 0.5, 0.75))
+                          for k in range(4)]]
 
     def test_three_term_progression_stays_common(self):
         cfg = SearchConfig(property="common", p=3, n=1, restarts=4, max_iters=80, seed=17)
