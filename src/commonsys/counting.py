@@ -21,9 +21,10 @@ values into the signed slack of a chosen colouring property (negative
 slack certifies a violation) via `defect_value`.  Each property's
 formula, its partial derivatives (`defect_partials`) and the means it is
 defined at, with the mean a search pins (`check_mean`), live only here;
-the optimizer takes the defect and its gradient per row (`_defect_rows`,
-`_defect_gradient`), the pinned mean and the rows per batch
-(`_batch_rows`) from here and names no property.  Every float route
+the optimizer takes the defect and its gradient per row from one kernel
+pass (`_defect_gradient`), the pinned mean and the rows per batch
+(`_batch_rows`) from here and names no property; eval-only callers take
+T alone from `_t_rows`, bit for bit the T of that pass.  Every float route
 reads a colouring through one reader, `_pair_floats`, as the Python
 floats (T(f), T(1 - f), alpha) with alpha = f^(0), so `defect` gives a
 search's value for the same colouring bit for bit.
@@ -112,6 +113,7 @@ READS_COMPLEMENT = (COMMON, GEOMETRIC, ALON)
 # the geometric property is defined at mean 1/2; a mean this close, as a
 # float or a colouring's rounded values give it, counts as 1/2
 GEOMETRIC_MEAN_TOL = Fraction(1, 10**9)
+_HALF = Fraction(1, 2)
 
 METHOD_BRUTE = "BruteExact"
 METHOD_FOURIER = "Fourier"
@@ -534,7 +536,7 @@ def check_mean(property: str, mean) -> float | None:
     if mean is None:
         if property == PREVALENCE:
             raise MeanConstraintViolated("the prevalence property requires a pinned mean")
-    elif property == GEOMETRIC and abs(mean - Fraction(1, 2)) > GEOMETRIC_MEAN_TOL:
+    elif property == GEOMETRIC and abs(mean - _HALF) > GEOMETRIC_MEAN_TOL:
         raise MeanConstraintViolated(
             f"the geometric property is defined only at mean 1/2, got {float(mean)}"
         )
@@ -585,30 +587,25 @@ def _pair_floats(spectra: np.ndarray, ts: np.ndarray, rows: int) -> list[tuple]:
     return list(zip(ts[:rows], ts[rows:] or [None] * rows, spectra[:rows, 0].real.tolist()))
 
 
-def _defect_rows(system: LinearSystem, property: str, l: int | None, values, n: int):
-    """The float defect of `property` at each row of an (R, p^n) stack of
-    functions."""
-    spectra = _spectra(values, system.p, n, property in READS_COMPLEMENT)
-    pairs = _pair_floats(spectra, _t_rows(system, spectra, n), len(values))
-    return np.array([defect_value(property, *pair, system.t, l, 1.0) for pair in pairs])
-
-
 def _defect_gradient(system: LinearSystem, property: str, l: int | None, values, n: int):
-    """The Euclidean gradient of the defect at each row of an (R, p^n)
-    stack: f(x) moves T(f) by G_f(x) / p^n, T(1 - f) by -G_(1-f)(x) / p^n
-    and the mean by 1 / p^n.  The chain rule d_f G_f - d_c G_(1-f) is
-    linear, so it is formed on the Fourier side, one inverse per row, with
-    each row's partials (`defect_partials`) as a column."""
+    """The float defect of `property` and its Euclidean gradient at each
+    row of an (R, p^n) stack, from one `_gradient_rows` pass.  f(x) moves
+    T(f) by G_f(x) / p^n, T(1 - f) by -G_(1-f)(x) / p^n and the mean by
+    1 / p^n.  The chain rule d_f G_f - d_c G_(1-f) is linear, so it is
+    formed on the Fourier side, one inverse per row, with each row's
+    partials (`defect_partials`) as a column."""
     pair = property in READS_COMPLEMENT
     p, (rows, size) = system.p, values.shape
     spectra = _spectra(values, p, n, pair)
     ghat, ts = _gradient_rows(system, spectra, n)
-    d_f, d_c, d_alpha = np.array([defect_partials(property, *floats, system.t, l)
-                                  for floats in _pair_floats(spectra, ts, rows)]).T[:, :, None]
+    floats = _pair_floats(spectra, ts, rows)
+    d_f, d_c, d_alpha = np.array([defect_partials(property, *row, system.t, l)
+                                  for row in floats]).T[:, :, None]
     chain = d_f * ghat[:rows]
     if pair:
         chain -= d_c * ghat[rows:]
-    return (d_alpha + _idft_rows(chain, p, n).real) / size
+    value = np.array([defect_value(property, *row, system.t, l, 1.0) for row in floats])
+    return value, (d_alpha + _idft_rows(chain, p, n).real) / size
 
 
 def _batch_rows(system: LinearSystem, n: int) -> int:

@@ -19,10 +19,11 @@ the extremizers suggested by the Fourier form of the functionals, so
 they are seeded deliberately.
 
 The restarts of every mean run in lockstep as the rows of one array, so
-`minimize_defect` is the one-mean case of a scan: each outer step takes
-one gradient call into `counting` over the rows still running, and each
-backtracking round one value call on every row still searching, while
-each row keeps its own mean, step length, value history and stop state.
+`minimize_defect` is the one-mean case of a scan.  One kernel pass into
+`counting` gives the defect and gradient of the start points, and one
+per backtracking round those of every row still searching; an accepted
+row keeps both, so each point is evaluated once.  Each row keeps its own
+mean, step length, value history and stop state.
 A batch holds at most `counting._batch_rows` rows, the bound that keeps
 each of the kernel's stacks within one chunk, so memory stays bounded at
 large p^n.  The projection onto a fixed-mean slice is exact: a breakpoint
@@ -43,14 +44,14 @@ from itertools import islice
 import numpy as np
 
 from . import counting
-from .counting import _defect_gradient, _defect_rows
+from .counting import _defect_gradient
 from .errors import InfeasibleMean, MalformedDocument, TooLarge
 from .harmonic import GroupFunction, character_bump, checked_size, coset_indicator
 from .linsys import LinearSystem
 
 MAX_SEARCH_POINTS = 1 << 20
-# means in one `alpha_grid`; before any search each costs a Fraction, a float
-# and one check, and then its restarts join the rows of the one search
+# means in one scan; before any search each costs a Fraction, a float and one
+# check, and then its restarts join the rows of the one search
 MAX_GRID_POINTS = 10**5
 
 # spectral projected gradient: value memory M of the nonmonotone test, its
@@ -171,7 +172,8 @@ def project_box_mean(v, p: int, n: int, alpha: float | None = None) -> GroupFunc
 
 class _Objective:
     """Defect value and Euclidean gradient for one property, for each row
-    of an (R, p^n) stack of functions, from `counting`."""
+    of an (R, p^n) stack of functions, from one `counting` pass: `gradient`
+    gives both, and `value` is its first half."""
 
     def __init__(self, system: LinearSystem, property: str, l: int | None, n: int):
         self.system = system
@@ -180,9 +182,9 @@ class _Objective:
         self.n = n
 
     def value(self, values: np.ndarray) -> np.ndarray:
-        return _defect_rows(self.system, self.property, self.l, values, self.n)
+        return _defect_gradient(self.system, self.property, self.l, values, self.n)[0]
 
-    def gradient(self, values: np.ndarray) -> np.ndarray:
+    def gradient(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _defect_gradient(self.system, self.property, self.l, values, self.n)
 
 
@@ -214,10 +216,11 @@ def _run_restart(system: LinearSystem, cfg: SearchConfig, rows, trace: list | No
     """Run the restarts `rows`, one row of one array each, in lockstep by
     nonmonotone spectral projected gradient: row (mean, seed, k) is restart
     k of `cfg` from default_rng([seed, k]), pinned to `mean` (None on every
-    row, or a float on every row).  One gradient pass serves every row
-    still running, and each backtracking round evaluates every row still
-    searching at once.  Returns (defect, k, colouring, accepted steps,
-    converged) per row; with `trace`, one list per row receives its
+    row, or a float on every row).  One kernel pass gives the defect and
+    gradient of the start points, and one more those of each backtracking
+    round's candidates; an accepted row keeps both and sets its
+    Barzilai-Borwein step then.  Returns (defect, k, colouring, accepted
+    steps, converged) per row; with `trace`, one list per row receives its
     starting and accepted defects.
     """
     pinned = None if rows[0][0] is None else np.array([row[:1] for row in rows], dtype=np.float64)
@@ -226,9 +229,7 @@ def _run_restart(system: LinearSystem, cfg: SearchConfig, rows, trace: list | No
         np.stack([_initial_point(cfg, k, np.random.default_rng([seed, k])) for _, seed, k in rows]),
         pinned,
     )
-    val = obj.value(x)
-    grad = np.empty_like(x)  # the gradient at each row's accepted point
-    moved = np.empty_like(x)  # each row's last accepted step s
+    val, grad = obj.gradient(x)  # each row's defect and gradient at its accepted point
     lam = np.full(len(rows), _ETA0)
     history = np.full((len(rows), _MEMORY), -np.inf)  # ring buffer of accepted values
     history[:, 0] = val
@@ -238,19 +239,12 @@ def _run_restart(system: LinearSystem, cfg: SearchConfig, rows, trace: list | No
     if trace is not None:
         for row, v in zip(trace, val.tolist()):
             row.append(v)
-    for outer in range(cfg.max_iters):
+    for _ in range(cfg.max_iters):
         running &= ~(val < _VIOLATION_TOL)
         live = np.flatnonzero(running)
         if not live.size:
             break
-        g = obj.gradient(x[live])
-        if outer:  # every live row accepted a step last round: Barzilai-Borwein
-            s = moved[live]
-            ss, sy = _row_dots(s, s), _row_dots(s, g - grad[live])
-            curved = sy > 0
-            lam[live] = _LAMBDA_MAX
-            lam[live[curved]] = np.clip(ss[curved] / sy[curved], _LAMBDA_MIN, _LAMBDA_MAX)
-        grad[live] = g
+        g = grad[live]
         pg = x[live] - _project_values(x[live] - g, pinned if pinned is None else pinned[live])
         flat = np.sqrt(_row_dots(pg, pg)) < _GRAD_TOL
         converged[live[flat]] = True
@@ -264,11 +258,15 @@ def _run_restart(system: LinearSystem, cfg: SearchConfig, rows, trace: list | No
         t = 1.0  # every row still searching has halved its t as often
         while live.size and t >= 1e-12:
             cand = x[live] + t * d
-            cand_val = obj.value(cand)
+            cand_val, cand_grad = obj.gradient(cand)
             ok = cand_val <= ref + t * slope
             taken = live[ok]
-            moved[taken] = cand[ok] - x[taken]
-            x[taken] = cand[ok]
+            s = cand[ok] - x[taken]  # Barzilai-Borwein, from the step and the gradient change
+            ss, sy = _row_dots(s, s), _row_dots(s, cand_grad[ok] - grad[taken])
+            curved = sy > 0
+            lam[taken] = _LAMBDA_MAX
+            lam[taken[curved]] = np.clip(ss[curved] / sy[curved], _LAMBDA_MIN, _LAMBDA_MAX)
+            x[taken], grad[taken] = cand[ok], cand_grad[ok]
             val[taken] = cand_val[ok]
             iters[taken] += 1
             history[taken, iters[taken] % _MEMORY] = cand_val[ok]
@@ -288,13 +286,16 @@ def _run_restart(system: LinearSystem, cfg: SearchConfig, rows, trace: list | No
 
 def _search(system: LinearSystem, cfg: SearchConfig, means):
     """Yield, for each mean i, the result of `cfg` at mean means[i] (None:
-    unpinned) and seed cfg.seed + i.  Every mean is checked first; then the
-    (mean, restart) rows run in batches of at most `counting._batch_rows`,
-    each outcome folded into its mean's running best, which is re-validated
-    by a fresh evaluation once the mean's last restart is in."""
+    unpinned) and seed cfg.seed + i.  Every mean is checked, then more than
+    MAX_GRID_POINTS means refused; then the (mean, restart) rows run in
+    batches of at most `counting._batch_rows`, each outcome folded into its
+    mean's running best, which is re-validated by a fresh evaluation once
+    the mean's last restart is in."""
     if system.p != cfg.p:
         raise MalformedDocument("config modulus differs from the system modulus")
     pinned = [counting.check_mean(cfg.property, _check_unit(mean)) for mean in means]
+    if len(pinned) > MAX_GRID_POINTS:
+        raise TooLarge(f"{len(pinned)} means exceed the cap {MAX_GRID_POINTS}")
     rows = ((mean, cfg.seed + i, k) for i, mean in enumerate(pinned) for k in range(cfg.restarts))
     size = counting._batch_rows(system, cfg.n)
     obj = _Objective(system, cfg.property, cfg.l, cfg.n)
@@ -322,8 +323,8 @@ def minimize_defect(system: LinearSystem, cfg: SearchConfig) -> SearchResult:
 def scan_alpha(system: LinearSystem, cfg: SearchConfig, alphas) -> list[dict]:
     """Minimize the defect with the mean pinned to each grid value: search i
     is `cfg` with mean alphas[i] and seed cfg.seed + i.  Every mean is
-    checked against the property before the first search, and every
-    (mean, restart) row runs in one lockstep search."""
+    checked, and more than MAX_GRID_POINTS refused, before the first
+    search, and every (mean, restart) row runs in one lockstep search."""
     means = [float(alpha) for alpha in alphas]
     return [{"alpha": alpha, "best_defect": result.best_defect, "violation": result.violation}
             for alpha, result in zip(means, _search(system, cfg, means))]

@@ -529,6 +529,12 @@ class TestHostileArguments:
               "--grid", "100001"], 2),
             (["scan-alpha", "--system", "phi", "--property", "geometric",
               "--grid", "100001"], 2),
+            # an explicit list past the cap on means, after every mean is checked
+            (["scan-alpha", "--system", "phi", "--n", "1", "--property", "common",
+              "--alphas", ",".join(["1/2"] * 100001), "--restarts", "1", "--max-iters", "0"], 4),
+            (["scan-alpha", "--system", "phi", "--n", "1", "--property", "geometric",
+              "--alphas", ",".join(["1/2"] * 100000 + ["1/3"]), "--restarts", "1",
+              "--max-iters", "0"], 2),
             # mean 1/4: formed in milliseconds, but too many digits to print
             (["eval", "--system", "phi", "--const", "1/4", "--property", "alon",
               "--l", "10000", "--method", "brute"], 4),

@@ -194,9 +194,14 @@ class TestObjectiveGradient:
     )
     def test_finite_difference(self, prop, l):
         rng = np.random.default_rng(7)
-        values = rng.uniform(0.2, 0.8, 9)
+        stack = rng.uniform(0.2, 0.8, (3, 9))
+        stack += 0.5 - stack.mean(axis=1, keepdims=True)  # geometric is defined at mean 1/2
         obj = optimize._Objective(PHI, prop, l, 2)
-        grad = obj.gradient(values[None])[0]
+        defects, grads = obj.gradient(stack)
+        # the pass reads each row's defect as eval does, bit for bit
+        for row, got in zip(stack, defects.tolist()):
+            assert got == counting.defect(PHI, harmonic.GroupFunction(3, 2, row), prop, l).value
+        values, grad = stack[0], grads[0]
         eps = 1e-5
         shifts = eps * np.eye(9)
         plus = obj.value(values + shifts)
@@ -209,7 +214,8 @@ class TestObjectiveGradient:
         stack = np.vstack([np.zeros(9), np.ones(9), np.random.default_rng(5).uniform(size=9)])
         alon, common = (optimize._Objective(PHI, prop, l, 2)
                         for prop, l in (("alon", 0), ("common", None)))
-        assert np.array_equal(alon.gradient(stack), common.gradient(stack))
+        for got, want in zip(alon.gradient(stack), common.gradient(stack)):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize(
         "prop, l, pair", [("common", None, True), ("geometric", None, True),
@@ -218,7 +224,8 @@ class TestObjectiveGradient:
     )
     def test_complements_only_where_the_defect_reads_them(self, prop, l, pair, monkeypatch):
         # a pair property transforms each colouring forward once, runs the
-        # kernel on its spectrum and its complement's, and inverts once
+        # gradient kernel on its spectrum and its complement's, and inverts
+        # once; the defect alone is the first half of that same pass
         seen = []
 
         def spy(name, position):  # position: that of the (R, p^n) stack argument
@@ -235,15 +242,62 @@ class TestObjectiveGradient:
         stack = np.random.default_rng(9).uniform(0.2, 0.8, (3, 9))
         obj = optimize._Objective(PHI, prop, l, 2)
         kernel_rows = 6 if pair else 3
+        one_pass = [("_dft_rows", 3), ("_gradient_rows", kernel_rows), ("_idft_rows", 3)]
         values = obj.value(stack)
-        assert seen == [("_dft_rows", 3), ("_t_rows", kernel_rows)]
+        assert seen == one_pass
         seen.clear()
-        grads = obj.gradient(stack)
-        assert seen == [("_dft_rows", 3), ("_gradient_rows", kernel_rows), ("_idft_rows", 3)]
+        defects, grads = obj.gradient(stack)
+        assert seen == one_pass
+        assert np.array_equal(defects, values)
         # each row as a stack of its own gives the same bits
         for r in range(3):
             assert obj.value(stack[r : r + 1])[0] == values[r]
-            assert np.array_equal(obj.gradient(stack[r : r + 1])[0], grads[r])
+            assert np.array_equal(obj.gradient(stack[r : r + 1])[1][0], grads[r])
+
+    def test_each_search_point_takes_one_kernel_pass(self, monkeypatch):
+        # a batch's start points take one pass and each backtracking round
+        # one, and each mean's re-validation one; an accepted point keeps
+        # its gradient, so no point of a batch is evaluated twice, and a
+        # search never reads T alone
+        calls, points = [], []
+
+        def spy(owner, name, label, stack):
+            original = getattr(owner, name)
+
+            def wrapped(*args):
+                calls.append((label, len(args[stack])))
+                if label == "gradient":
+                    points.append([row.tobytes() for row in args[stack]])
+                return original(*args)
+            monkeypatch.setattr(owner, name, wrapped)
+
+        spy(optimize, "_run_restart", "batch", 2)
+        spy(optimize._Objective, "gradient", "gradient", 1)
+        spy(optimize._Objective, "value", "value", 1)
+        spy(counting, "_gradient_rows", "kernel", 1)
+        spy(counting, "_t_rows", "t", 1)
+        monkeypatch.setattr(counting, "_batch_rows", lambda system, n: 3)
+        monkeypatch.setattr(optimize, "_ETA0", 1000.0)  # most steps backtrack
+        cfg = SearchConfig(property="sidorenko", p=3, n=2, restarts=4, max_iters=20, seed=7)
+        scan_alpha(PHI, cfg, [F(1, 3), F(1, 2)])
+        assert not [c for c in calls if c[0] == "t"]
+        # each evaluation is one pass over its stack (sidorenko reads no complement)
+        evaluations = [c for c in calls if c[0] != "batch"]
+        assert evaluations[1::2] == [("kernel", rows) for _, rows in evaluations[::2]]
+        steps = [c for c in calls if c[0] != "kernel"]
+        batches = [i for i, c in enumerate(steps) if c[0] == "batch"]
+        assert [steps[i] for i in batches] == [("batch", 3), ("batch", 3), ("batch", 2)]
+        first = 0
+        for start, end in zip(batches, batches[1:] + [len(steps)]):
+            passes = [c for c in steps[start + 1:end] if c[0] == "gradient"]
+            assert passes[0] == ("gradient", steps[start][1]) and len(passes) > 1
+            seen = [row for stack in points[first:first + len(passes)] for row in stack]
+            assert len(seen) - len(set(seen)) == 0, "a point evaluated twice"
+            first += len(passes)
+        # the first mean's restarts end in the second batch, the second's in the third
+        assert [i for i, c in enumerate(steps) if c[0] == "value"] == \
+            [batches[2] - 1, len(steps) - 1]
+        assert [c for c in steps if c[0] == "value"] == [("value", 1)] * 2
 
 
 def _rows(cfg, ks):
@@ -482,8 +536,7 @@ def test_optimize_takes_only_the_search_contract_from_counting():
     # the search reads the defect, its gradient, the batch bound and the
     # mean and property rules from counting; chunk sizes, table widths,
     # spectra and the kernel stay behind that contract
-    contract = {"_defect_rows", "_defect_gradient", "_batch_rows", "check_mean",
-                "check_property"}
+    contract = {"_defect_gradient", "_batch_rows", "check_mean", "check_property"}
     taken = set()
     for node in ast.walk(ast.parse(Path(optimize.__file__).read_text(encoding="utf-8"))):
         if isinstance(node, ast.ImportFrom) and node.module == "counting":
