@@ -23,13 +23,13 @@ formula, its partial derivatives (`defect_partials`) and the means it is
 defined at, with the mean a search pins (`check_mean`), live only here;
 the optimizer takes the defect and its gradient per row from one kernel
 pass (`_defect_gradient`), the pinned mean and the rows per batch
-(`_batch_rows`) from here and names no property; eval-only callers take
-T alone from `_t_rows`, bit for bit the T of that pass.  Every float route
-reads a colouring through one reader, `_pair_floats`, as the Python
-floats (T(f), T(1 - f), alpha) with alpha = f^(0), so `defect` gives a
-search's value for the same colouring bit for bit.
+(`_batch_rows`) from here and names no property.  Every float route, eval
+and search alike, runs that one kernel, `_gradient_rows`, and reads a
+colouring through one reader, `_pair_floats`, as the Python floats
+(T(f), T(1 - f), alpha) with alpha = f^(0), so `defect` gives a search's
+value for the same colouring bit for bit.
 
-Both Fourier routes run on an (R, p^n) stack of spectra.  `_block_plan`
+The kernel runs on an (R, p^n) stack of spectra.  `_block_plan`
 groups a block's columns by direction up to a scalar: a column c*d reads
 fhat(c (lambda . d)), which is (D_c fhat)(lambda . d) for the spectrum
 D_c fhat permuted by the dilation x -> c x.  So the block sum is the sum
@@ -37,15 +37,18 @@ over lambda of prod_d P_d(lambda . d), where P_d is the product of
 (D_c fhat)^m_c over the m_c columns equal to c*d.  Every preset block
 and every single equation is rank 1: its one direction has
 lambda . d = lambda, so its sum is the sum of P_d, and each term of its
-gradient is moved back by one gather at the dilation by -1/c, which also
-takes the negation the inverse transform needs.  A wider block gathers
-each P_d at its direction's index table and scatters its gradient once
-per direction.  Powers are repeated elementwise multiplication and every
-lambda-sum is a plain sum along C-contiguous rows, so a row's bits do
-not depend on its stack.  Every defect is a function of the pair
-(T(f), T(1 - f)); with the mean on the forward side, (1 - f)^ = e_0 - f^,
-so `_spectra` gives both from one forward transform of f, and a gradient
-forms its chain rule on the Fourier side and inverts once per colouring.
+gradient is moved back by the dilation by -1/c, which also takes the
+negation the inverse transform needs.  A wider block gathers each P_d at
+its direction's index table and scatters its gradient once per
+direction.  A colouring is real, so the dilation by -1 is a conjugate
+(`_dilate`), and coefficients +-1 (every preset at p = 3) gather
+nothing.  Powers are repeated elementwise multiplication, and gathers
+and lambda-sums run along C-contiguous rows, so a row's bits do not
+depend on its stack.  Every defect is a function of the pair
+(T(f), T(1 - f)); a colouring is one row of the stack, and a rank-1
+block reads 1 - f from f's own sum and gradient (`_gradient_rows`).
+A gradient forms its chain rule on the Fourier side and inverts once per
+colouring.
 
 The exact route pairs f and 1 - f in one scan: `defect(method="brute")`
 reads both over one denominator L (1 - a/b keeps the denominator b) as
@@ -296,17 +299,21 @@ def _block_plan(columns, p: int):
 
 
 def _dilate(x: np.ndarray, c: int, p: int, n: int) -> np.ndarray:
-    """D_c x: each row of x read at c*h for every point h of F_p^n, by one
-    gather at the dilation table (x itself at c = 1).  Up to p^n = CHUNK
-    the tables of every c in F_p^* are one entry of the bounded cache, so
-    a block with many coefficients does not evict its own tables; past
-    CHUNK the one table is built afresh."""
+    """D_c x: each row of x read at c*h for every point h of F_p^n (x
+    itself at c = 1).  Every row the kernel dilates is Hermitian,
+    x(-h) = conj x(h): a spectrum of a real function, or a product, gradient
+    term or scatter weight built from such spectra.  So D_(-1) x is the
+    conjugate, and any other c is one gather at the dilation table: up to
+    p^n = CHUNK the tables of every c in F_p^* are one entry of the
+    bounded cache, and past CHUNK the one table is built afresh."""
     c %= p
     if c == 1:
         return x
+    if c == p - 1:
+        return x.conj()
     if p**n > CHUNK:
-        return x[:, _form_table(((c,),), p, range(n))[0]]
-    return x[:, _index_table(_DILATIONS[p], p, n)[c - 1]]
+        return x.take(_form_table(((c,),), p, range(n))[0], axis=1)
+    return x.take(_index_table(_DILATIONS[p], p, n)[c - 1], axis=1)
 
 
 def _product(factors):
@@ -331,55 +338,31 @@ def _others(factors: list) -> list:
     return [_product([a, b]) for a, b in zip(before, reversed(after))]
 
 
-def _direction_powers(columns, spectra: dict, p: int, n: int):
-    """The block's directions, for each direction d its (c, m_c, low, power)
-    terms, power = (D_c fhat)^m_c and low = (D_c fhat)^(m_c - 1) (None
-    for 1), and its power product P_d = prod_c (D_c fhat)^m_c.
+def _block_gradient(columns, spectra: dict, p: int, n: int):
+    """Row-space sum of one block for each row of fhat = spectra[1],
+    sum over lambda of prod_d P_d(lambda . d) by direction d, and the
+    Fourier-side first variation of each, dB/dfhat at -h for every
+    frequency h.  `spectra` maps each coefficient c to D_c fhat; one
+    missing is made once and kept, so blocks share it.
 
-    `spectra` maps each coefficient to D_c fhat, with fhat at 1; a
-    dilation missing from it is gathered once and kept there, so blocks
-    that share a coefficient share its gather."""
+    With R_d(x) the sum, over the lambda with lambda . d = x, of the other
+    directions' power products (1 for a rank-1 block), the derivative is
+    sum over d and c of Q_(d,c)(-h / c), where
+    Q_(d,c) = m_c (D_c fhat)^(m_c - 1) prod_(c' != c) (D_c' fhat)^m_c' R_d;
+    so each term is the dilation by -1/c.  A wider block gathers each P_d
+    at its direction's index table and scatters R_d once per direction."""
     directions, groups = _block_plan(columns, p)
-    factors, products = [], []
+    factors, products = [], []  # per direction: (c, m_c, low, power) terms; P_d
     for group in groups:
         row = []
         for c, m in group:
             x = spectra.get(c)
             if x is None:
                 x = spectra[c] = _dilate(spectra[1], c, p, n)
-            low = _product([x] * (m - 1))  # by repeated multiplication
+            low = _product([x] * (m - 1))  # (D_c fhat)^(m_c - 1) by repeated multiplication
             row.append((c, m, low, x if low is None else low * x))
         factors.append(row)
         products.append(_product(power for *_, power in row))
-    return directions, factors, products
-
-
-def _block_sums(columns, spectra: dict, p: int, n: int) -> np.ndarray:
-    """Row-space sum of one block for each row of fhat = spectra[1]:
-    sum over lambda of prod_i fhat(lambda . column_i)
-    = sum over lambda of prod_d P_d(lambda . d), by direction d.  A rank-1
-    block has one direction, with lambda . d = lambda, so its sum is that
-    of P_d; a wider block gathers each P_d at its direction's index table."""
-    directions, _, products = _direction_powers(columns, spectra, p, n)
-    if len(directions[0]) == 1:
-        return products[0].sum(axis=-1)
-    total = np.zeros(len(products[0]), dtype=np.complex128)
-    for table in _form_indices(directions, p, n, "p^(nm)"):
-        total += _product(x[:, idx] for x, idx in zip(products, table)).sum(axis=-1)
-    return total
-
-
-def _block_gradient(columns, spectra: dict, p: int, n: int):
-    """Block sums per row, and the Fourier-side first variation of each,
-    dB/dfhat at -h for every frequency h (`spectra` as in `_block_sums`).
-
-    With R_d(x) the sum, over the lambda with lambda . d = x, of the other
-    directions' power products (1 for a rank-1 block), the derivative is
-    sum over d and c of Q_(d,c)(-h / c), where
-    Q_(d,c) = m_c (D_c fhat)^(m_c - 1) prod_(c' != c) (D_c' fhat)^m_c' R_d;
-    so each term is one gather at the dilation by -1/c.  A wider block
-    scatters R_d once per direction, from the same tables as its sum."""
-    directions, factors, products = _direction_powers(columns, spectra, p, n)
     rows, size = spectra[1].shape
     if len(directions[0]) == 1:
         sums = products[0].sum(axis=-1)
@@ -389,7 +372,7 @@ def _block_gradient(columns, spectra: dict, p: int, n: int):
         flat = [np.zeros(rows * size, dtype=np.complex128) for _ in directions]
         offsets = (np.arange(rows) * size)[:, None]
         for table in _form_indices(directions, p, n, "p^(nm)"):
-            gathered = [x[:, idx] for x, idx in zip(products, table)]
+            gathered = [x.take(idx, axis=1) for x, idx in zip(products, table)]
             sums += _product(gathered).sum(axis=-1)
             for d, (acc, others) in enumerate(zip(flat, _others(gathered))):
                 if others is None:  # a block with no rows: one direction
@@ -412,44 +395,50 @@ def _block_gradient(columns, spectra: dict, p: int, n: int):
     return sums, grad
 
 
-def _t_rows(system: LinearSystem, fhat: np.ndarray, n: int) -> np.ndarray:
-    """`t_fourier` of each row of an (R, p^n) stack of spectra."""
-    spectra = {1: fhat}
-    blocks = _block_columns(system)
-    return _product(_block_sums(columns, spectra, system.p, n) for columns in blocks).real
-
-
-def _gradient_rows(system: LinearSystem, fhat: np.ndarray, n: int):
+def _gradient_rows(system: LinearSystem, fhat: np.ndarray, n: int, pair: bool = False):
     """(Ghat, T) of each row of an (R, p^n) stack of spectra, where Ghat is
-    the Fourier side of `t_gradient`: its G is `_idft_rows(Ghat).real`."""
-    spectra = {1: fhat}
-    acc = t_prev = None
+    the Fourier side of `t_gradient`: its G is `_idft_rows(Ghat).real`.
+
+    With `pair`, rows R .. 2R - 1 of both are those of 1 - f, whose
+    spectrum is e_0 - f^.  A rank-1 block of t columns reads f^(0) only at
+    lambda = 0, so B(1 - f) = (1 - alpha)^t + (-1)^t (B(f) - alpha^t), and
+    its Ghat is -(-1)^t times f's but at h = 0, t (1 - alpha)^(t - 1).  A
+    wider block, or one with no rows, runs `_block_gradient` once more, on
+    e_0 - f^.  The blocks of each side are joined by the product rule, and
+    the two sides stacked once at the end."""
+    spectra, complement = {1: fhat}, {}
+    alpha = fhat[:, 0].real
+    beta = 1.0 - alpha
+    sides = None
     for columns in _block_columns(system):
-        t_b, acc_b = _block_gradient(columns, spectra, system.p, n)
-        if acc is None:
-            acc, t_prev = acc_b, t_b
+        sums, grad = _block_gradient(columns, spectra, system.p, n)
+        blocks = [(sums, grad)]
+        if pair and len(columns[0]) == 1:
+            t = len(columns)
+            sign, low = (-1) ** t, beta ** (t - 1)
+            grad = -sign * grad
+            grad[:, 0] = t * low
+            blocks.append((low * beta + sign * (sums - alpha**t), grad))
+        elif pair:
+            if not complement:
+                complement[1] = -fhat
+                complement[1][:, 0] += 1.0
+            blocks.append(_block_gradient(columns, complement, system.p, n))
+        if sides is None:
+            sides = blocks
         else:
-            acc = acc * t_b[:, None] + t_prev[:, None] * acc_b
-            t_prev = t_prev * t_b
-    return acc, t_prev.real
-
-
-def _spectra(values: np.ndarray, p: int, n: int, pair: bool) -> np.ndarray:
-    """The spectra of the rows of F from one forward transform, then with
-    `pair` those of 1 - F: (1 - f)^ = e_0 - f^, the mean on the forward side."""
-    fhat = _dft_rows(values, p, n)
-    if not pair:
-        return fhat
-    complement = -fhat
-    complement[:, 0] += 1.0
-    return np.concatenate([fhat, complement])
+            sides = [(t_prev * t_b, acc * t_b[:, None] + t_prev[:, None] * acc_b)
+                     for (t_prev, acc), (t_b, acc_b) in zip(sides, blocks)]
+    ts, ghat = zip(*sides)
+    return np.concatenate(ghat), np.concatenate(ts).real
 
 
 def t_fourier(system: LinearSystem, f: GroupFunction) -> float:
     """Row-space evaluation of T(f): the product of the block lambda-sums
-    over the variable-disjoint blocks, real part."""
+    over the variable-disjoint blocks, real part, from the one kernel pass
+    `_gradient_rows`."""
     _check_compat(system, f)
-    return float(_t_rows(system, _dft_rows(f.values[None], f.p, f.n), f.n)[0])
+    return float(_gradient_rows(system, _dft_rows(f.values[None], f.p, f.n), f.n)[1][0])
 
 
 def t_gradient(system: LinearSystem, f: GroupFunction) -> GroupFunction:
@@ -578,13 +567,13 @@ def defect_partials(property: str, t_f, t_1mf, alpha, t: int, l: int | None):
     return 1.0, 0.0, 0.0  # prevalence
 
 
-def _pair_floats(spectra: np.ndarray, ts: np.ndarray, rows: int) -> list[tuple]:
-    """(T(f), T(1 - f), alpha) of each of the `rows` functions of a
-    `_spectra` stack as Python floats, from the T of each row of the stack:
-    T(1 - f) is None when the stack holds no complements, and alpha is
-    f^(0), the mean as every float route reads it."""
-    ts = ts.tolist()
-    return list(zip(ts[:rows], ts[rows:] or [None] * rows, spectra[:rows, 0].real.tolist()))
+def _pair_floats(fhat: np.ndarray, ts: np.ndarray) -> list[tuple]:
+    """(T(f), T(1 - f), alpha) of each row of the stack of spectra `fhat` as
+    Python floats, from the T that `_gradient_rows` gives for it: T(1 - f)
+    is None where the pass formed no complements, and alpha is f^(0), the
+    mean as every float route reads it."""
+    rows, ts = len(fhat), ts.tolist()
+    return list(zip(ts[:rows], ts[rows:] or [None] * rows, fhat[:, 0].real.tolist()))
 
 
 def _defect_gradient(system: LinearSystem, property: str, l: int | None, values, n: int):
@@ -596,9 +585,9 @@ def _defect_gradient(system: LinearSystem, property: str, l: int | None, values,
     partials (`defect_partials`) as a column."""
     pair = property in READS_COMPLEMENT
     p, (rows, size) = system.p, values.shape
-    spectra = _spectra(values, p, n, pair)
-    ghat, ts = _gradient_rows(system, spectra, n)
-    floats = _pair_floats(spectra, ts, rows)
+    fhat = _dft_rows(values, p, n)
+    ghat, ts = _gradient_rows(system, fhat, n, pair)
+    floats = _pair_floats(fhat, ts)
     d_f, d_c, d_alpha = np.array([defect_partials(property, *row, system.t, l)
                                   for row in floats]).T[:, :, None]
     chain = d_f * ghat[:rows]
@@ -609,12 +598,14 @@ def _defect_gradient(system: LinearSystem, property: str, l: int | None, values,
 
 
 def _batch_rows(system: LinearSystem, n: int) -> int:
-    """Functions per stack of a lockstep search on F_p^n: at most
-    CHUNK // widest rows, widest the larger of p^n and the row-space
-    kernel's widest gather, a block's directions times at most CHUNK
-    lambda-tuples (one direction on p^n points for a rank-1 block), so each
-    of a batch's stacks, spectra, dilated spectra and powers, or one chunk
-    of gathered power products, holds at most CHUNK entries."""
+    """Functions per stack of a lockstep search on F_p^n: CHUNK // widest,
+    at least 1, widest the larger of p^n and the kernel's widest gather, a
+    block's directions times at most CHUNK lambda-tuples (p^n for a rank-1
+    block).  So in a batch of more than one row each (R, p^n) array of a
+    pass (spectra, dilations, powers, gradient terms, scatter weights, of
+    f^ or e_0 - f^), and a chunk of a wider block's gathers, all directions
+    together, holds at most CHUNK entries; the pair `_gradient_rows`
+    returns, (2R, p^n), holds twice that."""
     size, p = system.p**n, system.p
     widest = max([size] + [len(_block_plan(cols, p)[0]) * min(size ** len(cols[0]), CHUNK)
                            for cols in _block_columns(system)])
@@ -722,9 +713,9 @@ def defect(
         one = Fraction(1)
         method_name = METHOD_BRUTE
     elif method == "fourier":
-        spectra = _spectra(f.values[None], f.p, f.n, True)
-        check_mean(property, float(spectra[0, 0].real))  # f^(0), before any T
-        (t_f, t_1mf, alpha), = _pair_floats(spectra, _t_rows(system, spectra, f.n), 1)
+        fhat = _dft_rows(f.values[None], f.p, f.n)
+        check_mean(property, float(fhat[0, 0].real))  # f^(0), before any T
+        (t_f, t_1mf, alpha), = _pair_floats(fhat, _gradient_rows(system, fhat, f.n, True)[1])
         one = 1.0
         method_name = METHOD_FOURIER
     else:
@@ -752,14 +743,14 @@ def alon_witness(f: GroupFunction, system: LinearSystem, l: int) -> GroupFunctio
     c = log sqrt(T(1-f)/T(f)) after swapping so T(f) <= T(1-f).  Requires
     l >= 45c/4; the result stays in [0,1] and has mean 1/2 + c/(2l).
     """
-    spectra = _spectra(f.values[None], f.p, f.n, True)
-    alpha = float(spectra[0, 0].real)
+    fhat = _dft_rows(f.values[None], f.p, f.n)
+    alpha = float(fhat[0, 0].real)
     if abs(alpha - 0.5) > 1e-9:
         raise MeanConstraintViolated(f"witness needs mean 1/2, got {alpha}")
     if l < 1:
         raise LTooSmall("l must be a positive integer")
     _check_compat(system, f)
-    (t_f, t_1mf, _), = _pair_floats(spectra, _t_rows(system, spectra, f.n), 1)
+    (t_f, t_1mf, _), = _pair_floats(fhat, _gradient_rows(system, fhat, f.n, True)[1])
     base = f if t_1mf >= t_f else f.complement()
     small, big = min(t_f, t_1mf), max(t_f, t_1mf)
     if small <= 0.0:

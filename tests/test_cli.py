@@ -114,7 +114,7 @@ class TestEval:
     # an invalid mean exits 2 before any count, also where the count would
     # pass the size cap (phi at n = 3: p^(nD) = 3^21); a valid one still
     # reaches the count, and its cap
-    @pytest.mark.parametrize("method, scan", [("brute", "_brute_rows"), ("fourier", "_t_rows")])
+    @pytest.mark.parametrize("method, scan", [("brute", "_brute_rows"), ("fourier", "_gradient_rows")])
     @pytest.mark.parametrize("const, n, code", [("0.3", "2", 2), ("0.3", "3", 2), ("0.5", "3", 4)])
     def test_mean_is_checked_before_the_count(self, capsys, monkeypatch, method, scan, const, n,
                                               code):

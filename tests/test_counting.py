@@ -133,13 +133,13 @@ def loo_rows(system, values, n):
     return harmonic._idft_rows(acc[:, negation], p, n).real, t_prev.real
 
 
-def kernel_rows(system, values, n):
-    """(T, G, T) of each row of an (R, p^n) stack of functions, through
-    its spectra: T from `counting._t_rows`, then G and T from
-    `counting._gradient_rows`, G inverted as `t_gradient` inverts it."""
+def kernel_rows(system, values, n, pair=False):
+    """(T, G) of each row of an (R, p^n) stack of functions, through its
+    spectra by `counting._gradient_rows`, G inverted as `t_gradient`
+    inverts it; with `pair`, rows R .. 2R - 1 are those of 1 - F."""
     fhat = harmonic._dft_rows(values, system.p, n)
-    ghat, gts = counting._gradient_rows(system, fhat, n)
-    return counting._t_rows(system, fhat, n), harmonic._idft_rows(ghat, system.p, n).real, gts
+    ghat, ts = counting._gradient_rows(system, fhat, n, pair)
+    return ts, harmonic._idft_rows(ghat, system.p, n).real
 
 
 # one block with m = 2 and three directions, (1,0) and (0,1) holding two
@@ -204,7 +204,7 @@ class TestFourier:
         coeffs = harmonic.dft(g).coeffs
         want = np.sum(np.abs(coeffs) ** 4 * coeffs)
         (columns,) = counting._block_columns(A5)
-        (got,) = counting._block_sums(columns, {1: coeffs[None]}, 3, 2)
+        (got,), _ = counting._block_gradient(columns, {1: coeffs[None]}, 3, 2)
         assert abs(got.imag) <= 1e-9
         assert got.real == pytest.approx(want.real, abs=1e-12)
 
@@ -276,7 +276,7 @@ class TestProduct:
         rng = np.random.default_rng(14)
         f = GroupFunction(3, 1, rng.uniform(0, 1, 3))
         (columns,) = counting._block_columns(A5)
-        (block,) = counting._block_sums(columns, {1: harmonic.dft(f).coeffs[None]}, 3, 1)
+        (block,), _ = counting._block_gradient(columns, {1: harmonic.dft(f).coeffs[None]}, 3, 1)
         assert t_fourier(A5, f) == block.real
         assert t_fourier(PHI, f) == pytest.approx(t_fourier(A4, f) * t_fourier(A5, f), abs=1e-12)
 
@@ -399,11 +399,9 @@ class TestBatchedRows:
                 rows = np.stack([f.values, 1.0 - f.values, g.values])
                 singles = (f, f.complement(), g)
                 for system in self._systems(p):
-                    ts, grads, gts = kernel_rows(system, rows, n)
+                    ts, grads = kernel_rows(system, rows, n)
                     for r, h in enumerate(singles):
-                        want = t_fourier(system, h)
-                        assert ts[r] == pytest.approx(want, abs=1e-12)
-                        assert gts[r] == pytest.approx(want, abs=1e-12)
+                        assert ts[r] == pytest.approx(t_fourier(system, h), abs=1e-12)
                         one = t_gradient(system, h).values
                         assert np.max(np.abs(grads[r] - one)) <= 1e-12
 
@@ -415,24 +413,11 @@ class TestBatchedRows:
             for n in (1, 2, 3):
                 rows = rng.uniform(0, 1, (5, p**n))
                 for system in self._systems(p):
-                    ts, grads, gts = kernel_rows(system, rows, n)
+                    ts, grads = kernel_rows(system, rows, n)
                     for r in (1, 2, 4):
-                        got_t, got, got_ts = kernel_rows(system, rows[:r], n)
+                        got_t, got = kernel_rows(system, rows[:r], n)
                         assert np.array_equal(got_t, ts[:r])
                         assert np.array_equal(got, grads[:r])
-                        assert np.array_equal(got_ts, gts[:r])
-
-    def test_complement_spectrum_is_the_transform_of_the_complement(self):
-        # (1 - f)^ = e_0 - f^ holds exactly; in floats the two sides agree
-        # to a few ulps of the largest coefficient, 1
-        rng = np.random.default_rng(46)
-        for p, n in ((3, 1), (3, 2), (3, 4), (5, 2), (7, 2)):
-            rows = rng.uniform(0, 1, (4, p**n))
-            spectra = counting._spectra(rows, p, n, True)
-            assert np.array_equal(spectra[:4], harmonic._dft_rows(rows, p, n))
-            assert np.array_equal(counting._spectra(rows, p, n, False), spectra[:4])
-            want = harmonic._dft_rows(1.0 - rows, p, n)
-            assert np.max(np.abs(spectra[4:] - want)) <= 4 * np.finfo(np.float64).eps
 
     def test_strided_stack_rows_match_their_batch_of_one(self):
         # the lambda-sums are plain sums along C-contiguous rows; a strided
@@ -446,16 +431,16 @@ class TestBatchedRows:
                 for prop, l in (("common", None), ("sidorenko", None), ("alon", 3)):
                     for rows in strided:
                         assert not rows.flags.c_contiguous
-                        assert counting._spectra(rows, p, n, True).flags.c_contiguous
+                        assert harmonic._dft_rows(rows, p, n).flags.c_contiguous
                         values, grads = counting._defect_gradient(system, prop, l, rows, n)
-                        ts, gs, gts = kernel_rows(system, rows, n)
+                        ts, gs = kernel_rows(system, rows, n)
                         for r, row in enumerate(rows):
                             one = np.array(row)[None]
                             (got_v,), (got,) = counting._defect_gradient(system, prop, l, one, n)
                             assert got_v == values[r]
                             assert np.array_equal(got, grads[r])
-                            got_t, got_g, got_gt = kernel_rows(system, one, n)
-                            assert (got_t[0], got_gt[0]) == (ts[r], gts[r])
+                            got_t, got_g = kernel_rows(system, one, n)
+                            assert got_t[0] == ts[r]
                             assert np.array_equal(got_g[0], gs[r])
 
     def test_multi_chunk_tables_agree(self, monkeypatch):
@@ -466,29 +451,48 @@ class TestBatchedRows:
         cases = [(s, kernel_rows(s, rows, 2)) for s in self._systems(3)]
         brute = t_brute(PHI, exact)
         monkeypatch.setattr(counting, "CHUNK", 4)  # 9 lambda-terms per block: 3 chunks
-        for system, (ts, grads, gts) in cases:
-            got_t, got, got_ts = kernel_rows(system, rows, 2)
+        for system, (ts, grads) in cases:
+            got_t, got = kernel_rows(system, rows, 2)
             assert np.allclose(got_t, ts, rtol=0, atol=1e-15)
             assert np.allclose(got, grads, rtol=0, atol=1e-14)
-            assert np.allclose(got_ts, gts, rtol=0, atol=1e-15)
         assert t_brute(PHI, exact) == brute
 
     def test_index_tables_cached_read_only_and_bounded(self, monkeypatch):
         cache = counting._index_table
-        f = GroupFunction(3, 2, np.full(9, 0.5))
-        t_fourier(PHI, f)
-        t_gradient(PHI, f)
+        rng = np.random.default_rng(43)
+        f7 = GroupFunction(7, 1, rng.uniform(0, 1, 7))
+        t_gradient(TestDilationKernel.SYSTEMS[1], f7)
         before = cache.cache_info()
-        built, handed = [], []
+        built, handed, read = [], [], []
+
+        class Rows:  # a dilation table that records the rows read from it
+            def __init__(self, table):
+                self.table = table
+
+            def __getitem__(self, row):
+                read.append(row + 1)
+                return self.table[row]
+
+        def index_table(*a):
+            handed.append(cache(*a))
+            return Rows(handed[-1]) if a[0] == counting._DILATIONS[a[1]] else handed[-1]
+
         form_table = counting._form_table
         monkeypatch.setattr(counting, "_form_table", lambda *a: built.append(a) or form_table(*a))
-        monkeypatch.setattr(counting, "_index_table", lambda *a: handed.append(cache(*a)) or handed[-1])
-        # repeat evaluations on phi build no table: its dilations are cached
-        t_fourier(PHI, f)
-        t_gradient(PHI, f)
-        assert built == [] and handed and cache.cache_info().misses == before.misses
+        monkeypatch.setattr(counting, "_index_table", index_table)
+        # phi at p = 3 and 5 has coefficients +-1 only: its dilations are
+        # conjugates, so it builds and reads no table
+        for p in (3, 5):
+            f = GroupFunction(p, 2, rng.uniform(0, 1, p**2))
+            t_fourier(linsys.preset("phi", p), f)
+            t_gradient(linsys.preset("phi", p), f)
+        assert built == [] and handed == []
+        # x1 - x2 + 2 x3 - x4 + 3 x5 over F_7 gathers at c = 2, 3 (its powers,
+        # and its gradient terms at -1/3 and -1/2) from the cached table
+        t_gradient(TestDilationKernel.SYSTEMS[1], f7)
+        assert built == [] and sorted(read) == [2, 2, 3, 3]
+        assert cache.cache_info().misses == before.misses
         # every table the cache hands out, to a rank-1 or a wider block, is read-only
-        rng = np.random.default_rng(43)
         t_gradient(COUPLED, GroupFunction(5, 1, rng.uniform(0, 1, 5)))
         assert any(table.shape[0] == 3 for table in handed)  # the coupled block's directions
         for table in handed:
@@ -532,9 +536,8 @@ class TestDilationKernel:
     def _check(system, n, rng):
         rows = rng.uniform(0, 1, (3, system.p**n))
         want_g, want_t = loo_rows(system, rows, n)
-        ts, grads, gts = kernel_rows(system, rows, n)
+        ts, grads = kernel_rows(system, rows, n)
         assert np.max(np.abs(ts - want_t) / np.abs(want_t)) <= 1e-12
-        assert np.max(np.abs(gts - want_t) / np.abs(want_t)) <= 1e-12
         assert np.max(np.abs(grads - want_g)) <= 1e-12 * np.max(np.abs(want_g))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -580,6 +583,37 @@ class TestDilationKernel:
         # a wider block scatters once per direction, real and imaginary part
         t_gradient(COUPLED, GroupFunction(5, 1, rng.uniform(0, 1, 5)))
         assert calls == ["bincount"] * 6
+        # nor, with coefficients +-1 only, does it gather: phi at p = 3 and 5
+        # reads no dilation table; x1 - x2 + 2 x3 - x4 + 3 x5 over F_7 reads
+        # one for each of its powers at c = 2, 3 and gradient terms at -1/c
+        calls.clear()
+        for name in ("_index_table", "_form_table"):
+            real = getattr(counting, name)
+            monkeypatch.setattr(
+                counting, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a)
+            )
+        for p in (3, 5):
+            t_gradient(linsys.preset("phi", p), GroupFunction(p, 2, rng.uniform(0, 1, p**2)))
+        assert calls == []
+        t_gradient(self.SYSTEMS[1], GroupFunction(7, 1, rng.uniform(0, 1, 7)))
+        assert calls.count("_index_table") == 4  # a cache miss also builds the table
+
+    @pytest.mark.parametrize("system", [*SYSTEMS, COUPLED], ids=lambda s: str(s.p) + ":" + str(s.matrix))
+    def test_complement_rows_are_those_of_the_complement(self, system):
+        # a rank-1 block reads 1 - f from f's own pass, a wider block or one
+        # with no rows from e_0 - f^; each row of 1 - F agrees with a pass
+        # on 1 - F, and keeps its bits in a batch of one
+        rng = np.random.default_rng([48, system.p, system.t])
+        for n in (1, 2, 3):
+            rows = rng.uniform(0, 1, (3, system.p**n))
+            fhat = harmonic._dft_rows(rows, system.p, n)
+            ghat, ts = counting._gradient_rows(system, fhat, n, pair=True)
+            want_g, want_t = counting._gradient_rows(system, harmonic._dft_rows(1.0 - rows, system.p, n), n)
+            assert np.max(np.abs(ts[3:] - want_t) / np.abs(want_t)) <= 1e-13
+            assert np.max(np.abs(ghat[3:] - want_g)) <= 1e-13 * np.max(np.abs(want_g))
+            for r in range(3):
+                one_g, one_t = counting._gradient_rows(system, fhat[r:r + 1], n, pair=True)
+                assert one_t[1] == ts[3 + r] and np.array_equal(one_g[1], ghat[3 + r])
 
 
 class TestCoupledBlock:
@@ -740,23 +774,22 @@ class TestLift:
 
     @staticmethod
     def _check_kernel_lift(system, k, n, rng):
-        """Both identities for `_t_rows` and `_gradient_rows`: a random g on
+        """Both identities for `_gradient_rows`, T and G: a random g on
         F_p^k lifted to F_p^n, and a random f on F_p^n moved by a random A
         of GL_n.  T at k is exact where its enumeration is under the cap."""
         p = system.p
         g = random_rational_function(rng, p, k)
-        (want_t,), (want_g,), _ = kernel_rows(system, g.values[None], k)
+        (want_t,), (want_g,) = kernel_rows(system, g.values[None], k)
         if p ** (k * system.num_params) < counting.ENUMERATION_CAP:
             want_t = float(t_brute(system, g))
         index = surjection_index(rng, p, k, n)
         f = rng.uniform(0.0, 1.0, p**n)
         move = surjection_index(rng, p, n, n)
-        ts, (got_g, f_g, moved_g), gts = kernel_rows(
+        (got_t, f_t, moved_t), (got_g, f_g, moved_g) = kernel_rows(
             system, np.stack([g.values[index], f, f[move]]), n
         )
-        for got_t, f_t, moved_t in (ts, gts):
-            assert abs(got_t - want_t) <= 1e-13 * want_t
-            assert abs(moved_t - f_t) <= 1e-13 * f_t
+        assert abs(got_t - want_t) <= 1e-13 * want_t
+        assert abs(moved_t - f_t) <= 1e-13 * f_t
         assert np.max(np.abs(got_g - want_g[index])) <= 1e-13 * np.max(np.abs(want_g))
         assert np.max(np.abs(moved_g - f_g[move])) <= 1e-13 * np.max(np.abs(f_g))
 
@@ -1294,7 +1327,8 @@ class TestAlonWitness:
     def test_degenerate_density(self, monkeypatch):
         # a mean-1/2 function with zero pair density cannot exist at these
         # sizes (half the mass forces solutions), so force the guard
-        monkeypatch.setattr(counting, "_t_rows", lambda s, rows, n: np.zeros(len(rows)))
+        monkeypatch.setattr(counting, "_gradient_rows",
+                            lambda s, fhat, n, pair: (None, np.zeros(2 * len(fhat))))
         with pytest.raises(DegenerateT):
             alon_witness(constant(3, 1, F(1, 2)), PHI, 10)
 

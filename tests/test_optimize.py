@@ -223,26 +223,28 @@ class TestObjectiveGradient:
                           ("prevalence", None, False)],
     )
     def test_complements_only_where_the_defect_reads_them(self, prop, l, pair, monkeypatch):
-        # a pair property transforms each colouring forward once, runs the
-        # gradient kernel on its spectrum and its complement's, and inverts
-        # once; the defect alone is the first half of that same pass
+        # each colouring is transformed forward once, and inverted once; the
+        # kernel sees its spectrum alone, and a pair property reads 1 - f
+        # from that same pass; the defect alone is the first half of the pass
         seen = []
 
-        def spy(name, position):  # position: that of the (R, p^n) stack argument
+        def spy(name, key):  # key: the rows of the call's (R, p^n) stack
             kernel = getattr(counting, name)
 
             def wrapped(*args):
-                seen.append((name, len(args[position])))
+                seen.append((name, key(args)))
                 return kernel(*args)
             return wrapped
 
-        for name, position in (("_dft_rows", 0), ("_t_rows", 1), ("_gradient_rows", 1),
-                               ("_idft_rows", 0)):
-            monkeypatch.setattr(counting, name, spy(name, position))
+        for name, key in (("_dft_rows", lambda a: len(a[0])),
+                          ("_gradient_rows", lambda a: (len(a[1]), a[3])),
+                          ("_block_gradient", lambda a: len(a[1][1])),
+                          ("_idft_rows", lambda a: len(a[0]))):
+            monkeypatch.setattr(counting, name, spy(name, key))
         stack = np.random.default_rng(9).uniform(0.2, 0.8, (3, 9))
         obj = optimize._Objective(PHI, prop, l, 2)
-        kernel_rows = 6 if pair else 3
-        one_pass = [("_dft_rows", 3), ("_gradient_rows", kernel_rows), ("_idft_rows", 3)]
+        one_pass = [("_dft_rows", 3), ("_gradient_rows", (3, pair)), ("_block_gradient", 3),
+                    ("_block_gradient", 3), ("_idft_rows", 3)]
         values = obj.value(stack)
         assert seen == one_pass
         seen.clear()
@@ -257,8 +259,7 @@ class TestObjectiveGradient:
     def test_each_search_point_takes_one_kernel_pass(self, monkeypatch):
         # a batch's start points take one pass and each backtracking round
         # one, and each mean's re-validation one; an accepted point keeps
-        # its gradient, so no point of a batch is evaluated twice, and a
-        # search never reads T alone
+        # its gradient, so no point of a batch is evaluated twice
         calls, points = [], []
 
         def spy(owner, name, label, stack):
@@ -275,12 +276,10 @@ class TestObjectiveGradient:
         spy(optimize._Objective, "gradient", "gradient", 1)
         spy(optimize._Objective, "value", "value", 1)
         spy(counting, "_gradient_rows", "kernel", 1)
-        spy(counting, "_t_rows", "t", 1)
         monkeypatch.setattr(counting, "_batch_rows", lambda system, n: 3)
         monkeypatch.setattr(optimize, "_ETA0", 1000.0)  # most steps backtrack
         cfg = SearchConfig(property="sidorenko", p=3, n=2, restarts=4, max_iters=20, seed=7)
         scan_alpha(PHI, cfg, [F(1, 3), F(1, 2)])
-        assert not [c for c in calls if c[0] == "t"]
         # each evaluation is one pass over its stack (sidorenko reads no complement)
         evaluations = [c for c in calls if c[0] != "batch"]
         assert evaluations[1::2] == [("kernel", rows) for _, rows in evaluations[::2]]
@@ -405,6 +404,26 @@ class TestMinimize:
         cfg = SearchConfig(property="common", p=3, n=1, restarts=7, max_iters=5, seed=1)
         minimize_defect(PHI, cfg)
         assert sizes == [[0, 1, 2], [3, 4, 5], [6]]
+
+    @pytest.mark.parametrize("system, n, bound", [
+        (PHI, 8, 9),  # rank 1: 1 - f comes from f's own pass
+        (linsys.LinearSystem.from_matrix(5, [[1, 2, 0, 0, 1], [0, 0, 1, 3, 1]]), 2, 34),  # e_0 - f^
+    ])
+    def test_a_pair_property_stacks_no_more_rows_than_a_batch(self, system, n, bound, monkeypatch):
+        # a common search reads T(1 - f), and still hands the block kernel
+        # no more rows per call than `_batch_rows` allows
+        heights = []
+        kernel = counting._block_gradient
+
+        def spy(columns, spectra, p, n):
+            heights.append(len(spectra[1]))
+            return kernel(columns, spectra, p, n)
+
+        monkeypatch.setattr(counting, "_block_gradient", spy)
+        assert counting._batch_rows(system, n) == bound
+        cfg = SearchConfig(property="common", p=system.p, n=n, restarts=bound + 1, max_iters=1, seed=1)
+        minimize_defect(system, cfg)
+        assert max(heights) == bound
 
     @staticmethod
     def _peaks(search, monkeypatch):
