@@ -4,14 +4,17 @@ Nonmonotone spectral projected gradient (SPG; Birgin, Martinez and
 Raydan 2000, "Nonmonotone spectral projected gradient methods on convex
 sets") on a property's defect over the box {f : F_p^n -> [0,1]},
 optionally intersected with a fixed-mean slice.  From x with gradient g
-and step length lam, one outer step projects once, d = P(x - lam g) - x,
-and backtracks t = 1, 1/2, ... along the feasible segment x + t d until
-the defect is at most the largest of the last M accepted values plus
-1e-4 t (g . d).  The first lam is `_ETA0`; after each accepted step s with
-gradient change y, lam = s.s / s.y (Barzilai and Borwein 1988), clamped to
-[1e-10, 1e10], or 1e10 when s.y <= 0.  A restart stops when the projected
-gradient x - P(x - g) is below `_GRAD_TOL`, when t falls below 1e-12, or
-at a violation (a defect below `_VIOLATION_TOL`).
+and step length lam, one outer step makes one projection call, on the
+stack of x - g and x - lam g: the first half gives the stop test's
+projected gradient x - P(x - g), the second the step d = P(x - lam g) - x.
+A restart stops when that projected gradient is below `_GRAD_TOL`;
+otherwise it backtracks t = 1, 1/2, ... along the feasible segment x + t d
+until the defect is at most the largest of the last M accepted values
+plus 1e-4 t (g . d).  The first lam is `_ETA0`; after each accepted step s
+with gradient change y, lam = s.s / s.y (Barzilai and Borwein 1988),
+clamped to [1e-10, 1e10], or 1e10 when s.y <= 0.  A restart also stops
+when t falls below 1e-12, or at a violation (a defect below
+`_VIOLATION_TOL`).
 
 Restarts cycle through four initialization families (constant-plus-noise,
 uniform noise, coset indicators, character bumps); character bumps are
@@ -133,6 +136,12 @@ def _breakpoint_projection(rows: np.ndarray, alpha: float | np.ndarray) -> np.nd
     breakpoints v_i - 1 (coordinate i leaves 1) and v_i (it reaches 0).
     The segment where it crosses N alpha holds mu, which is then solved
     from that segment's interior coordinates.
+
+    Of the (R, 2N) temporaries, at most four are alive at once: the sort
+    order is freed once `leaves_one` is read from it, the summands of
+    `mass` are built, summed and shifted in one buffer, `interior` is
+    formed in the buffer of the running count `passed`, and `right_end`
+    takes one buffer of its own, freed before the final clip.
     """
     r, size = rows.shape
     points = np.concatenate([rows - 1.0, rows], axis=1)
@@ -140,18 +149,26 @@ def _breakpoint_projection(rows: np.ndarray, alpha: float | np.ndarray) -> np.nd
     row = np.arange(r)[:, None]
     points = points[row, order]
     leaves_one = order < size
+    del order
     # right of breakpoint j: `interior` coordinates strictly inside (0, 1),
     # and `mass` = (coordinates still at 1) + (sum of the interior v_i)
     passed = np.cumsum(leaves_one, axis=1)
-    interior = 2 * passed - np.arange(1, 2 * size + 1)
-    mass = size - passed + np.cumsum(np.where(leaves_one, points + 1.0, -points), axis=1)
+    mass = np.negative(points)
+    np.add(points, 1.0, out=mass, where=leaves_one)
+    del leaves_one
+    np.cumsum(mass, axis=1, out=mass)
+    mass += size - passed
+    interior = np.multiply(passed, 2, out=passed)
+    interior -= np.arange(1, 2 * size + 1)
     target = size * alpha
-    right_end = mass[:, :-1] - interior[:, :-1] * points[:, 1:]
+    right_end = np.multiply(interior[:, :-1], points[:, 1:])
+    np.subtract(mass[:, :-1], right_end, out=right_end)
     # the sum is nonincreasing, so mu lies on the segment whose index counts
     # the right ends above the target; rounding can leave every right end
     # slightly above a tiny target, and then mu is on the last segment,
     # never past the last breakpoint
     seg = np.minimum(np.count_nonzero(right_end > target, axis=1), 2 * size - 2)[:, None]
+    del right_end
     lo, hi, count = points[row, seg], points[row, seg + 1], interior[row, seg]
     mu = np.where(count > 0, (mass[row, seg] - target) / np.maximum(count, 1), hi)
     return np.clip(rows - np.clip(mu, lo, hi), 0.0, 1.0)
@@ -219,9 +236,13 @@ def _run_restart(system: LinearSystem, cfg: SearchConfig, rows, trace: list | No
     row, or a float on every row).  One kernel pass gives the defect and
     gradient of the start points, and one more those of each backtracking
     round's candidates; an accepted row keeps both and sets its
-    Barzilai-Borwein step then.  Returns (defect, k, colouring, accepted
-    steps, converged) per row; with `trace`, one list per row receives its
-    starting and accepted defects.
+    Barzilai-Borwein step then.  The start points take one projection call,
+    and each outer step one, on the 2m rows x - g, x - lam g of its m live
+    rows; rows project independently, so stacking moves no bits.  The
+    cost: a row that passes the stop test had its step projected for
+    nothing, at most once per row.  Returns (defect, k, colouring,
+    accepted steps, converged) per row; with `trace`, one list per row
+    receives its starting and accepted defects.
     """
     pinned = None if rows[0][0] is None else np.array([row[:1] for row in rows], dtype=np.float64)
     obj = _Objective(system, cfg.property, cfg.l, cfg.n)
@@ -244,15 +265,18 @@ def _run_restart(system: LinearSystem, cfg: SearchConfig, rows, trace: list | No
         live = np.flatnonzero(running)
         if not live.size:
             break
-        g = grad[live]
-        pg = x[live] - _project_values(x[live] - g, pinned if pinned is None else pinned[live])
+        g, at, m = grad[live], x[live], live.size
+        # the stop test's P(x - g) and the step's P(x - lam g) in one call
+        projected = _project_values(np.concatenate([at - g, at - lam[live, None] * g]),
+                                    pinned if pinned is None else np.tile(pinned[live], (2, 1)))
+        pg = at - projected[:m]
         flat = np.sqrt(_row_dots(pg, pg)) < _GRAD_TOL
         converged[live[flat]] = True
         running[live[flat]] = False
-        live, g = live[~flat], g[~flat]
+        keep = ~flat
+        live, g = live[keep], g[keep]
         # x + t d stays feasible for t in [0, 1], so backtracking never projects
-        d = _project_values(x[live] - lam[live, None] * g,
-                            pinned if pinned is None else pinned[live]) - x[live]
+        d = projected[m:][keep] - at[keep]
         slope = _SUFFICIENT_DECREASE * _row_dots(g, d)
         ref = history[live].max(axis=1)
         t = 1.0  # every row still searching has halved its t as often

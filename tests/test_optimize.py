@@ -115,6 +115,18 @@ class TestProjection:
         for row, alpha, got in zip(stack, means, out):
             assert np.array_equal(optimize._project_values(row, alpha), got)
 
+    def test_pinned_projection_peaks_below_80_bytes_per_entry(self):
+        # a search step projects a stack twice its live rows, so the
+        # breakpoint search must hold few (R, 2N) temporaries at once
+        stack = np.random.default_rng(4).normal(0.5, 1.5, (2, 3**10))
+        tracemalloc.start()
+        try:
+            optimize._project_values(stack, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 80 * stack.size, peak / stack.size
+
     @given(
         st.integers(0, 2**32 - 1),
         st.integers(1, 40),
@@ -376,6 +388,56 @@ class TestMinimize:
             assert kk == k
             assert val == one_val and iters == one_iters and converged == one_converged
             assert np.array_equal(f.values, one_f.values)
+
+    @pytest.mark.parametrize("means", [[None], [0.0, 0.5, 1.0]])
+    def test_each_outer_step_projects_once(self, means, monkeypatch):
+        # the start points take one projection, and each outer step one
+        # stack of 2m rows that serves both the stop test and the step of
+        # its m rows still searching
+        heights, outcomes = [], []
+        project, run = optimize._project_values, optimize._run_restart
+
+        def spy_project(v, alpha):
+            heights.append(len(v))
+            return project(v, alpha)
+
+        def spy_run(system, cfg, rows, trace=None):
+            outcomes.extend(run(system, cfg, rows, trace))
+            return outcomes[-len(rows):]
+
+        monkeypatch.setattr(optimize, "_project_values", spy_project)
+        monkeypatch.setattr(optimize, "_run_restart", spy_run)
+        cfg = SearchConfig(property="common", p=3, n=2, restarts=4, max_iters=15, seed=1)
+        list(optimize._search(PHI, cfg, means))
+        rows = len(means) * cfg.restarts
+        # some row ran its whole budget, so the search took max_iters steps
+        assert len(outcomes) == rows and not all(o[4] for o in outcomes)
+        assert heights[0] == rows and len(heights) == 1 + cfg.max_iters
+        assert heights[1] == 2 * rows
+        # rows pinned to 0 or 1 sit on a one-point slice and stop at the first
+        # step; the unpinned rows and those at mean 1/2 search on
+        assert heights[2] == 2 * cfg.restarts
+        assert heights[2:] == sorted(heights[2:], reverse=True)
+
+    def test_stacking_the_projections_moves_no_bits(self, monkeypatch):
+        # the one projection call per step rests on each row projecting as
+        # it would alone; projecting one row at a time changes no result
+        cfg = SearchConfig(property="common", p=3, n=2, restarts=4, max_iters=30, seed=9)
+
+        def results():
+            return [(r.to_dict(), r.best.values.tobytes())
+                    for means in ([None], [0.0, 1 / 3, 0.5, 1.0])
+                    for r in optimize._search(PHI, cfg, means)]
+
+        want = results()
+        project = optimize._project_values
+
+        def one_row_at_a_time(v, alpha):
+            means = [None] * len(v) if alpha is None else np.broadcast_to(alpha, (len(v), 1))[:, 0]
+            return np.array([project(row, mean) for row, mean in zip(v, means)]).reshape(v.shape)
+
+        monkeypatch.setattr(optimize, "_project_values", one_row_at_a_time)
+        assert results() == want
 
     @pytest.mark.parametrize("mean", [None, 0.5])
     def test_batch_bound_leaves_the_result_unchanged(self, mean, monkeypatch):
