@@ -26,7 +26,8 @@ The restarts of every mean run in lockstep as the rows of one array, so
 `counting` gives the defect and gradient of the start points, and one
 per backtracking round those of every row still searching; an accepted
 row keeps both, so each point is evaluated once.  Each row keeps its own
-mean, step length, value history and stop state.
+mean, step length and value history; the state holds the running rows
+only, and a row that stops leaves it once.
 A batch holds at most `counting._batch_rows` rows, the bound that keeps
 each of the kernel's stacks within one chunk, so memory stays bounded at
 large p^n.  The projection onto a fixed-mean slice is exact: a breakpoint
@@ -122,7 +123,7 @@ def _project_values(v: np.ndarray, alpha: float | np.ndarray | None) -> np.ndarr
     onto [0,1]^N, intersected with {mean = alpha} when alpha, a float or a
     column of one mean per row, is set."""
     if alpha is None:
-        return np.clip(v, 0.0, 1.0)
+        return v.clip(0.0, 1.0)
     out = _breakpoint_projection(np.atleast_2d(v), alpha).reshape(v.shape)
     ends = (alpha == 0.0) | (alpha == 1.0)  # the slice is the single constant function
     return np.where(ends, alpha, out) if np.any(ends) else out
@@ -171,7 +172,7 @@ def _breakpoint_projection(rows: np.ndarray, alpha: float | np.ndarray) -> np.nd
     del right_end
     lo, hi, count = points[row, seg], points[row, seg + 1], interior[row, seg]
     mu = np.where(count > 0, (mass[row, seg] - target) / np.maximum(count, 1), hi)
-    return np.clip(rows - np.clip(mu, lo, hi), 0.0, 1.0)
+    return (rows - mu.clip(lo, hi)).clip(0.0, 1.0)
 
 
 def _check_unit(mean):
@@ -237,12 +238,20 @@ def _run_restart(system: LinearSystem, cfg: SearchConfig, rows, trace: list | No
     gradient of the start points, and one more those of each backtracking
     round's candidates; an accepted row keeps both and sets its
     Barzilai-Borwein step then.  The start points take one projection call,
-    and each outer step one, on the 2m rows x - g, x - lam g of its m live
-    rows; rows project independently, so stacking moves no bits.  The
-    cost: a row that passes the stop test had its step projected for
-    nothing, at most once per row.  Returns (defect, k, colouring,
-    accepted steps, converged) per row; with `trace`, one list per row
-    receives its starting and accepted defects.
+    and each outer step one, on the 2m rows x - g, x - lam g of its m
+    running rows; rows project independently, so stacking moves no bits.
+    The cost: a row that passes the stop test had its step projected for
+    nothing, at most once per row.
+
+    The state (x, gradient, defect, step length, value history, steps, the
+    row's index in `rows` and the pinned column, doubled for the stacked
+    projection) holds the running rows only.  A row that stops, at a
+    violation, a flat projected gradient or a stalled line search, is
+    written to the outcome and compacted out of the state once, so a step
+    gathers no running rows; where every row takes its first candidate, the
+    candidates become the state.  Returns (defect, k, colouring, accepted
+    steps, converged) per row; with `trace`, one list per row receives its
+    starting and accepted defects.
     """
     pinned = None if rows[0][0] is None else np.array([row[:1] for row in rows], dtype=np.float64)
     obj = _Objective(system, cfg.property, cfg.l, cfg.n)
@@ -251,59 +260,83 @@ def _run_restart(system: LinearSystem, cfg: SearchConfig, rows, trace: list | No
         pinned,
     )
     val, grad = obj.gradient(x)  # each row's defect and gradient at its accepted point
+    out_x, out_val = np.empty_like(x), np.empty(len(rows))
+    out_iters, out_converged = np.empty(len(rows), dtype=np.int64), np.empty(len(rows), dtype=bool)
     lam = np.full(len(rows), _ETA0)
     history = np.full((len(rows), _MEMORY), -np.inf)  # ring buffer of accepted values
     history[:, 0] = val
     iters = np.zeros(len(rows), dtype=np.int64)
-    converged = np.zeros(len(rows), dtype=bool)
-    running = np.ones(len(rows), dtype=bool)
+    order = np.arange(len(rows))
+    doubled = None if pinned is None else np.concatenate([pinned, pinned])
     if trace is not None:
         for row, v in zip(trace, val.tolist()):
             row.append(v)
+
+    def stop(done, converged):
+        """Write the state's rows `done` to the outcome; the state without them."""
+        at, keep = order[done], ~done
+        out_x[at], out_val[at], out_iters[at] = x[done], val[done], iters[done]
+        out_converged[at] = converged
+        return ([a[keep] for a in (x, grad, val, lam, history, iters, order)]
+                + [None if doubled is None else doubled[np.concatenate([keep, keep])]])
+
     for _ in range(cfg.max_iters):
-        running &= ~(val < _VIOLATION_TOL)
-        live = np.flatnonzero(running)
-        if not live.size:
+        violation = val < _VIOLATION_TOL
+        if violation.any():
+            x, grad, val, lam, history, iters, order, doubled = stop(violation, False)
+        m = len(order)
+        if not m:
             break
-        g, at, m = grad[live], x[live], live.size
         # the stop test's P(x - g) and the step's P(x - lam g) in one call
-        projected = _project_values(np.concatenate([at - g, at - lam[live, None] * g]),
-                                    pinned if pinned is None else np.tile(pinned[live], (2, 1)))
-        pg = at - projected[:m]
-        flat = np.sqrt(_row_dots(pg, pg)) < _GRAD_TOL
-        converged[live[flat]] = True
-        running[live[flat]] = False
-        keep = ~flat
-        live, g = live[keep], g[keep]
+        projected = _project_values(np.concatenate([x - grad, x - lam[:, None] * grad]), doubled)
+        pg = x - projected[:m]
         # x + t d stays feasible for t in [0, 1], so backtracking never projects
-        d = projected[m:][keep] - at[keep]
-        slope = _SUFFICIENT_DECREASE * _row_dots(g, d)
-        ref = history[live].max(axis=1)
+        d = projected[m:] - x
+        flat = np.sqrt(_row_dots(pg, pg)) < _GRAD_TOL
+        if flat.any():
+            d = d[~flat]
+            x, grad, val, lam, history, iters, order, doubled = stop(flat, True)
+        slope = _SUFFICIENT_DECREASE * _row_dots(grad, d)
+        ref = history.max(axis=1)
+        # the rows still backtracking: their index in the state, point and gradient
+        live, at, g = np.arange(len(order)), x, grad
         t = 1.0  # every row still searching has halved its t as often
         while live.size and t >= 1e-12:
-            cand = x[live] + t * d
+            cand = at + t * d
             cand_val, cand_grad = obj.gradient(cand)
             ok = cand_val <= ref + t * slope
-            taken = live[ok]
-            s = cand[ok] - x[taken]  # Barzilai-Borwein, from the step and the gradient change
-            ss, sy = _row_dots(s, s), _row_dots(s, cand_grad[ok] - grad[taken])
-            curved = sy > 0
-            lam[taken] = _LAMBDA_MAX
-            lam[taken[curved]] = np.clip(ss[curved] / sy[curved], _LAMBDA_MIN, _LAMBDA_MAX)
-            x[taken], grad[taken] = cand[ok], cand_grad[ok]
-            val[taken] = cand_val[ok]
+            s = cand - at  # Barzilai-Borwein, from the step and the gradient change
+            ss, sy = _row_dots(s, s), _row_dots(s, cand_grad - g)
+            step = np.divide(ss, sy, out=np.full(len(ss), _LAMBDA_MAX), where=sy > 0)
+            step = step.clip(_LAMBDA_MIN, _LAMBDA_MAX)
+            rest = ~ok
+            backtrack = rest.any()
+            taken = live
+            if backtrack:
+                taken, step, cand, cand_grad, cand_val = (
+                    live[ok], step[ok], cand[ok], cand_grad[ok], cand_val[ok])
+            if len(taken) == len(x):  # every row took its step: the candidates are the state
+                lam, x, grad, val = step, cand, cand_grad, cand_val
+            else:
+                lam[taken], x[taken], grad[taken], val[taken] = step, cand, cand_grad, cand_val
             iters[taken] += 1
-            history[taken, iters[taken] % _MEMORY] = cand_val[ok]
+            history[taken, iters[taken] % _MEMORY] = cand_val
             if trace is not None:
-                for i, v in zip(taken.tolist(), cand_val[ok].tolist()):
+                for i, v in zip(order[taken].tolist(), cand_val.tolist()):
                     trace[i].append(v)
-            keep = ~ok
-            live, d, slope, ref = live[keep], d[keep], slope[keep], ref[keep]
+            if not backtrack:
+                break
+            live, at, g, d, slope, ref = (
+                live[rest], at[rest], g[rest], d[rest], slope[rest], ref[rest])
             t *= 0.5
-        converged[live] = True  # stalled
-        running[live] = False
+        else:  # stalled
+            stalled = np.zeros(len(order), dtype=bool)
+            stalled[live] = True
+            x, grad, val, lam, history, iters, order, doubled = stop(stalled, True)
+    stop(np.ones(len(order), dtype=bool), False)
     return [
-        (float(val[i]), k, GroupFunction(cfg.p, cfg.n, x[i]), int(iters[i]), bool(converged[i]))
+        (float(out_val[i]), k, GroupFunction(cfg.p, cfg.n, out_x[i]), int(out_iters[i]),
+         bool(out_converged[i]))
         for i, (_, _, k) in enumerate(rows)
     ]
 

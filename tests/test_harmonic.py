@@ -132,6 +132,58 @@ class TestIdft:
         assert np.max(np.abs(back - f.values)) < 1e-10
 
 
+def fft_oracle(stack: np.ndarray, p: int, n: int) -> np.ndarray:
+    """numpy's n-dimensional FFT of each row, mean on the forward side: the
+    C-order reshape to (p,) * n puts the most significant digit first on
+    both the point and the frequency side."""
+    cube = stack.reshape(stack.shape[:-1] + (p,) * n)
+    return np.fft.fftn(cube, axes=range(-n, 0)).reshape(stack.shape) / p**n
+
+
+class TestTransformPasses:
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_rows_match_the_oracles_and_round_trip(self, p, n):
+        # odd n ends a two-digit transform (p <= 5) on a one-digit pass
+        rng = np.random.default_rng(100 * p + n)
+        stack = rng.uniform(0, 1, (3, p**n))
+        got = harmonic._dft_rows(stack, p, n)
+        assert np.max(np.abs(got - fft_oracle(stack, p, n))) < 1e-12
+        if p**n <= 125:  # naive_dft costs p^2n Python steps
+            for row, want in zip(stack, got):
+                assert np.max(np.abs(naive_dft(GroupFunction(p, n, row)) - want)) < 1e-12
+        assert np.max(np.abs(harmonic._idft_rows(got, p, n) - stack)) < 1e-12
+
+    @pytest.mark.parametrize("p, n", [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (5, 4)])
+    def test_each_row_keeps_its_batch_of_one_bits(self, p, n):
+        rng = np.random.default_rng(10 * p + n)
+        stack = rng.uniform(0, 1, (7, p**n))
+        fhat = harmonic._dft_rows(stack, p, n)
+        back = harmonic._idft_rows(fhat, p, n)
+        for r in range(len(stack)):
+            assert np.array_equal(fhat[r], harmonic._dft_rows(stack[r : r + 1], p, n)[0])
+            assert np.array_equal(back[r], harmonic._idft_rows(fhat[r : r + 1], p, n)[0])
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_two_digits_per_pass_up_to_p_5(self, p, n, monkeypatch):
+        widths = []
+        pass_matrix = harmonic._pass_matrix
+
+        def spy(p, digits, inverse):
+            widths.append(digits)
+            return pass_matrix(p, digits, inverse)
+
+        monkeypatch.setattr(harmonic, "_pass_matrix", spy)
+        for transform in (harmonic._dft_rows, harmonic._idft_rows):
+            widths.clear()
+            transform(np.ones((2, p**n), dtype=np.complex128), p, n)
+            assert len(widths) == (math.ceil(n / 2) if p <= 5 else n)
+            assert sum(widths) == n and widths == sorted(widths, reverse=True)
+        for digits, inverse in ((1, False), (1, True), (2, False), (2, True)):
+            assert not pass_matrix(p, digits, inverse).flags.writeable
+
+
 class TestSpectralSup:
     def test_zero_function(self):
         assert spectral_sup(GroupFunction(3, 1, np.zeros(3))) == 0.0

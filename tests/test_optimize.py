@@ -389,6 +389,54 @@ class TestMinimize:
             assert val == one_val and iters == one_iters and converged == one_converged
             assert np.array_equal(f.values, one_f.values)
 
+    @pytest.mark.parametrize("eta0, seed", [(0.1, 1), (1000.0, 35)])
+    def test_rows_stopping_by_every_rule_keep_their_batch_of_one_runs(self, eta0, seed,
+                                                                       monkeypatch):
+        # criterion 04's F_5 quadruple with the stop tolerance cut to 1e-15:
+        # in one batch, rows stop at a violation, at a flat projected
+        # gradient and at a stalled line search, at different steps, so they
+        # leave the lockstep state at different times; each row's outcome and
+        # trace are those of its batch of one
+        monkeypatch.setattr(optimize, "_ETA0", eta0)
+        monkeypatch.setattr(optimize, "_GRAD_TOL", 1e-15)
+        system = linsys.LinearSystem.from_matrix(5, [[1, 1, 1, 1]])
+        cfg = SearchConfig(property="common", p=5, n=1, restarts=16, max_iters=300, seed=seed)
+        obj = optimize._Objective(system, cfg.property, cfg.l, cfg.n)
+        traces = [[] for _ in range(cfg.restarts)]
+        batch = optimize._run_restart(system, cfg, _rows(cfg, range(cfg.restarts)), trace=traces)
+        stops = {}
+        for k, (trace, (val, kk, f, iters, converged)) in enumerate(zip(traces, batch)):
+            one_trace = [[]]
+            (one_val, _, one_f, one_iters, one_converged), = optimize._run_restart(
+                system, cfg, _rows(cfg, [k]), trace=one_trace)
+            assert kk == k and trace == one_trace[0]
+            assert val == one_val and iters == one_iters and converged == one_converged
+            assert np.array_equal(f.values, one_f.values)
+            assert len(trace) == iters + 1 and trace[-1] == val
+            pg = f.values - optimize._project_values(f.values - obj.gradient(f.values[None])[1][0],
+                                                     None)
+            flat = np.sqrt(optimize._row_dots(pg, pg)) < optimize._GRAD_TOL
+            rule = ("violation" if val < optimize._VIOLATION_TOL else
+                    "cap" if not converged else "flat" if flat else "stall")
+            stops.setdefault(rule, set()).add(iters)
+        assert {"violation", "flat", "stall"} <= set(stops)
+        assert len(set().union(*stops.values())) >= 3
+
+    @pytest.mark.parametrize("mean", [None, 0.5])
+    def test_no_step_returns_the_projected_starts(self, mean):
+        cfg = SearchConfig(property="common", p=3, n=2, mean=mean, restarts=4, max_iters=0,
+                           seed=7)
+        rows = _rows(cfg, range(cfg.restarts))
+        starts = optimize._project_values(
+            np.stack([optimize._initial_point(cfg, k, np.random.default_rng([seed, k]))
+                      for _, seed, k in rows]),
+            None if mean is None else np.full((cfg.restarts, 1), mean))
+        values = optimize._Objective(PHI, cfg.property, cfg.l, cfg.n).value(starts)
+        outcomes = optimize._run_restart(PHI, cfg, rows)
+        for (val, k, f, iters, converged), start, want in zip(outcomes, starts, values):
+            assert iters == 0 and converged is False
+            assert np.array_equal(f.values, start) and val == want
+
     @pytest.mark.parametrize("means", [[None], [0.0, 0.5, 1.0]])
     def test_each_outer_step_projects_once(self, means, monkeypatch):
         # the start points take one projection, and each outer step one
